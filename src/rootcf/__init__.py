@@ -32,7 +32,6 @@ from .engine import (
     verify_quotient,
 )
 from .bvp import (
-    BvpTerms,
     CellSummary,
     ClaimStats,
     PredictionOutcome,
@@ -42,7 +41,6 @@ from .bvp import (
     TheoremReport,
     ViolationRecord,
     algebraic_distance,
-    bvp_terms,
     certified_unit_remainder,
     cubic_correction,
     general_correction,

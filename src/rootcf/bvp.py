@@ -26,14 +26,13 @@ from .exact import (
     DEFAULT_MAX_BITS,
     DEFAULT_START_BITS,
     InconsistentEnclosureError,
-    IntervalZeroDivisionError,
     InvalidDegreeError,
     PerfectPowerError,
-    PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
     WrongDegreeError,
     alpha_interval,
+    refine,
     validate_spec,
 )
 from .engine import (
@@ -151,17 +150,11 @@ def remainder_enclosure(
     target_width: Fraction | None = None,
 ) -> RationalInterval:
     """R_n enclosure with automatic refinement to an optional width target."""
-    bits = start_bits
-    while True:
-        try:
-            iv = remainder(spec, conv, prev, alpha_interval(spec, bits))
-            if target_width is None or iv.width <= target_width:
-                return iv
-        except IntervalZeroDivisionError:
-            pass
-        bits *= 2
-        if bits > max_bits:
-            raise PrecisionCeilingError(max_bits)
+    def attempt(bits: int) -> RationalInterval | None:
+        iv = remainder(spec, conv, prev, alpha_interval(spec, bits))
+        return iv if target_width is None or iv.width <= target_width else None
+
+    return refine(attempt, start_bits, max_bits)
 
 
 def certified_unit_remainder(
@@ -178,80 +171,15 @@ def certified_unit_remainder(
     strictly outside [-1, 1]; R_n = +-1 is impossible because theta_n is
     irrational while H_n and q_{n-1}/q_n are rational.
     """
-    bits = start_bits
-    while True:
-        try:
-            iv = remainder(spec, conv, prev, alpha_interval(spec, bits))
-            if iv.strictly_inside(-1, 1):
-                return iv, True
-            if iv.hi < -1 or iv.lo > 1:
-                return iv, False
-        except IntervalZeroDivisionError:
-            pass
-        bits *= 2
-        if bits > max_bits:
-            raise PrecisionCeilingError(max_bits)
+    def attempt(bits: int) -> tuple[RationalInterval, bool] | None:
+        iv = remainder(spec, conv, prev, alpha_interval(spec, bits))
+        if iv.strictly_inside(-1, 1):
+            return iv, True
+        if iv.hi < -1 or iv.lo > 1:
+            return iv, False
+        return None
 
-
-@dataclass(frozen=True)
-class BvpTerms:
-    """Per-index bundle of decomposition quantities.
-
-    Exact rationals/integers: distance d_n, leading H_n, shifted A_n.
-    Certified enclosures: theta_n, remainder R_n, correction W_n and,
-    for cubics, the signed correction V_n (= -W_n).
-    """
-
-    n: int
-    side: Side
-    distance: int
-    leading: Fraction
-    shifted_leading: Fraction
-    theta: RationalInterval
-    remainder: RationalInterval
-    correction: RationalInterval
-    cubic: RationalInterval | None
-
-
-def bvp_terms(
-    spec: RadicandSpec,
-    conv: Convergent,
-    prev: Convergent | None,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-    target_width: Fraction | None = None,
-) -> BvpTerms:
-    """Assemble the full decomposition bundle at an adaptive precision."""
-    bits = start_bits
-    while True:
-        try:
-            a_iv = alpha_interval(spec, bits)
-            theta_iv = complete_quotient_interval(conv, prev, a_iv)
-            w_iv = general_correction(spec, conv, a_iv)
-            qp = _prev_pq(prev)[1]
-            h = leading_term(spec, conv)
-            r_iv = (w_iv - Fraction(qp, conv.q)).intersect(theta_iv - h)
-            if r_iv is None:
-                raise InconsistentEnclosureError(f"remainder routes disjoint at n={conv.n}")
-            v_iv = cubic_correction(spec, conv, a_iv) if spec.m == 3 else None
-            if target_width is None or max(theta_iv.width, r_iv.width) <= target_width:
-                return BvpTerms(
-                    n=conv.n,
-                    side=conv.side,
-                    distance=algebraic_distance(spec, conv),
-                    leading=h,
-                    shifted_leading=h - Fraction(qp, conv.q),
-                    theta=theta_iv,
-                    remainder=r_iv,
-                    correction=w_iv,
-                    cubic=v_iv,
-                )
-        except IntervalZeroDivisionError:
-            pass
-        bits *= 2
-        if bits > max_bits:
-            raise PrecisionCeilingError(max_bits)
+    return refine(attempt, start_bits, max_bits)
 
 
 @dataclass(frozen=True)
@@ -400,37 +328,34 @@ def _analyze_term(
     h = leading_term(spec, conv)
     qp = _prev_pq(prev)[1]
     shift = Fraction(qp, conv.q)
-    bits = start_bits
-    while True:
-        try:
-            a_iv = alpha_interval(spec, bits)
-            theta_iv = complete_quotient_interval(conv, prev, a_iv)
-            r_iv = (general_correction(spec, conv, a_iv) - shift).intersect(theta_iv - h)
-            if r_iv is None:
-                raise InconsistentEnclosureError(f"remainder routes disjoint at n={conv.n}")
-            in_unit = r_iv.strictly_inside(-1, 1)
-            decided = in_unit or r_iv.hi < -1 or r_iv.lo > 1
 
-            # Universal identity: theta + q_{n-1}/q_n = 1/(q**2 |x - alpha|).
-            gap = (x - a_iv) if conv.side is Side.ABOVE else (a_iv - x)
-            if gap.lo <= 0:
-                raise IntervalZeroDivisionError
-            universal_ok = (theta_iv + shift).intersects((gap * conv.q ** 2).reciprocal())
+    def attempt(bits: int):
+        a_iv = alpha_interval(spec, bits)
+        theta_iv = complete_quotient_interval(conv, prev, a_iv)
+        r_iv = (general_correction(spec, conv, a_iv) - shift).intersect(theta_iv - h)
+        if r_iv is None:
+            raise InconsistentEnclosureError(f"remainder routes disjoint at n={conv.n}")
+        in_unit = r_iv.strictly_inside(-1, 1)
+        decided = in_unit or r_iv.hi < -1 or r_iv.lo > 1
 
-            sign_ok: bool | None = None
-            if spec.m == 3:
-                v_iv = cubic_correction(spec, conv, a_iv)
-                if v_iv.lo > 0:
-                    sign_ok = conv.side is Side.ABOVE
-                elif v_iv.hi < 0:
-                    sign_ok = conv.side is Side.BELOW
-            if decided and (spec.m != 3 or sign_ok is not None):
-                return theta_iv, r_iv, in_unit, universal_ok, sign_ok
-        except IntervalZeroDivisionError:
-            pass
-        bits *= 2
-        if bits > max_bits:
-            raise PrecisionCeilingError(max_bits)
+        # Universal identity: theta + q_{n-1}/q_n = 1/(q**2 |x - alpha|).
+        gap = (x - a_iv) if conv.side is Side.ABOVE else (a_iv - x)
+        if gap.lo <= 0:
+            return None
+        universal_ok = (theta_iv + shift).intersects((gap * conv.q ** 2).reciprocal())
+
+        sign_ok: bool | None = None
+        if spec.m == 3:
+            v_iv = cubic_correction(spec, conv, a_iv)
+            if v_iv.lo > 0:
+                sign_ok = conv.side is Side.ABOVE
+            elif v_iv.hi < 0:
+                sign_ok = conv.side is Side.BELOW
+        if decided and (spec.m != 3 or sign_ok is not None):
+            return theta_iv, r_iv, in_unit, universal_ok, sign_ok
+        return None
+
+    return refine(attempt, start_bits, max_bits)
 
 
 def _stable_from(failures: list[int], last_checked: int | None) -> int | None:

@@ -267,8 +267,12 @@ def main(argv: list[str] | None = None) -> int:
     if config.out is None:
         sys.stdout.write(payload)
     else:
-        with open(config.out, "w", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out, "w", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"rootcf: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

@@ -17,12 +17,11 @@ from .exact import (
     DEFAULT_MAX_BITS,
     DEFAULT_START_BITS,
     InconsistentEnclosureError,
-    IntervalZeroDivisionError,
-    PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
     alpha_interval,
     int_nth_root,
+    refine,
     sign_linear_in_alpha,
 )
 
@@ -115,15 +114,10 @@ class ThetaEnclosure:
         return self.interval - b_next
 
 
-class _AmbiguousFloor(Exception):
-    """Interval too wide to pin an integer floor; retry at higher precision."""
-
-
-def _interval_floor(iv: RationalInterval) -> int:
+def _interval_floor(iv: RationalInterval) -> int | None:
+    """The floor shared by every point of iv; None when the interval straddles an integer."""
     fl = math.floor(iv.lo)
-    if math.floor(iv.hi) != fl:
-        raise _AmbiguousFloor
-    return fl
+    return fl if math.floor(iv.hi) == fl else None
 
 
 def complete_quotient_interval(
@@ -155,17 +149,13 @@ def theta_enclosure(
     Precision doubles until the defining quotient is computable and, if
     `target_width` is given, at least that tight.
     """
-    bits = start_bits
-    while True:
-        try:
-            iv = complete_quotient_interval(conv, prev, alpha_interval(spec, bits))
-            if target_width is None or iv.width <= target_width:
-                return ThetaEnclosure(n=conv.n, interval=iv)
-        except IntervalZeroDivisionError:
-            pass
-        bits *= 2
-        if bits > max_bits:
-            raise PrecisionCeilingError(max_bits)
+    def attempt(bits: int) -> ThetaEnclosure | None:
+        iv = complete_quotient_interval(conv, prev, alpha_interval(spec, bits))
+        if target_width is None or iv.width <= target_width:
+            return ThetaEnclosure(n=conv.n, interval=iv)
+        return None
+
+    return refine(attempt, start_bits, max_bits)
 
 
 def _theta_exceeds(spec: RadicandSpec, conv: Convergent, prev: Convergent | None, t: int) -> bool:
@@ -201,20 +191,23 @@ def next_partial_quotient(spec: RadicandSpec, conv: Convergent, prev: Convergent
     return lo
 
 
-def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion:
+def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
+    """The certified expansion at one precision; None if some floor is ambiguous."""
     theta = alpha_interval(spec, bits)
     terms: list[Convergent] = []
     prev: Convergent | None = None
     prev2: Convergent | None = None
     for n in range(count + 1):
         b = _interval_floor(theta)
+        if b is None:
+            return None
         conv = convergent_step(spec, (prev, prev2), b)
         terms.append(conv)
         prev2, prev = prev, conv
         if n < count:
             tail = theta - b
             if tail.lo <= 0:
-                raise _AmbiguousFloor
+                return None
             theta = tail.reciprocal()
     assert terms[0].b == int_nth_root(spec.k, spec.m)
     if count >= 1:
@@ -244,14 +237,7 @@ def expand(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    bits = start_bits
-    while True:
-        try:
-            return _expand_at(spec, count, bits)
-        except _AmbiguousFloor:
-            bits *= 2
-            if bits > max_bits:
-                raise PrecisionCeilingError(max_bits) from None
+    return refine(lambda bits: _expand_at(spec, count, bits), start_bits, max_bits)
 
 
 def expand_exact_oracle(spec: RadicandSpec, count: int) -> Expansion:

@@ -9,8 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 Rational = Fraction
+T = TypeVar("T")
 
 DEFAULT_START_BITS = 64
 DEFAULT_MAX_BITS = 1 << 20
@@ -30,6 +32,11 @@ class PrecisionCeilingError(RuntimeError):
     def __init__(self, bits: int):
         super().__init__(f"precision refinement exceeded the {bits}-bit cap")
         self.bits = bits
+
+    def __reduce__(self):
+        # The default pickles self.args (the message) and would rebuild the
+        # error by passing that message back in as `bits`.
+        return type(self), (self.bits,)
 
 
 class IntervalZeroDivisionError(ZeroDivisionError):
@@ -291,3 +298,25 @@ def alpha_floor_scaled(spec: RadicandSpec, digits: int, base: int = 2) -> AlphaE
 def alpha_interval(spec: RadicandSpec, bits: int) -> RationalInterval:
     """Binary enclosure of alpha with width 2**-bits."""
     return alpha_floor_scaled(spec, bits, base=2).interval
+
+
+def refine(attempt: Callable[[int], T | None], start_bits: int, max_bits: int) -> T:
+    """Call attempt(bits) at start_bits, then at doubled bits, until it answers.
+
+    This is the package's one precision policy.  An attempt that returns
+    None or raises IntervalZeroDivisionError found its enclosures too
+    coarse and is retried at twice the bits; once the next precision would
+    exceed max_bits, PrecisionCeilingError(max_bits) is raised.  The first
+    attempt always runs.  Any other exception propagates unchanged.
+    """
+    bits = start_bits
+    while True:
+        try:
+            result = attempt(bits)
+        except IntervalZeroDivisionError:
+            result = None
+        if result is not None:
+            return result
+        bits *= 2
+        if bits > max_bits:
+            raise PrecisionCeilingError(max_bits)

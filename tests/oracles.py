@@ -55,6 +55,39 @@ def convergents_from_terms(terms: list[int]) -> list[tuple[int, int]]:
     return list(zip(ps[2:], qs[2:]))
 
 
+def sign_u_alpha_plus_v(k: int, m: int, u: int, v: int) -> int:
+    """Sign of u*k**(1/m) + v: u*alpha and -v compared through their m-th powers."""
+    if u == 0:
+        return (v > 0) - (v < 0)
+    s = 1 if u > 0 else -1
+    if s * v >= 0:
+        return s
+    return s if k * abs(u) ** m > abs(v) ** m else -s
+
+
+def theta_exceeds_rational(k: int, m: int, p: int, q: int, pp: int, qp: int, t: Fraction) -> bool:
+    """theta_n > t for rational t = a/b, b > 0, from two exact integer signs.
+
+    theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n), so b*(theta_n - t)
+    has the sign of (b*p_{n-1} + a*p_n) - (b*q_{n-1} + a*q_n)*alpha times
+    the sign of q_n*alpha - p_n.
+    """
+    a, b = t.numerator, t.denominator
+    num = sign_u_alpha_plus_v(k, m, -(b * qp + a * q), b * pp + a * p)
+    den = sign_u_alpha_plus_v(k, m, q, -p)
+    return num * den > 0
+
+
+def unit_remainder_exact(k: int, m: int, p: int, q: int, pp: int, qp: int) -> bool:
+    """|R_n| < 1, i.e. H_n - 1 < theta_n < H_n + 1, with no interval arithmetic.
+
+    theta_n is irrational, so it never equals the rational H_n +- 1.
+    """
+    h = Fraction(m * p ** (m - 1), abs(p ** m - k * q ** m) * q)
+    return (theta_exceeds_rational(k, m, p, q, pp, qp, h - 1)
+            and not theta_exceeds_rational(k, m, p, q, pp, qp, h + 1))
+
+
 # Frozen prefixes produced by cf_terms_fixed_point (bits = 2000).
 CF_CBRT2 = [1, 3, 1, 5, 1, 1, 4, 1, 1, 8, 1, 14]
 CF_CBRT3 = [1, 2, 3, 1, 4, 1, 5, 1]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootcf.bvp import (
     CLAIM_BELOW_WINDOW,
@@ -8,7 +10,6 @@ from rootcf.bvp import (
     REMAINDER_BOUND,
     WINDOW_BELOW,
     algebraic_distance,
-    bvp_terms,
     certified_unit_remainder,
     cubic_correction,
     general_correction,
@@ -21,7 +22,9 @@ from rootcf.bvp import (
     verify_theorems,
 )
 from rootcf.engine import Side, expand
-from rootcf.exact import WrongDegreeError, alpha_interval, validate_spec
+from rootcf.exact import PerfectPowerError, WrongDegreeError, alpha_interval, validate_spec
+
+from oracles import unit_remainder_exact
 
 SPEC_50_10 = validate_spec(50, 10)
 SPEC_2_3 = validate_spec(2, 3)
@@ -45,6 +48,8 @@ class TestExactQuantities:
         assert algebraic_distance(SPEC_2_3, conv0) == 1
         conv1, _ = EXP_2.pair(1)
         assert algebraic_distance(SPEC_2_3, conv1) == 10  # |64 - 54|
+        conv2, _ = EXP_2.pair(2)
+        assert algebraic_distance(SPEC_2_3, conv2) == 3  # |125 - 128|
 
     def test_leading_degree_ten(self):
         conv, _ = EXP_50.pair(1)
@@ -113,6 +118,21 @@ class TestRemainder:
             combined = remainder(SPEC_2_3, conv, prev, a_iv)
             assert via_w.contains_interval(combined)
             assert via_theta.contains_interval(combined)
+
+    @given(k=st.integers(min_value=2, max_value=1000), m=st.integers(min_value=3, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_verdict_matches_exact_oracle(self, k, m):
+        # The interval verdict on |R_n| < 1 must equal the integer-sign
+        # decision of H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
+        try:
+            spec = validate_spec(k, m)
+        except PerfectPowerError:
+            return
+        exp = expand(spec, 14)
+        for n in range(1, 15):
+            conv, prev = exp.pair(n)
+            _, inside = certified_unit_remainder(spec, conv, prev)
+            assert inside == unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
 
 
 class TestCubicCorrection:
@@ -240,28 +260,6 @@ class TestPredictNext:
             assert out.predicted == out.candidate + out.epsilon
             assert out.formula_held == (out.predicted == out.actual)
             assert out.actual == exp.terms[n + 1].b
-
-
-class TestBvpTermsBundle:
-    def test_bundle_consistency(self):
-        conv, prev = EXP_2.pair(2)
-        bundle = bvp_terms(SPEC_2_3, conv, prev, target_width=Fraction(1, 10 ** 6))
-        assert bundle.distance == 3
-        assert bundle.leading == Fraction(25, 4)
-        assert bundle.shifted_leading == Fraction(11, 2)
-        assert bundle.side is Side.BELOW
-        # R subset of theta - H
-        shifted_theta = bundle.theta - bundle.leading
-        assert shifted_theta.contains_interval(bundle.remainder)
-        # V and -W enclose the same number
-        assert bundle.cubic is not None
-        assert (-bundle.correction).intersects(bundle.cubic)
-
-    def test_no_cubic_slot_for_other_degrees(self):
-        conv, prev = EXP_50.pair(1)
-        bundle = bvp_terms(SPEC_50_10, conv, prev)
-        assert bundle.cubic is None
-        assert within(bundle.theta, Fraction("11.26893529"), Fraction(1, 10 ** 6))
 
 
 class TestVerifyTheorems:

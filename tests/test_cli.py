@@ -114,6 +114,22 @@ class TestMain:
         data = json.loads(path.read_text())
         assert data["results"][0]["partial_quotients"] == [1, 2, 2, 2, 2]
 
+    def test_out_unwritable(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        assert main(["expand", "--k", "2", "--m", "3", "--terms", "3",
+                     "--out", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rootcf: cannot write {path}")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_precision_ceiling_message_from_workers(self, capsys, workers):
+        code = main(["scan", "--m", "3", "--k-range", "2..6", "--terms", "50",
+                     "--precision-cap", "64", "--workers", workers])
+        assert code == EXIT_PRECISION
+        assert capsys.readouterr().err == "rootcf: precision refinement exceeded the 64-bit cap\n"
+
 
 class TestEmit:
     def test_json_shape(self):

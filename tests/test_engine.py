@@ -108,6 +108,9 @@ class TestThetaEnclosure:
         target = Fraction("11.2689")
         assert abs(enc.interval.lo - target) <= Fraction(1, 10 ** 4)
         assert abs(enc.interval.hi - target) <= Fraction(1, 10 ** 4)
+        fine = theta_enclosure(SPEC_50_10, conv, prev, target_width=Fraction(1, 10 ** 6))
+        for end in (fine.interval.lo, fine.interval.hi):
+            assert abs(end - Fraction("11.26893529")) <= Fraction(1, 10 ** 6)
 
     def test_cbrt2_first_quotient(self):
         conv, prev = expand(SPEC_2_3, 1).pair(0)

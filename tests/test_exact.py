@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,18 @@ from hypothesis import strategies as st
 
 from rootcf.exact import (
     AlphaEnclosure,
+    InconsistentEnclosureError,
     IntervalZeroDivisionError,
     InvalidDegreeError,
     PerfectPowerError,
+    PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
     alpha_floor_scaled,
     alpha_interval,
     int_nth_root,
     prime_divisors,
+    refine,
     sign_linear_in_alpha,
     validate_spec,
 )
@@ -272,3 +276,75 @@ class TestRationalInterval:
             "div": lambda x, y: x / y,
         }[op]
         assert apply(point_a, point_b) in apply(box_a, box_b)
+
+
+def recording(outcome):
+    """A refine attempt that records its bits and answers with outcome(bits)."""
+    calls = []
+
+    def attempt(bits):
+        calls.append(bits)
+        return outcome(bits)
+
+    return attempt, calls
+
+
+def coarse(bits):
+    return None
+
+
+def divides_by_zero(bits):
+    raise IntervalZeroDivisionError
+
+
+class TestRefine:
+    def test_doubles_from_start_until_answered(self):
+        attempt, calls = recording(lambda bits: bits if bits >= 400 else None)
+        assert refine(attempt, 50, 1000) == 400
+        assert calls == [50, 100, 200, 400]
+
+    @pytest.mark.parametrize("too_coarse", [coarse, divides_by_zero])
+    def test_none_and_zero_division_retry_up_to_cap(self, too_coarse):
+        attempt, calls = recording(too_coarse)
+        with pytest.raises(PrecisionCeilingError) as info:
+            refine(attempt, 64, 1000)
+        assert calls == [64, 128, 256, 512]
+        assert info.value.bits == 1000
+
+    def test_last_attempt_at_cap_itself(self):
+        attempt, calls = recording(coarse)
+        with pytest.raises(PrecisionCeilingError):
+            refine(attempt, 64, 512)
+        assert calls == [64, 128, 256, 512]
+
+    def test_start_at_cap_gets_one_attempt(self):
+        attempt, calls = recording(coarse)
+        with pytest.raises(PrecisionCeilingError):
+            refine(attempt, 256, 256)
+        assert calls == [256]
+        attempt, calls = recording(lambda bits: "ok")
+        assert refine(attempt, 256, 256) == "ok"
+        assert calls == [256]
+
+    def test_other_errors_propagate_unretried(self):
+        def inconsistent(bits):
+            raise InconsistentEnclosureError("disjoint")
+
+        attempt, calls = recording(inconsistent)
+        with pytest.raises(InconsistentEnclosureError):
+            refine(attempt, 64, 1 << 20)
+        assert calls == [64]
+
+    @pytest.mark.parametrize("answer", [False, 0])
+    def test_falsy_answers_are_answers(self, answer):
+        attempt, calls = recording(lambda bits: answer)
+        assert refine(attempt, 64, 128) is answer
+        assert calls == [64]
+
+
+class TestPrecisionCeilingError:
+    def test_pickle_round_trip(self):
+        err = pickle.loads(pickle.dumps(PrecisionCeilingError(64)))
+        assert type(err) is PrecisionCeilingError
+        assert err.bits == 64
+        assert str(err) == "precision refinement exceeded the 64-bit cap"
