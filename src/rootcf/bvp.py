@@ -28,6 +28,7 @@ from .exact import (
     InconsistentEnclosureError,
     InvalidDegreeError,
     PerfectPowerError,
+    PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
     WrongDegreeError,
@@ -521,11 +522,12 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class SkippedCell:
-    """A (k, m) pair rejected before analysis."""
+    """A (k, m) pair rejected before analysis, or whose analysis hit the precision cap."""
 
     k: int
     m: int
     reason: str
+    precision_capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -542,11 +544,14 @@ def _scan_cell(args) -> tuple:
     try:
         spec = validate_spec(k, m)
     except (PerfectPowerError, InvalidDegreeError, ValueError) as exc:
-        return k, m, None, str(exc)
-    report = verify_theorems(
-        spec, n_max, q_min=q_min, keep_terms=False,
-        start_bits=start_bits, max_bits=max_bits,
-    )
+        return k, m, None, SkippedCell(k=k, m=m, reason=str(exc))
+    try:
+        report = verify_theorems(
+            spec, n_max, q_min=q_min, keep_terms=False,
+            start_bits=start_bits, max_bits=max_bits,
+        )
+    except PrecisionCeilingError as exc:
+        return k, m, None, SkippedCell(k=k, m=m, reason=str(exc), precision_capped=True)
     return k, m, report, None
 
 
@@ -562,7 +567,8 @@ def scan(
 ) -> ScanReport:
     """Sweep verify_theorems over a grid of radicands and degrees.
 
-    Invalid specs are skipped and counted; results are merged in (m, k)
+    Invalid specs, and cells that hit the precision cap, are skipped and
+    counted without stopping the others; results are merged in (m, k)
     order so the report is identical no matter how cells were scheduled.
     Violations here are the certified kinds only (remainder bound and,
     for cubics, the above-side window): the claims that are expected to
@@ -582,9 +588,9 @@ def scan(
     cells: list[CellSummary] = []
     skipped: list[SkippedCell] = []
     violations: list[ViolationRecord] = []
-    for k, m, report, error in sorted(results, key=lambda r: (r[1], r[0])):
+    for k, m, report, skip in sorted(results, key=lambda r: (r[1], r[0])):
         if report is None:
-            skipped.append(SkippedCell(k=k, m=m, reason=error))
+            skipped.append(skip)
             continue
         violations.extend(report.violations)
         cells.append(

@@ -1,7 +1,9 @@
 """Command-line front end: expand, predict, verify, scan.
 
 Exit codes partition the error space: 0 success, 1 invalid usage/config,
-2 degenerate radicand (perfect power), 3 precision ceiling reached.
+2 degenerate radicand (perfect power), 3 precision ceiling reached.  A scan
+whose cells hit the ceiling still writes the report of every cell, the
+capped ones as skipped rows, and then exits 3.
 """
 from __future__ import annotations
 
@@ -49,6 +51,14 @@ FORMATS = ("json", "csv", "text")
 
 class UsageError(ValueError):
     """Invalid command line or config values."""
+
+
+class IncompleteReport(Exception):
+    """A finished report that lacks the cells which hit the precision cap."""
+
+    def __init__(self, report: dict, reason: str):
+        super().__init__(reason)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -171,9 +181,14 @@ def _specs(config: RunConfig) -> tuple[list, list[SkippedCell]]:
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a validated config and return the report structure."""
+    """Execute a validated config and return the report structure.
+
+    Raises IncompleteReport, carrying the report, when scan cells hit the
+    precision cap.
+    """
     cap = config.precision_cap
     results = []
+    capped: list[SkippedCell] = []
     if config.command == "expand":
         specs, skipped = _specs(config)
         for spec in specs:
@@ -242,7 +257,11 @@ def run(config: RunConfig) -> dict:
             "violations": len(report.violations),
             "violations_by_kind": count_by_kind(payload["violations"]),
         }
-    return build_report(__version__, config.config_echo(), results, summary)
+        capped = [s for s in report.skipped if s.precision_capped]
+    built = build_report(__version__, config.config_echo(), results, summary)
+    if capped:
+        raise IncompleteReport(built, capped[0].reason)
+    return built
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -252,8 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"rootcf: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    status, message = EXIT_OK, None
     try:
         report = run(config)
+    except IncompleteReport as exc:
+        report, status, message = exc.report, EXIT_PRECISION, f"rootcf: {exc}"
     except PerfectPowerError as exc:
         print(f"rootcf: degenerate radicand: {exc}", file=sys.stderr)
         return EXIT_PERFECT_POWER
@@ -273,7 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"rootcf: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
-    return EXIT_OK
+    if message is not None:
+        print(message, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """Certified regular continued fraction expansion of alpha = k**(1/m).
 
-Two independent routes produce partial quotients: `expand` iterates the
-Gauss map on rational intervals (fast, precision-adaptive), while
+Two independent routes produce partial quotients: `expand` runs integer
+Euclid on both endpoints of a binary enclosure of alpha and keeps the
+quotients on which they agree (fast, precision-adaptive), while
 `expand_exact_oracle` finds each quotient by binary search on an exact
-integer order test and never touches interval arithmetic.  They must
-agree; tests cross-certify them.
+integer order test and never forms an enclosure.  They must agree; tests
+cross-certify them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -114,12 +114,6 @@ class ThetaEnclosure:
         return self.interval - b_next
 
 
-def _interval_floor(iv: RationalInterval) -> int | None:
-    """The floor shared by every point of iv; None when the interval straddles an integer."""
-    fl = math.floor(iv.lo)
-    return fl if math.floor(iv.hi) == fl else None
-
-
 def complete_quotient_interval(
     conv: Convergent, prev: Convergent | None, alpha_iv: RationalInterval
 ) -> RationalInterval:
@@ -191,32 +185,53 @@ def next_partial_quotient(spec: RadicandSpec, conv: Convergent, prev: Convergent
     return lo
 
 
+def _euclid_quotients(lo: Fraction, hi: Fraction, count: int) -> list[int] | None:
+    """Partial quotients b_0..b_count shared by every point of [lo, hi].
+
+    x -> 1/(x - b) is monotone on an interval that avoids b, so the Gauss
+    map of an interval with exact rational endpoints is the Gauss map of
+    each endpoint, and that is Euclid's algorithm on the endpoint's
+    numerator and denominator.  None once the two floors part, or when an
+    endpoint's remainder is zero before the last term (the enclosed
+    complete quotient may then be an integer).
+    """
+    x, y = lo.numerator, lo.denominator
+    u, w = hi.numerator, hi.denominator
+    quotients: list[int] = []
+    for _ in range(count):
+        b, r = divmod(x, y)
+        c, s = divmod(u, w)
+        if b != c or r == 0 or s == 0:
+            return None
+        quotients.append(b)
+        x, y, u, w = y, r, w, s
+    b = x // y
+    if u // w != b:
+        return None
+    quotients.append(b)
+    return quotients
+
+
 def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
     """The certified expansion at one precision; None if some floor is ambiguous."""
-    theta = alpha_interval(spec, bits)
+    alpha = alpha_interval(spec, bits)
+    quotients = _euclid_quotients(alpha.lo, alpha.hi, count)
+    if quotients is None:
+        return None
+    assert quotients[0] == int_nth_root(spec.k, spec.m)
     terms: list[Convergent] = []
     prev: Convergent | None = None
     prev2: Convergent | None = None
-    for n in range(count + 1):
-        b = _interval_floor(theta)
-        if b is None:
-            return None
-        conv = convergent_step(spec, (prev, prev2), b)
-        terms.append(conv)
-        prev2, prev = prev, conv
-        if n < count:
-            tail = theta - b
-            if tail.lo <= 0:
-                return None
-            theta = tail.reciprocal()
-    assert terms[0].b == int_nth_root(spec.k, spec.m)
+    for b in quotients:
+        prev2, prev = prev, convergent_step(spec, (prev, prev2), b)
+        terms.append(prev)
     if count >= 1:
         certified = verify_quotient(
             spec, terms[-2], terms[-3] if count >= 2 else None, terms[-1].b
         )
         if not certified:
             raise InconsistentEnclosureError(
-                "interval expansion disagrees with the exact oracle on the last term"
+                "endpoint Euclid expansion disagrees with the exact oracle on the last term"
             )
     return Expansion(spec=spec, terms=tuple(terms), precision_bits=bits)
 
@@ -228,12 +243,13 @@ def expand(
     start_bits: int = DEFAULT_START_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> Expansion:
-    """Certified expansion b_0..b_count by interval Gauss-map iteration.
+    """Certified expansion b_0..b_count by integer Euclid on enclosure endpoints.
 
-    Whenever the floor of an enclosed complete quotient is ambiguous the
-    whole prefix is recomputed at doubled precision, so every emitted term
-    is certain, not merely probable.  The final term is re-certified by
-    the exact oracle.
+    alpha is enclosed in [s, s+1]/2**bits and Euclid runs on both
+    endpoints; a term is kept only where their floors agree.  When some
+    floor is ambiguous the whole prefix is recomputed at doubled precision
+    (`refine`), so every emitted term is certain, not merely probable.
+    The final term is re-certified by the exact oracle.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

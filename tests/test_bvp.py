@@ -347,3 +347,17 @@ class TestScan:
         report = scan([50, 2], [10, 3], 2)
         keys = [(c.m, c.k) for c in report.cells]
         assert keys == sorted(keys)
+
+    def test_capped_cell_kept_as_skipped(self):
+        # At a 64-bit cap, 18 terms of cbrt(k) fit for k = 2, 4, 7 only.
+        # The other cells become skipped rows; the finished ones are kept.
+        for workers in (1, 2):
+            report = scan(range(2, 13), [3], 18, max_bits=64, workers=workers)
+            assert [c.k for c in report.cells] == [2, 4, 7]
+            assert [(s.k, s.precision_capped) for s in report.skipped] == [
+                (3, True), (5, True), (6, True), (8, False),
+                (9, True), (10, True), (11, True), (12, True),
+            ]
+            assert {s.reason for s in report.skipped if s.precision_capped} == {
+                "precision refinement exceeded the 64-bit cap"
+            }

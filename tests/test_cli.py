@@ -130,6 +130,40 @@ class TestMain:
         assert code == EXIT_PRECISION
         assert capsys.readouterr().err == "rootcf: precision refinement exceeded the 64-bit cap\n"
 
+    def test_capped_scan_writes_finished_cells(self, capsys):
+        # Three cells finish within 64 bits, seven hit the cap, k = 8 is a cube.
+        argv = ["scan", "--m", "3", "--k-range", "2..12", "--terms", "18",
+                "--precision-cap", "64", "--format", "json"]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == EXIT_PRECISION
+            captured = capsys.readouterr()
+            assert captured.err == "rootcf: precision refinement exceeded the 64-bit cap\n"
+            outputs.append(json.loads(captured.out))
+        payload = outputs[0]
+        # Only the config echo of --workers may differ between the two runs.
+        assert [(o["results"], o["summary"]) for o in outputs] == [
+            (payload["results"], payload["summary"])
+        ] * 2
+        result = payload["results"][0]
+        assert [c["k"] for c in result["cells"]] == [2, 4, 7]
+        reasons = {s["k"]: s["reason"] for s in result["skipped"]}
+        assert sorted(reasons) == [3, 5, 6, 8, 9, 10, 11, 12]
+        assert reasons.pop(8).startswith("k = 8 = 2**3")
+        assert set(reasons.values()) == {"precision refinement exceeded the 64-bit cap"}
+        assert payload["summary"]["cells"] == 3
+        assert payload["summary"]["skipped_cells"] == 8
+
+    def test_capped_scan_out_file(self, tmp_path, capsys):
+        path = tmp_path / "scan.csv"
+        assert main(["scan", "--m", "3", "--k-range", "2..12", "--terms", "18",
+                     "--precision-cap", "64", "--format", "csv", "--out", str(path)]) == EXIT_PRECISION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rootcf: precision refinement exceeded the 64-bit cap\n"
+        rows = path.read_text().splitlines()
+        assert [r.split(",")[1] for r in rows if r.startswith("cell,")] == ["2", "4", "7"]
+
 
 class TestEmit:
     def test_json_shape(self):

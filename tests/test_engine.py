@@ -43,6 +43,16 @@ class TestExpand:
         for t in exp.terms:
             assert abs(t.p * t.p - 2 * t.q * t.q) == 1  # Pell identity
 
+    def test_endpoint_on_the_floor_retries(self):
+        # sqrt(2**128 + 1) = [2**64; 2**65, 2**65, ...] lies within 2**-65
+        # of 2**64, so at 64 bits the lower endpoint is exactly b_0 and its
+        # remainder is zero: the next term is unknown there, not an error.
+        spec = validate_spec(2 ** 128 + 1, 2)
+        exp = expand(spec, 3)
+        assert exp.partial_quotients == [2 ** 64] + [2 ** 65] * 3
+        assert exp.precision_bits == 512
+        assert expand(spec, 0).precision_bits == 64
+
     @pytest.mark.parametrize(
         "k,m,frozen",
         [
@@ -208,14 +218,30 @@ class TestExpansionInvariants:
                     assert rhs.width <= previous[1] / 2
                 widths[n] = (lhs.width, rhs.width)
 
-    @given(k=st.integers(min_value=2, max_value=400), m=st.integers(min_value=2, max_value=10))
+    @given(
+        k=st.integers(min_value=2, max_value=1000),
+        m=st.integers(min_value=2, max_value=12),
+        count=st.one_of(st.integers(min_value=0, max_value=60), st.integers(min_value=61, max_value=400)),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_random_specs_certified(self, k, m):
+    def test_random_specs_certified(self, k, m, count):
         try:
             spec = validate_spec(k, m)
         except PerfectPowerError:
             return
-        exp = expand(spec, 12)
-        oracle = expand_exact_oracle(spec, 12)
-        assert exp.partial_quotients == oracle.partial_quotients
+        exp = expand(spec, count)
         assert all(t.b >= 1 for t in exp.terms[1:])
+        # The test-side endpoint oracle, run at 64 bits and doubled, first
+        # answers at exactly the precision expand stopped at, with the same
+        # quotients.
+        for bits in (64 << i for i in range(12)):
+            try:
+                fixed = oracles.cf_terms_fixed_point(k, m, count, bits)
+            except (AssertionError, ZeroDivisionError):
+                continue
+            break
+        else:
+            pytest.fail(f"fixed-point oracle exhausted at {bits} bits")
+        assert (exp.precision_bits, exp.partial_quotients) == (bits, fixed)
+        if count <= 60:
+            assert exp.partial_quotients == expand_exact_oracle(spec, count).partial_quotients

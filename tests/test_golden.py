@@ -7,7 +7,9 @@ changes a single byte of any report, or an exit code, fails here.
 
 The rows cover every command, every format, degrees 2, 3 and 10, a scan
 whose violations carry `remainder_bound` enclosures (ten of them, at
-m = 7), and the precision-cap exit for both `expand` and `scan`.
+m = 7), and the precision-cap exit for both `expand` and `scan`.  The
+capped `expand` writes nothing; the capped `scan` writes its cells, the
+capped ones as skipped rows, before it exits 3.
 """
 import hashlib
 
@@ -45,7 +47,8 @@ GOLDEN = [
     ("scan --m 10 --k-range 2..12 --terms 5", 0, 1040,
      "c8ff37d2168d8520156d63714037871e24b0c9951ef5bdee1207a58431a61c7d"),
     ("expand --k 2 --m 3 --terms 60 --precision-cap 64", 3, 0, EMPTY_SHA256),
-    ("scan --m 3 --k-range 2..6 --terms 50 --precision-cap 64 --format csv", 3, 0, EMPTY_SHA256),
+    ("scan --m 3 --k-range 2..6 --terms 50 --precision-cap 64 --format csv", 3, 671,
+     "f20547dbaadba9ee81480ad30b95317ab80676e29a80258f15ed9bb7cc969c6f"),
 ]
 
 
