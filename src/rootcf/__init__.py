@@ -43,6 +43,7 @@ from .bvp import (
     algebraic_distance,
     certified_unit_remainder,
     cubic_correction,
+    exact_unit_remainder,
     general_correction,
     leading_term,
     predict_next,

@@ -18,7 +18,6 @@ satisfies V_n = -W_n and sgn(V_n) = sgn(x_n - alpha).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +40,7 @@ from .engine import (
     Expansion,
     Side,
     _prev_pq,
+    _theta_exceeds,
     complete_quotient_interval,
     expand,
     next_partial_quotient,
@@ -183,6 +183,17 @@ def certified_unit_remainder(
     return refine(attempt, start_bits, max_bits)
 
 
+def exact_unit_remainder(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) -> bool:
+    """Exact |R_n| < 1, decided by integer sign tests with no enclosure.
+
+    |R_n| < 1 is H_n - 1 < theta_n < H_n + 1, and each side is the order
+    of theta_n against a rational, two exact signs of linear forms in
+    alpha.  theta_n is irrational, so it never equals H_n +- 1.
+    """
+    h = leading_term(spec, conv)
+    return _theta_exceeds(spec, conv, prev, h - 1) and not _theta_exceeds(spec, conv, prev, h + 1)
+
+
 @dataclass(frozen=True)
 class PredictionOutcome:
     """Result of predicting b_{n+1} from the floor of A_n.
@@ -322,8 +333,10 @@ def _analyze_term(
 ) -> tuple[RationalInterval, RationalInterval, bool, bool, bool | None]:
     """(theta, remainder, in_unit, universal_identity_ok, cubic_sign_ok) certified.
 
-    Refines until the remainder is decided against the unit interval and,
-    for cubics, the defining-form correction has a determined sign.
+    Builds the enclosures a report prints.  Refines until the remainder
+    enclosure decides |R_n| < 1 on its own and, for cubics, the
+    defining-form correction has a determined sign; the caller checks
+    that in_unit equals the exact verdict of `exact_unit_remainder`.
     """
     x = Fraction(conv.p, conv.q)
     h = leading_term(spec, conv)
@@ -380,12 +393,15 @@ def verify_theorems(
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max.
 
-    Certifies |R_n| < 1 (or its failure) with strict interval enclosures,
-    checks the above-side window exactly, measures the epsilon-range and
-    below-side claims, and records the least index from which stability
-    holds through n_max.  Indices with q_n < q_min are analyzed but
-    excluded from claims and violations; index 0 is always skipped
-    (q_0 = 1 sits outside every stated bound).
+    Decides |R_n| < 1 exactly (`exact_unit_remainder`), checks the
+    above-side window exactly, measures the epsilon-range and below-side
+    claims, and records the least index from which stability holds
+    through n_max.  Enclosures are built only for values the result
+    shows: theta_n and R_n of every term when keep_terms is set, and the
+    observed R_n of each remainder_bound violation.  Each one is checked
+    against the exact verdict (InconsistentEnclosureError if they differ).
+    Indices with q_n < q_min are excluded from claims and violations;
+    index 0 is always skipped (q_0 = 1 sits outside every stated bound).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -430,11 +446,19 @@ def verify_theorems(
             raise InconsistentEnclosureError(
                 f"exact prediction and certified expansion disagree at n={n}"
             )
-        theta_iv, r_iv, in_unit, universal_ok, sign_ok = _analyze_term(spec, conv, prev, bits, max_bits)
-        if sign_ok is False:
-            raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={n}")
-
+        in_unit = exact_unit_remainder(spec, conv, prev)
         q_ok = conv.q >= q_min
+        if keep_terms or (q_ok and not in_unit):
+            theta_iv, r_iv, iv_in_unit, universal_ok, sign_ok = _analyze_term(
+                spec, conv, prev, bits, max_bits
+            )
+            if iv_in_unit != in_unit:
+                raise InconsistentEnclosureError(
+                    f"remainder enclosure contradicts the exact unit verdict at n={n}"
+                )
+            if sign_ok is False:
+                raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={n}")
+
         true_eps = outcome.actual - outcome.candidate
         above = conv.side is Side.ABOVE
         window_above = (h - 2 < b_next <= h) if above else None
@@ -580,6 +604,10 @@ def scan(
         for k in sorted(set(k_values))
     ]
     if workers > 1 and len(jobs) > 1:
+        # Imported here: the pool pulls in multiprocessing, which every
+        # other command would otherwise pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_cell, jobs, chunksize=4))
     else:

@@ -152,14 +152,17 @@ def theta_enclosure(
     return refine(attempt, start_bits, max_bits)
 
 
-def _theta_exceeds(spec: RadicandSpec, conv: Convergent, prev: Convergent | None, t: int) -> bool:
-    """Exact decision theta_n > t using only integer sign evaluations.
+def _theta_exceeds(
+    spec: RadicandSpec, conv: Convergent, prev: Convergent | None, t: int | Fraction
+) -> bool:
+    """Exact decision theta_n > t for rational t = a/b using integer signs only.
 
-    theta_n - t has the sign of (p_{n-1} + t*p_n) - (q_{n-1} + t*q_n)*alpha
+    b*(theta_n - t) has the sign of (b*p_{n-1} + a*p_n) - (b*q_{n-1} + a*q_n)*alpha
     divided by q_n*alpha - p_n; both signs are exact.
     """
     pp, qp = _prev_pq(prev)
-    num_sign = sign_linear_in_alpha(spec, -(qp + t * conv.q), pp + t * conv.p)
+    a, b = t.numerator, t.denominator
+    num_sign = sign_linear_in_alpha(spec, -(b * qp + a * conv.q), b * pp + a * conv.p)
     den_sign = sign_linear_in_alpha(spec, conv.q, -conv.p)
     return num_sign * den_sign > 0
 
@@ -219,12 +222,13 @@ def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
     if quotients is None:
         return None
     assert quotients[0] == int_nth_root(spec.k, spec.m)
+    # Convergents of an irrational number alternate about it, starting
+    # below with b_0 = floor(alpha): the side is the parity of n.
     terms: list[Convergent] = []
-    prev: Convergent | None = None
-    prev2: Convergent | None = None
-    for b in quotients:
-        prev2, prev = prev, convergent_step(spec, (prev, prev2), b)
-        terms.append(prev)
+    p, q, pp, qp = 1, 0, 0, 1
+    for n, b in enumerate(quotients):
+        p, q, pp, qp = b * p + pp, b * q + qp, p, q
+        terms.append(Convergent(n=n, b=b, p=p, q=q, side=Side.ABOVE if n % 2 else Side.BELOW))
     if count >= 1:
         certified = verify_quotient(
             spec, terms[-2], terms[-3] if count >= 2 else None, terms[-1].b
@@ -249,7 +253,9 @@ def expand(
     endpoints; a term is kept only where their floors agree.  When some
     floor is ambiguous the whole prefix is recomputed at doubled precision
     (`refine`), so every emitted term is certain, not merely probable.
-    The final term is re-certified by the exact oracle.
+    The final term is re-certified by the exact oracle.  Each convergent's
+    side is taken from the parity of n (even below, odd above), which
+    holds for every irrational alpha; `convergent_side` is the exact test.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

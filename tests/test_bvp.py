@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rootcf.bvp import (
     algebraic_distance,
     certified_unit_remainder,
     cubic_correction,
+    exact_unit_remainder,
     general_correction,
     leading_term,
     predict_next,
@@ -21,8 +23,15 @@ from rootcf.bvp import (
     shifted_leading_term,
     verify_theorems,
 )
-from rootcf.engine import Side, expand
-from rootcf.exact import PerfectPowerError, WrongDegreeError, alpha_interval, validate_spec
+from rootcf.engine import Convergent, Side, expand
+from rootcf.exact import (
+    DEFAULT_MAX_BITS,
+    PerfectPowerError,
+    PrecisionCeilingError,
+    WrongDegreeError,
+    alpha_interval,
+    validate_spec,
+)
 
 from oracles import unit_remainder_exact
 
@@ -122,8 +131,9 @@ class TestRemainder:
     @given(k=st.integers(min_value=2, max_value=1000), m=st.integers(min_value=3, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_unit_verdict_matches_exact_oracle(self, k, m):
-        # The interval verdict on |R_n| < 1 must equal the integer-sign
-        # decision of H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
+        # The interval verdict on |R_n| < 1 and the package's exact one
+        # must both equal the test-side integer-sign decision of
+        # H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
         try:
             spec = validate_spec(k, m)
         except PerfectPowerError:
@@ -131,8 +141,29 @@ class TestRemainder:
         exp = expand(spec, 14)
         for n in range(1, 15):
             conv, prev = exp.pair(n)
+            expected = unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
             _, inside = certified_unit_remainder(spec, conv, prev)
-            assert inside == unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
+            assert inside == expected
+            assert exact_unit_remainder(spec, conv, prev) == expected
+
+    @given(
+        k=st.integers(min_value=2, max_value=1000),
+        m=st.integers(min_value=2, max_value=8),
+        pq=st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_verdict_on_arbitrary_pairs(self, k, m, pq):
+        # On true convergents R_n stays far below +1, so the upper side of
+        # H_n - 1 < theta_n < H_n + 1 never decides there.  The sign
+        # argument holds for any p/q and p'/q', where both sides do.
+        try:
+            spec = validate_spec(k, m)
+        except PerfectPowerError:
+            return
+        p, q, pp, qp = pq
+        conv = Convergent(n=1, b=1, p=p, q=q, side=Side.ABOVE)
+        prev = Convergent(n=0, b=1, p=pp, q=qp, side=Side.BELOW)
+        assert exact_unit_remainder(spec, conv, prev) == unit_remainder_exact(k, m, p, q, pp, qp)
 
 
 class TestCubicCorrection:
@@ -318,6 +349,35 @@ class TestVerifyTheorems:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             verify_theorems(SPEC_2_3, 0)
+
+    @given(
+        k=st.integers(min_value=2, max_value=1000),
+        m=st.integers(min_value=2, max_value=12),
+        n_max=st.integers(min_value=1, max_value=40),
+        cap=st.sampled_from([64, 128, DEFAULT_MAX_BITS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scan_mode_matches_full_analysis(self, k, m, n_max, cap):
+        # keep_terms=False decides |R_n| < 1 by exact signs and encloses
+        # only violations; keep_terms=True encloses every index.  Apart
+        # from the term list the two reports must be equal, violation
+        # enclosures included, or both must hit the precision cap.
+        try:
+            spec = validate_spec(k, m)
+        except PerfectPowerError:
+            return
+        reports = []
+        for keep_terms in (True, False):
+            try:
+                reports.append(verify_theorems(spec, n_max, keep_terms=keep_terms, max_bits=cap))
+            except PrecisionCeilingError:
+                reports.append(None)
+        full, fast = reports
+        if full is None or fast is None:
+            assert full is fast is None
+            return
+        assert len(full.terms) == n_max and fast.terms == ()
+        assert replace(full, terms=()) == fast
 
 
 class TestScan:

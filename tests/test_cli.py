@@ -123,6 +123,13 @@ class TestMain:
         assert captured.err.startswith(f"rootcf: cannot write {path}")
         assert not path.exists()
 
+    def test_import_leaves_process_pool_out(self):
+        # Only `scan --workers N` with N > 1 needs multiprocessing; every
+        # other command must not pay for importing it at start-up.
+        code = "import sys, rootcf.cli; print('concurrent.futures.process' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+        assert result.stdout == "False\n"
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_precision_ceiling_message_from_workers(self, capsys, workers):
         code = main(["scan", "--m", "3", "--k-range", "2..6", "--terms", "50",

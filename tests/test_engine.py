@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rootcf.engine import (
     Side,
     complete_quotient_interval,
+    convergent_side,
     convergent_step,
     expand,
     expand_exact_oracle,
@@ -231,6 +232,8 @@ class TestExpansionInvariants:
             return
         exp = expand(spec, count)
         assert all(t.b >= 1 for t in exp.terms[1:])
+        # Sides come from the parity of n; the exact power test must agree.
+        assert all(t.side is convergent_side(spec, t.p, t.q) for t in exp.terms)
         # The test-side endpoint oracle, run at 64 bits and doubled, first
         # answers at exactly the precision expand stopped at, with the same
         # quotients.
