@@ -33,6 +33,7 @@ from .exact import (
     WrongDegreeError,
     alpha_interval,
     refine,
+    sign_linear_in_alpha,
     validate_spec,
 )
 from .engine import (
@@ -46,8 +47,6 @@ from .engine import (
     next_partial_quotient,
     verify_quotient,
 )
-
-UNIT = RationalInterval(Fraction(-1), Fraction(1))
 
 # Violation kinds.
 REMAINDER_BOUND = "remainder_bound"
@@ -333,15 +332,23 @@ def _analyze_term(
 ) -> tuple[RationalInterval, RationalInterval, bool, bool, bool | None]:
     """(theta, remainder, in_unit, universal_identity_ok, cubic_sign_ok) certified.
 
-    Builds the enclosures a report prints.  Refines until the remainder
-    enclosure decides |R_n| < 1 on its own and, for cubics, the
-    defining-form correction has a determined sign; the caller checks
-    that in_unit equals the exact verdict of `exact_unit_remainder`.
+    The two flags are exact integer tests.  The universal identity
+    theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly when
+    q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1 above,
+    +1 below), since the left side is that determinant over
+    q_n*(q_n*alpha - p_n).  For cubics
+    V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha) with 2x_n + alpha > 0, so
+    sgn(V_n) = sgn(x_n - alpha) is one exact sign.  Only the enclosures a
+    report prints, theta_n and R_n, are built; they are refined until R_n
+    decides |R_n| < 1 on its own, and the caller checks that in_unit
+    equals the exact verdict of `exact_unit_remainder`.
     """
-    x = Fraction(conv.p, conv.q)
     h = leading_term(spec, conv)
-    qp = _prev_pq(prev)[1]
+    pp, qp = _prev_pq(prev)
     shift = Fraction(qp, conv.q)
+    above = conv.side is Side.ABOVE
+    universal_ok = conv.q * pp - conv.p * qp == (-1 if above else 1)
+    sign_ok = (sign_linear_in_alpha(spec, -conv.q, conv.p) > 0) == above if spec.m == 3 else None
 
     def attempt(bits: int):
         a_iv = alpha_interval(spec, bits)
@@ -350,26 +357,11 @@ def _analyze_term(
         if r_iv is None:
             raise InconsistentEnclosureError(f"remainder routes disjoint at n={conv.n}")
         in_unit = r_iv.strictly_inside(-1, 1)
-        decided = in_unit or r_iv.hi < -1 or r_iv.lo > 1
-
-        # Universal identity: theta + q_{n-1}/q_n = 1/(q**2 |x - alpha|).
-        gap = (x - a_iv) if conv.side is Side.ABOVE else (a_iv - x)
-        if gap.lo <= 0:
-            return None
-        universal_ok = (theta_iv + shift).intersects((gap * conv.q ** 2).reciprocal())
-
-        sign_ok: bool | None = None
-        if spec.m == 3:
-            v_iv = cubic_correction(spec, conv, a_iv)
-            if v_iv.lo > 0:
-                sign_ok = conv.side is Side.ABOVE
-            elif v_iv.hi < 0:
-                sign_ok = conv.side is Side.BELOW
-        if decided and (spec.m != 3 or sign_ok is not None):
-            return theta_iv, r_iv, in_unit, universal_ok, sign_ok
+        if in_unit or r_iv.hi < -1 or r_iv.lo > 1:
+            return theta_iv, r_iv, in_unit
         return None
 
-    return refine(attempt, start_bits, max_bits)
+    return (*refine(attempt, start_bits, max_bits), universal_ok, sign_ok)
 
 
 def _stable_from(failures: list[int], last_checked: int | None) -> int | None:

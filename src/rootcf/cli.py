@@ -266,6 +266,10 @@ def run(config: RunConfig) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        # The digits are the product: deep convergents and enclosure
+        # endpoints pass CPython's default 4300-digit str() limit.
+        sys.set_int_max_str_digits(0)
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
@@ -282,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionCeilingError as exc:
         print(f"rootcf: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (UsageError, InvalidDegreeError, ValueError) as exc:
+    except (UsageError, InvalidDegreeError) as exc:
         print(f"rootcf: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = emit(report, config.format)

@@ -158,13 +158,13 @@ def _theta_exceeds(
     """Exact decision theta_n > t for rational t = a/b using integer signs only.
 
     b*(theta_n - t) has the sign of (b*p_{n-1} + a*p_n) - (b*q_{n-1} + a*q_n)*alpha
-    divided by q_n*alpha - p_n; both signs are exact.
+    divided by q_n*alpha - p_n.  The first sign is one exact test; the
+    second is the convergent's side (negative above alpha, positive below).
     """
     pp, qp = _prev_pq(prev)
     a, b = t.numerator, t.denominator
     num_sign = sign_linear_in_alpha(spec, -(b * qp + a * conv.q), b * pp + a * conv.p)
-    den_sign = sign_linear_in_alpha(spec, conv.q, -conv.p)
-    return num_sign * den_sign > 0
+    return (num_sign < 0) if conv.side is Side.ABOVE else (num_sign > 0)
 
 
 def verify_quotient(spec: RadicandSpec, conv: Convergent, prev: Convergent | None, t: int) -> bool:

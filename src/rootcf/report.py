@@ -246,8 +246,7 @@ def scan_payload(report: ScanReport) -> dict:
 def count_by_kind(violations) -> dict:
     counts: dict[str, int] = {}
     for v in violations:
-        key = v["quantity"] if isinstance(v, dict) else v.quantity
-        counts[key] = counts.get(key, 0) + 1
+        counts[v["quantity"]] = counts.get(v["quantity"], 0) + 1
     return dict(sorted(counts.items()))
 
 
@@ -278,93 +277,59 @@ def _csv_escape(value) -> str:
     return text
 
 
-def _csv_row(values: dict) -> str:
-    return ",".join(_csv_escape(values.get(col)) for col in CSV_COLUMNS)
+def _shown(value):
+    """A payload value as text: exact 'num/den ~ decimal', enclosure 'decimal (width w)'."""
+    if not isinstance(value, dict):
+        return value
+    if "rational" in value:
+        return f"{value['rational']} ~ {value['decimal']}"
+    return f"{value['decimal']} (width {value['width']})"
 
 
-def _violation_rows(violations):
-    for v in violations:
-        obs = v["observed"]
-        if isinstance(obs, dict):
-            observed, owidth = obs["decimal"], obs["width"]
-            observed = f"{observed} (width {owidth})"
-        else:
-            observed = obs
-        yield {
-            "kind": "violation",
-            "k": v["k"],
-            "m": v["m"],
-            "n": v["n"],
-            "b": v["b_next"],
-            "p": v["p"],
-            "q": v["q"],
-            "d": v["d"],
-            "quantity": v["quantity"],
-            "observed": observed,
-            "claimed": v["claimed"],
-        }
+def _csv_value(entry: dict, column: str):
+    """The CSV cell of `column`: the entry's value of the same name.
+
+    `b` falls back to `b_next`.  An exact value gives its rational; an
+    enclosure gives its decimal, with its width in the `<name>_width`
+    column where one exists and inline otherwise.
+    """
+    if column.endswith("_width") and column[: -len("_width")] in entry:
+        return entry[column[: -len("_width")]]["width"]
+    value = entry.get(column, entry.get("b_next") if column == "b" else None)
+    if not isinstance(value, dict):
+        return value
+    if "rational" in value:
+        return value["rational"]
+    return value["decimal"] if f"{column}_width" in CSV_COLUMNS else _shown(value)
+
+
+def _csv_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
+    """(row kind, entries) of one result, in CSV order."""
+    km = {"k": result.get("k"), "m": result.get("m")}
+    if command == "expand":
+        return [("term", [{**km, **t} for t in result["convergents"]])]
+    if command == "predict":
+        return [("prediction", [{**km, **pr} for pr in result["predictions"]])]
+    violations = ("violation", result["violations"])
+    if command == "verify":
+        return [
+            ("check", [{**km, **it} for it in result["items"]]),
+            violations,
+            *(("claim_failure", claim["failures"]) for claim in result["claims"].values()),
+            ("cell", [result]),
+        ]
+    return [violations, ("cell", result["cells"]), ("skipped", result["skipped"])]
 
 
 def _emit_csv(report: dict) -> str:
-    command = report["config"]["command"]
     lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
-
-    def add(values: dict):
-        lines.append(_csv_row(values))
-
     for result in report["results"]:
-        k, m = result.get("k"), result.get("m")
-        if command == "expand":
-            for t in result["convergents"]:
-                add({"kind": "term", "k": k, "m": m, "n": t["n"], "side": t["side"],
-                     "b": t["b"], "p": t["p"], "q": t["q"]})
-        elif command == "predict":
-            for pr in result["predictions"]:
-                add({"kind": "prediction", "k": k, "m": m, "n": pr["n"], "side": pr["side"],
-                     "p": pr["p"], "q": pr["q"], "d": pr["d"],
-                     "leading": pr["leading"]["rational"],
-                     "shifted_leading": pr["shifted_leading"]["rational"],
-                     "candidate": pr["candidate"], "epsilon": pr["epsilon"],
-                     "predicted": pr["predicted"], "actual": pr["actual"],
-                     "formula_held": pr["formula_held"], "window_held": pr["window_held"]})
-        elif command == "verify":
-            for it in result["items"]:
-                add({"kind": "check", "k": k, "m": m, "n": it["n"], "side": it["side"],
-                     "b": it["b_next"], "p": it["p"], "q": it["q"], "d": it["d"],
-                     "leading": it["leading"]["rational"],
-                     "shifted_leading": it["shifted_leading"]["rational"],
-                     "theta": it["theta"]["decimal"], "theta_width": it["theta"]["width"],
-                     "remainder": it["remainder"]["decimal"],
-                     "remainder_width": it["remainder"]["width"],
-                     "remainder_in_unit": it["remainder_in_unit"],
-                     "candidate": it["candidate"], "epsilon": it["epsilon"],
-                     "predicted": it["predicted"], "actual": it["actual"],
-                     "formula_held": it["formula_held"], "window_held": it["window_held"]})
-            for row in _violation_rows(result["violations"]):
-                add(row)
-            for claim in result["claims"].values():
-                for row in _violation_rows(claim["failures"]):
-                    row["kind"] = "claim_failure"
-                    add(row)
-            add({"kind": "cell", "k": k, "m": m,
-                 "remainder_stable_from": result["remainder_stable_from"],
-                 "window_stable_from": result["window_stable_from"]})
-        elif command == "scan":
-            for row in _violation_rows(result["violations"]):
-                add(row)
-            for c in result["cells"]:
-                add({"kind": "cell", "k": c["k"], "m": c["m"],
-                     "remainder_stable_from": c["remainder_stable_from"],
-                     "window_stable_from": c["window_stable_from"]})
-            for s in result["skipped"]:
-                add({"kind": "skipped", "k": s["k"], "m": s["m"], "reason": s["reason"]})
+        for kind, entries in _csv_rows(report["config"]["command"], result):
+            for entry in entries:
+                lines.append(",".join(
+                    [kind] + [_csv_escape(_csv_value(entry, col)) for col in CSV_COLUMNS[1:]]
+                ))
     return "\n".join(lines) + "\n"
-
-
-def _fmt_value(entry: dict) -> str:
-    if "rational" in entry:
-        return f"{entry['rational']} ~ {entry['decimal']}"
-    return f"{entry['decimal']} (width {entry['width']})"
 
 
 def _emit_text(report: dict) -> str:
@@ -389,7 +354,7 @@ def _emit_text(report: dict) -> str:
             for pr in result["predictions"]:
                 out.append(
                     f"  n={pr['n']:<3d} side={pr['side']:<5s} "
-                    f"H={_fmt_value(pr['leading'])}  A={_fmt_value(pr['shifted_leading'])}  "
+                    f"H={_shown(pr['leading'])}  A={_shown(pr['shifted_leading'])}  "
                     f"floor(A)={pr['candidate']} eps={pr['epsilon']} "
                     f"predicted={pr['predicted']} actual={pr['actual']} "
                     f"formula_held={pr['formula_held']} window_held={pr['window_held']}"
@@ -404,9 +369,9 @@ def _emit_text(report: dict) -> str:
                     f"  n={it['n']:<3d} (theta index {it['n']}/alt {it['theta_index_alt']}) "
                     f"side={it['side']:<5s} b_next={it['b_next']} d={it['d']}"
                 )
-                out.append(f"      H = {_fmt_value(it['leading'])}   A = {_fmt_value(it['shifted_leading'])}")
-                out.append(f"      theta = {_fmt_value(it['theta'])}")
-                out.append(f"      R = {_fmt_value(it['remainder'])}  |R|<1: {it['remainder_in_unit']}")
+                out.append(f"      H = {_shown(it['leading'])}   A = {_shown(it['shifted_leading'])}")
+                out.append(f"      theta = {_shown(it['theta'])}")
+                out.append(f"      R = {_shown(it['remainder'])}  |R|<1: {it['remainder_in_unit']}")
                 out.append(
                     f"      predict: floor(A)={it['candidate']} eps={it['epsilon']} "
                     f"predicted={it['predicted']} actual={it['actual']} "
@@ -415,9 +380,8 @@ def _emit_text(report: dict) -> str:
             if result["violations"]:
                 out.append("  violations:")
                 for v in result["violations"]:
-                    obs = v["observed"]
-                    shown = _fmt_value(obs) if isinstance(obs, dict) else obs
-                    out.append(f"    n={v['n']} {v['quantity']}: observed {shown}; claimed: {v['claimed']}")
+                    out.append(f"    n={v['n']} {v['quantity']}: observed {_shown(v['observed'])}; "
+                               f"claimed: {v['claimed']}")
             else:
                 out.append("  violations: none")
             for name, claim in result["claims"].items():
@@ -426,9 +390,7 @@ def _emit_text(report: dict) -> str:
                     f"passed={claim['passed']} failed={claim['failed']}"
                 )
                 for f in claim["failures"]:
-                    obs = f["observed"]
-                    shown = _fmt_value(obs) if isinstance(obs, dict) else obs
-                    out.append(f"    n={f['n']}: observed {shown}")
+                    out.append(f"    n={f['n']}: observed {_shown(f['observed'])}")
             out.append(f"  remainder stable from n = {result['remainder_stable_from']}; "
                        f"window stable from n = {result['window_stable_from']}")
         elif command == "scan":
@@ -443,11 +405,9 @@ def _emit_text(report: dict) -> str:
             if result["violations"]:
                 out.append("  violations:")
                 for v in result["violations"]:
-                    obs = v["observed"]
-                    shown = _fmt_value(obs) if isinstance(obs, dict) else obs
                     out.append(
                         f"    k={v['k']} m={v['m']} n={v['n']} {v['quantity']}: "
-                        f"observed {shown}; claimed: {v['claimed']}"
+                        f"observed {_shown(v['observed'])}; claimed: {v['claimed']}"
                     )
     out.append("\nsummary: " + json.dumps(report["summary"]))
     return "\n".join(out) + "\n"

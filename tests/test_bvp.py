@@ -23,7 +23,7 @@ from rootcf.bvp import (
     shifted_leading_term,
     verify_theorems,
 )
-from rootcf.engine import Convergent, Side, expand
+from rootcf.engine import Convergent, Side, convergent_side, expand
 from rootcf.exact import (
     DEFAULT_MAX_BITS,
     PerfectPowerError,
@@ -161,8 +161,8 @@ class TestRemainder:
         except PerfectPowerError:
             return
         p, q, pp, qp = pq
-        conv = Convergent(n=1, b=1, p=p, q=q, side=Side.ABOVE)
-        prev = Convergent(n=0, b=1, p=pp, q=qp, side=Side.BELOW)
+        conv = Convergent(n=1, b=1, p=p, q=q, side=convergent_side(spec, p, q))
+        prev = Convergent(n=0, b=1, p=pp, q=qp, side=convergent_side(spec, pp, qp))
         assert exact_unit_remainder(spec, conv, prev) == unit_remainder_exact(k, m, p, q, pp, qp)
 
 
@@ -361,7 +361,9 @@ class TestVerifyTheorems:
         # keep_terms=False decides |R_n| < 1 by exact signs and encloses
         # only violations; keep_terms=True encloses every index.  Apart
         # from the term list the two reports must be equal, violation
-        # enclosures included, or both must hit the precision cap.
+        # enclosures included, or both must hit the precision cap.  The
+        # exact identity flag holds at every term, and the exact cubic
+        # sign flag agrees with the interval route, its oracle here.
         try:
             spec = validate_spec(k, m)
         except PerfectPowerError:
@@ -378,6 +380,14 @@ class TestVerifyTheorems:
             return
         assert len(full.terms) == n_max and fast.terms == ()
         assert replace(full, terms=()) == fast
+        a_iv = alpha_interval(spec, 256)
+        for t in full.terms:
+            assert t.universal_identity_ok
+            if m == 3:
+                v_iv = cubic_correction(spec, full.expansion.terms[t.n], a_iv)
+                assert t.cubic_sign_ok == ((v_iv.lo > 0) == (t.side is Side.ABOVE))
+            else:
+                assert t.cubic_sign_ok is None
 
 
 class TestScan:

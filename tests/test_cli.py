@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,8 @@ from rootcf.cli import (
     parse_args,
     run,
 )
+from rootcf.engine import expand
+from rootcf.exact import validate_spec
 from rootcf.report import CSV_COLUMNS, CSV_SCHEMA_LINE, decimal_string, emit, justified_places, sci_string
 from fractions import Fraction
 
@@ -129,6 +132,19 @@ class TestMain:
         code = "import sys, rootcf.cli; print('concurrent.futures.process' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
         assert result.stdout == "False\n"
+
+    def test_report_past_the_int_str_digit_limit(self):
+        # q_1300 of cbrt(2) has 668 digits, past the 640-digit limit set
+        # here; the report must still print every digit and exit 0.
+        cmd = [sys.executable, "-m", "rootcf", "expand", "--k", "2", "--m", "3",
+               "--terms", "1300", "--format", "csv"]
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+        result = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        last = result.stdout.splitlines()[-1].split(",")
+        q = expand(validate_spec(2, 3), 1300).terms[-1].q
+        assert len(str(q)) == 668
+        assert (last[3], last[7]) == ("1300", str(q))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_precision_ceiling_message_from_workers(self, capsys, workers):

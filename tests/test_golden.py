@@ -7,9 +7,10 @@ changes a single byte of any report, or an exit code, fails here.
 
 The rows cover every command, every format, degrees 2, 3 and 10, a scan
 whose violations carry `remainder_bound` enclosures (ten of them, at
-m = 7), and the precision-cap exit for both `expand` and `scan`.  The
-capped `expand` writes nothing; the capped `scan` writes its cells, the
-capped ones as skipped rows, before it exits 3.
+m = 7) in all three formats, and the precision-cap exit for both
+`expand` and `scan`.  The capped `expand` writes nothing; the capped
+`scan` writes its cells, the capped ones as skipped rows, before it
+exits 3.
 """
 import hashlib
 
@@ -46,6 +47,10 @@ GOLDEN = [
      "8cd6208a46a4d5c7fcf48386672be2cecac263f0efbacbd23ad5189303d7fc13"),
     ("scan --m 10 --k-range 2..12 --terms 5", 0, 1040,
      "c8ff37d2168d8520156d63714037871e24b0c9951ef5bdee1207a58431a61c7d"),
+    ("scan --m 7 --k-range 2..25 --terms 10 --format csv", 0, 2355,
+     "41032940a8cc98d4c8938a6a450a06139f558e1eb12a885a845785e69d609bf0"),
+    ("scan --m 7 --k-range 2..25 --terms 10 --format text", 0, 3109,
+     "c02307a5aa1e26ec6f0f9ad296cfb455d9a7f305addf9c0da4e88c0b65b01ea9"),
     ("expand --k 2 --m 3 --terms 60 --precision-cap 64", 3, 0, EMPTY_SHA256),
     ("scan --m 3 --k-range 2..6 --terms 50 --precision-cap 64 --format csv", 3, 671,
      "f20547dbaadba9ee81480ad30b95317ab80676e29a80258f15ed9bb7cc969c6f"),
