@@ -323,6 +323,20 @@ class TheoremReport:
     terms: tuple[TermCheck, ...]
 
 
+def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for rationals given as (numerator, positive denominator)."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _power_sum(u: int, v: int, m: int) -> int:
+    """sum_{j<m} u**(m-1-j) * v**j, by Horner's rule in u."""
+    total, vj = 0, 1
+    for _ in range(m):
+        total = total * u + vj
+        vj *= v
+    return total
+
+
 def _analyze_term(
     spec: RadicandSpec,
     conv: Convergent,
@@ -338,28 +352,65 @@ def _analyze_term(
     +1 below), since the left side is that determinant over
     q_n*(q_n*alpha - p_n).  For cubics
     V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha) with 2x_n + alpha > 0, so
-    sgn(V_n) = sgn(x_n - alpha) is one exact sign.  Only the enclosures a
-    report prints, theta_n and R_n, are built; they are refined until R_n
-    decides |R_n| < 1 on its own, and the caller checks that in_unit
-    equals the exact verdict of `exact_unit_remainder`.
+    sgn(V_n) = sgn(x_n - alpha) is one exact sign.
+
+    Only the enclosures a report prints, theta_n and R_n, are built, and
+    from integers: with alpha in [S_0, S_1]/D, S_1 = S_0 + 1, D = 2**bits,
+    they have the endpoints that `complete_quotient_interval` and
+    `general_correction` give on that interval, as exact rationals.
+    - theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n) spans the
+      four corners n_i/d_j, n_i = p_{n-1}*D - q_{n-1}*S_i and
+      d_j = q_n*S_j - p_n*D.  If d_0 <= 0 <= d_1 the denominator is not
+      separated from 0 and the attempt asks `refine` for more bits.
+    - W_n is increasing in alpha > 0, so its enclosure is its value at
+      each S_i: (P(S_i) - m*(D*p_n)**(m-1)) / (D**(m-1) q_n d_n), with
+      P(s) = sum_{j<m} (s*q_n)**(m-1-j) (D*p_n)**j.
+    - R_n = (W_n - q_{n-1}/q_n) intersected with theta_n - H_n; disjoint
+      routes raise InconsistentEnclosureError.
+    The enclosures are refined until R_n decides |R_n| < 1 on its own, and
+    the caller checks that in_unit equals the exact verdict of
+    `exact_unit_remainder`.
     """
-    h = leading_term(spec, conv)
+    m, p, q = spec.m, conv.p, conv.q
     pp, qp = _prev_pq(prev)
-    shift = Fraction(qp, conv.q)
+    d = algebraic_distance(spec, conv)
+    hn, hd = m * p ** (m - 1), d * q  # H_n = hn/hd
     above = conv.side is Side.ABOVE
-    universal_ok = conv.q * pp - conv.p * qp == (-1 if above else 1)
-    sign_ok = (sign_linear_in_alpha(spec, -conv.q, conv.p) > 0) == above if spec.m == 3 else None
+    universal_ok = q * pp - p * qp == (-1 if above else 1)
+    sign_ok = (sign_linear_in_alpha(spec, -q, p) > 0) == above if m == 3 else None
 
     def attempt(bits: int):
-        a_iv = alpha_interval(spec, bits)
-        theta_iv = complete_quotient_interval(conv, prev, a_iv)
-        r_iv = (general_correction(spec, conv, a_iv) - shift).intersect(theta_iv - h)
-        if r_iv is None:
+        # alpha_interval's lower end is S_0/2**bits in lowest terms, so its
+        # denominator is a power of two no larger than D.
+        lo = alpha_interval(spec, bits).lo
+        s0 = lo.numerator << (bits + 1 - lo.denominator.bit_length())
+        dp = p << bits
+        d0 = q * s0 - dp
+        n0 = (pp << bits) - qp * s0
+        if d0 > 0:  # d_1 = d_0 + q_n, n_1 = n_0 - q_{n-1}
+            n_lo, n_hi, d_lo, d_hi = n0 - qp, n0, d0, d0 + q
+        elif d0 + q < 0:  # negate every corner's numerator and denominator
+            n_lo, n_hi, d_lo, d_hi = -n0, qp - n0, -(d0 + q), -d0
+        else:
+            return None
+        # Over positive denominators the least corner has the least
+        # numerator, over the largest denominator if that numerator is >= 0.
+        theta_lo = (n_lo, d_hi if n_lo >= 0 else d_lo)
+        theta_hi = (n_hi, d_lo if n_hi >= 0 else d_hi)
+
+        scale = (m - 1) * bits  # W_n and q_{n-1}/q_n over D**(m-1) * hd
+        offset = (hn + qp * d) << scale
+        via_w = [(_power_sum(s * q, dp, m) - offset, hd << scale) for s in (s0, s0 + 1)]
+        via_theta = [(t * hd - hn * u, u * hd) for t, u in (theta_lo, theta_hi)]
+        r_lo = via_theta[0] if _less(via_w[0], via_theta[0]) else via_w[0]
+        r_hi = via_w[1] if _less(via_w[1], via_theta[1]) else via_theta[1]
+        if _less(r_hi, r_lo):
             raise InconsistentEnclosureError(f"remainder routes disjoint at n={conv.n}")
-        in_unit = r_iv.strictly_inside(-1, 1)
-        if in_unit or r_iv.hi < -1 or r_iv.lo > 1:
-            return theta_iv, r_iv, in_unit
-        return None
+        in_unit = -r_lo[1] < r_lo[0] and r_hi[0] < r_hi[1]
+        if not (in_unit or r_hi[0] < -r_hi[1] or r_lo[0] > r_lo[1]):
+            return None
+        theta_iv = RationalInterval(Fraction(*theta_lo), Fraction(*theta_hi))
+        return theta_iv, RationalInterval(Fraction(*r_lo), Fraction(*r_hi)), in_unit
 
     return (*refine(attempt, start_bits, max_bits), universal_ok, sign_ok)
 
@@ -421,12 +472,13 @@ def verify_theorems(
         )
 
     def tally(claim, ok, failure):
+        # failure() builds the claim's record; only a failed check needs one.
         entry = tallies[claim]
         if ok:
             entry[0] += 1
         else:
             entry[1] += 1
-            entry[2].append(failure)
+            entry[2].append(failure())
 
     for n in range(1, n_max + 1):
         conv, prev = exp.pair(n)
@@ -458,6 +510,8 @@ def verify_theorems(
         above_eps = (true_eps in (0, 1)) if above else None
         below_eps = (true_eps in (-1, 0)) if not above else None
         general_window = b_next <= h and b_next + 2 > h
+        eps_ok = above_eps if above else below_eps
+        a_n = shifted_leading_term(spec, conv, prev) if keep_terms or not eps_ok else None
 
         if q_ok:
             checked.append(n)
@@ -476,15 +530,15 @@ def verify_theorems(
                                f"{CLAIM_ABOVE_WINDOW} with H_n = {h}")
                     )
                 tally(CLAIM_ABOVE_EPSILON, above_eps,
-                      record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
-                             f"{CLAIM_ABOVE_EPSILON}; A_n = {shifted_leading_term(spec, conv, prev)}"))
+                      lambda: record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
+                                     f"{CLAIM_ABOVE_EPSILON}; A_n = {a_n}"))
             else:
                 tally(CLAIM_BELOW_WINDOW, below_window,
-                      record(n, conv, b_next, d, WINDOW_BELOW, b_next,
-                             f"{CLAIM_BELOW_WINDOW} with H_n = {h}"))
+                      lambda: record(n, conv, b_next, d, WINDOW_BELOW, b_next,
+                                     f"{CLAIM_BELOW_WINDOW} with H_n = {h}"))
                 tally(CLAIM_BELOW_EPSILON, below_eps,
-                      record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
-                             f"{CLAIM_BELOW_EPSILON}; A_n = {shifted_leading_term(spec, conv, prev)}"))
+                      lambda: record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
+                                     f"{CLAIM_BELOW_EPSILON}; A_n = {a_n}"))
         else:
             skipped.append(n)
 
@@ -493,7 +547,7 @@ def verify_theorems(
                 TermCheck(
                     n=n, b_next=b_next, side=conv.side, p=conv.p, q=conv.q,
                     distance=d, leading=h,
-                    shifted_leading=shifted_leading_term(spec, conv, prev),
+                    shifted_leading=a_n,
                     theta=theta_iv, remainder=r_iv, remainder_in_unit=in_unit,
                     prediction=outcome, q_at_least_2=q_ok,
                     window_above_ok=window_above, below_window_ok=below_window,

@@ -6,6 +6,7 @@ by a rational interval certified to contain the true value.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,13 +286,20 @@ class AlphaEnclosure:
         )
 
 
+@functools.lru_cache(maxsize=32)
+def _scaled_root(k: int, m: int, digits: int, base: int) -> int:
+    # Memoised: verify encloses every index of an expansion at one
+    # precision, and would otherwise take the same root once per index.
+    return int_nth_root(k * base ** (m * digits), m)
+
+
 def alpha_floor_scaled(spec: RadicandSpec, digits: int, base: int = 2) -> AlphaEnclosure:
     """Enclosure of alpha of width base**-digits, via one integer root."""
     if digits < 0:
         raise ValueError("digits must be non-negative")
     if base < 2:
         raise ValueError("base must be >= 2")
-    scaled = int_nth_root(spec.k * base ** (spec.m * digits), spec.m)
+    scaled = _scaled_root(spec.k, spec.m, digits, base)
     return AlphaEnclosure(spec=spec, precision_digits=digits, base=base, scaled_floor=scaled)
 
 

@@ -86,10 +86,10 @@ def justified_places(width: Fraction, cap: int = 40) -> int:
 
 
 def enclosure_json(iv: RationalInterval) -> dict:
-    places = justified_places(iv.width)
+    width = iv.width
     return {
-        "decimal": decimal_string(iv.mid, places),
-        "width": sci_string(iv.width),
+        "decimal": decimal_string(iv.mid, justified_places(width)),
+        "width": sci_string(width),
         "lo": str(iv.lo),
         "hi": str(iv.hi),
     }

@@ -2,11 +2,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcf.bvp import (
     CLAIM_BELOW_WINDOW,
+    _analyze_term,
     EPSILON_RANGE,
     REMAINDER_BOUND,
     WINDOW_BELOW,
@@ -23,13 +24,20 @@ from rootcf.bvp import (
     shifted_leading_term,
     verify_theorems,
 )
-from rootcf.engine import Convergent, Side, convergent_side, expand
+from rootcf.engine import (
+    Convergent,
+    Side,
+    complete_quotient_interval,
+    convergent_side,
+    expand,
+)
 from rootcf.exact import (
     DEFAULT_MAX_BITS,
     PerfectPowerError,
     PrecisionCeilingError,
     WrongDegreeError,
     alpha_interval,
+    refine,
     validate_spec,
 )
 
@@ -120,8 +128,6 @@ class TestRemainder:
         for bits in (96, 192):
             a_iv = alpha_interval(SPEC_2_3, bits)
             via_w = general_correction(SPEC_2_3, conv, a_iv) - shift
-            from rootcf.engine import complete_quotient_interval
-
             via_theta = complete_quotient_interval(conv, prev, a_iv) - h
             assert via_w.intersects(via_theta)
             combined = remainder(SPEC_2_3, conv, prev, a_iv)
@@ -388,6 +394,46 @@ class TestVerifyTheorems:
                 assert t.cubic_sign_ok == ((v_iv.lo > 0) == (t.side is Side.ABOVE))
             else:
                 assert t.cubic_sign_ok is None
+
+
+def interval_route(spec, conv, prev, start_bits):
+    """(theta, R, in_unit) by RationalInterval arithmetic on alpha's enclosure,
+    refined until R decides |R_n| < 1: the route `_analyze_term` replaces.
+    `remainder` intersects general_correction - q_{n-1}/q_n with theta - H_n."""
+    def attempt(bits):
+        a_iv = alpha_interval(spec, bits)
+        r = remainder(spec, conv, prev, a_iv)
+        in_unit = r.strictly_inside(-1, 1)
+        if in_unit or r.hi < -1 or r.lo > 1:
+            return complete_quotient_interval(conv, prev, a_iv), r, in_unit
+        return None
+
+    return refine(attempt, start_bits, DEFAULT_MAX_BITS)
+
+
+class TestAnalyzeTerm:
+    @given(
+        k=st.integers(min_value=2, max_value=1000),
+        m=st.integers(min_value=2, max_value=12),
+        n=st.integers(min_value=1, max_value=40),
+        start=st.sampled_from([8, 16, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(k=2, m=3, n=6, start=8)  # q_6 = 227: 8 bits cannot separate q_n*alpha - p_n from 0
+    def test_integer_endpoints_match_interval_route(self, k, m, n, start):
+        # The integer-endpoint enclosures must be the interval route's, to
+        # the last endpoint, at the bits where the interval route stops.
+        # Starting at 8 or 16 bits runs the retries of a too-coarse alpha;
+        # None starts, as verify does, at the expansion's own bits.
+        try:
+            spec = validate_spec(k, m)
+        except PerfectPowerError:
+            return
+        exp = expand(spec, n + 1)
+        conv, prev = exp.pair(n)
+        bits = start or exp.precision_bits
+        got = _analyze_term(spec, conv, prev, bits, DEFAULT_MAX_BITS)[:3]
+        assert got == interval_route(spec, conv, prev, bits)
 
 
 class TestScan:

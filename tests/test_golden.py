@@ -8,7 +8,10 @@ changes a single byte of any report, or an exit code, fails here.
 The rows cover every command, every format, degrees 2, 3 and 10, a scan
 whose violations carry `remainder_bound` enclosures (ten of them, at
 m = 7) in all three formats, and the precision-cap exit for both
-`expand` and `scan`.  The capped `expand` writes nothing; the capped
+`expand` and `scan`.  Three `verify` rows reach deep indices, where the
+enclosures are printed at hundreds of bits: 120 terms of cbrt(2) in
+json, 40 terms of 50^(1/10) in csv, and 12 terms of 11^(1/7) in text,
+which includes a `remainder_bound` violation enclosure.  The capped `expand` writes nothing; the capped
 `scan` writes its cells, the capped ones as skipped rows, before it
 exits 3.
 """
@@ -41,6 +44,12 @@ GOLDEN = [
      "c94bd756430ceaf9773c349497ccc5e2bfedfb7ed2912188ef0fc02e50a5c49a"),
     ("verify --k 3 --m 2 --terms 6 --format json", 0, 11243,
      "550eb698b9a34bfc31a4475ab16488fad0ce4949a3805886d76146800421debf"),
+    ("verify --k 2 --m 3 --terms 120 --format json", 0, 476228,
+     "ee803820dc48f2f8a8da110088e9b92ee1321b52e812198b7b0405540de47981"),
+    ("verify --k 50 --m 10 --terms 40 --format csv", 0, 34595,
+     "8d5b64600482527d065b960b65847ee6fd6e4eafd510bbeb16a5fe82b34cb7f6"),
+    ("verify --k 11 --m 7 --terms 12 --format text", 0, 5533,
+     "0423f032b231616bfb530e2eab44c2135b8c30d9e45c065e176ae430909b153f"),
     ("scan --m-range 2..7 --k-range 2..25 --terms 10 --format json", 0, 34916,
      "a465af4af7a15c77b1ef085e11d8ec5fdb2490f2f5d768f237c1c896d8f82820"),
     ("scan --m 3 --k-range 2..20 --terms 12 --format csv", 0, 1041,
