@@ -9,7 +9,6 @@ from .exact import (
     PerfectPowerError,
     PrecisionCeilingError,
     RadicandSpec,
-    Rational,
     RationalInterval,
     WrongDegreeError,
     alpha_floor_scaled,
@@ -22,13 +21,11 @@ from .engine import (
     Convergent,
     Expansion,
     Side,
-    ThetaEnclosure,
     complete_quotient_interval,
     convergent_step,
     expand,
     expand_exact_oracle,
     next_partial_quotient,
-    theta_enclosure,
     verify_quotient,
 )
 from .bvp import (
@@ -41,16 +38,14 @@ from .bvp import (
     TheoremReport,
     ViolationRecord,
     algebraic_distance,
-    certified_unit_remainder,
     cubic_correction,
     exact_unit_remainder,
     general_correction,
-    leading_term,
+    leading_terms,
     predict_next,
+    prediction,
     remainder,
-    remainder_enclosure,
     scan,
-    shifted_leading_term,
     verify_theorems,
 )
 

@@ -8,8 +8,12 @@ splits as theta_n = H_n + R_n with the leading term
 and the remainder R_n = W_n - q_{n-1}/q_n, where W_n is the linearization
 error of the m-th power difference.  This module computes all of these
 exactly (rationals) or as certified enclosures (alpha-dependent reals),
-predicts partial quotients through the floor of A_n = H_n - q_{n-1}/q_n,
 and measures every claimed bound, recording violations it can certify.
+Each index is worked once: `leading_terms` gives d_n, H_n and
+A_n = H_n - q_{n-1}/q_n, and `prediction` reads the floor formula
+b_{n+1} = floor(A_n) + eps against the b_{n+1} that `expand` certified.
+`predict_next`, which finds b_{n+1} by its own exact search, is the
+tests' oracle for that route.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
 classical correction V_n = (q_n/d_n)(2x_n**2 - x_n*alpha - alpha**2)
@@ -66,15 +70,17 @@ def algebraic_distance(spec: RadicandSpec, conv: Convergent) -> int:
     return abs(conv.p ** spec.m - spec.k * conv.q ** spec.m)
 
 
-def leading_term(spec: RadicandSpec, conv: Convergent) -> Fraction:
-    """H_n = m*p_n**(m-1)/(d_n*q_n) as a reduced rational."""
-    return Fraction(spec.m * conv.p ** (spec.m - 1), algebraic_distance(spec, conv) * conv.q)
+def leading_terms(
+    spec: RadicandSpec, conv: Convergent, prev: Convergent | None
+) -> tuple[int, Fraction, Fraction]:
+    """(d_n, H_n, A_n), the two rationals reduced.
 
-
-def shifted_leading_term(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) -> Fraction:
-    """A_n = H_n - q_{n-1}/q_n, the quantity whose floor predicts b_{n+1}."""
-    qp = _prev_pq(prev)[1]
-    return leading_term(spec, conv) - Fraction(qp, conv.q)
+    H_n = m*p_n**(m-1)/(d_n*q_n) is the leading term of theta_n, and
+    A_n = H_n - q_{n-1}/q_n the quantity whose floor predicts b_{n+1}.
+    """
+    d = algebraic_distance(spec, conv)
+    hn, hd = spec.m * conv.p ** (spec.m - 1), d * conv.q
+    return d, Fraction(hn, hd), Fraction(hn - _prev_pq(prev)[1] * d, hd)
 
 
 def general_correction(
@@ -130,8 +136,9 @@ def remainder(
     enclosures must intersect and the (tighter) intersection is returned.
     """
     qp = _prev_pq(prev)[1]
+    _, h, _ = leading_terms(spec, conv, prev)
     via_correction = general_correction(spec, conv, alpha_iv) - Fraction(qp, conv.q)
-    via_quotient = complete_quotient_interval(conv, prev, alpha_iv) - leading_term(spec, conv)
+    via_quotient = complete_quotient_interval(conv, prev, alpha_iv) - h
     out = via_correction.intersect(via_quotient)
     if out is None:
         raise InconsistentEnclosureError(
@@ -140,56 +147,15 @@ def remainder(
     return out
 
 
-def remainder_enclosure(
-    spec: RadicandSpec,
-    conv: Convergent,
-    prev: Convergent | None,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-    target_width: Fraction | None = None,
-) -> RationalInterval:
-    """R_n enclosure with automatic refinement to an optional width target."""
-    def attempt(bits: int) -> RationalInterval | None:
-        iv = remainder(spec, conv, prev, alpha_interval(spec, bits))
-        return iv if target_width is None or iv.width <= target_width else None
-
-    return refine(attempt, start_bits, max_bits)
-
-
-def certified_unit_remainder(
-    spec: RadicandSpec,
-    conv: Convergent,
-    prev: Convergent | None,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> tuple[RationalInterval, bool]:
-    """(R_n enclosure, certified |R_n| < 1) with refinement until decidable.
-
-    Refines precision until the enclosure lies strictly inside (-1, 1) or
-    strictly outside [-1, 1]; R_n = +-1 is impossible because theta_n is
-    irrational while H_n and q_{n-1}/q_n are rational.
-    """
-    def attempt(bits: int) -> tuple[RationalInterval, bool] | None:
-        iv = remainder(spec, conv, prev, alpha_interval(spec, bits))
-        if iv.strictly_inside(-1, 1):
-            return iv, True
-        if iv.hi < -1 or iv.lo > 1:
-            return iv, False
-        return None
-
-    return refine(attempt, start_bits, max_bits)
-
-
-def exact_unit_remainder(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) -> bool:
-    """Exact |R_n| < 1, decided by integer sign tests with no enclosure.
+def exact_unit_remainder(
+    spec: RadicandSpec, conv: Convergent, prev: Convergent | None, h: Fraction
+) -> bool:
+    """Exact |R_n| < 1 for the leading term h = H_n, by integer sign tests.
 
     |R_n| < 1 is H_n - 1 < theta_n < H_n + 1, and each side is the order
     of theta_n against a rational, two exact signs of linear forms in
     alpha.  theta_n is irrational, so it never equals H_n +- 1.
     """
-    h = leading_term(spec, conv)
     return _theta_exceeds(spec, conv, prev, h - 1) and not _theta_exceeds(spec, conv, prev, h + 1)
 
 
@@ -197,9 +163,8 @@ def exact_unit_remainder(spec: RadicandSpec, conv: Convergent, prev: Convergent 
 class PredictionOutcome:
     """Result of predicting b_{n+1} from the floor of A_n.
 
-    epsilon is resolved by the exact oracle: 0 if floor(A_n) verifies,
-    1 if floor(A_n)+1 verifies, else 0 with formula_held False (the
-    formula's two-candidate window missed; actual is still exact).
+    epsilon is actual - floor(A_n) when that is 0 or 1, else 0 with
+    formula_held False (the formula's two-candidate window missed).
     """
 
     n: int
@@ -212,24 +177,16 @@ class PredictionOutcome:
     window_held: bool
 
 
-def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) -> PredictionOutcome:
-    """Predict b_{n+1} = floor(A_n) + eps and verify it exactly.
+def prediction(conv: Convergent, h: Fraction, a: Fraction, actual: int) -> PredictionOutcome:
+    """The floor formula b_{n+1} = floor(A_n) + eps read against actual = b_{n+1}.
 
-    window_held reports the side-appropriate certain window implied by
-    |R_n| < 1: H-2 < b <= H above, H-2 < b < H+1 below.
+    h and a are H_n and A_n.  window_held reports the side-appropriate
+    certain window implied by |R_n| < 1: H-2 < b <= H above,
+    H-2 < b < H+1 below.
     """
-    candidate = math.floor(shifted_leading_term(spec, conv, prev))
-    if verify_quotient(spec, conv, prev, candidate):
-        epsilon, actual = 0, candidate
-    elif verify_quotient(spec, conv, prev, candidate + 1):
-        epsilon, actual = 1, candidate + 1
-    else:
-        epsilon, actual = 0, next_partial_quotient(spec, conv, prev)
-    h = leading_term(spec, conv)
-    if conv.side is Side.ABOVE:
-        window = h - 2 < actual <= h
-    else:
-        window = h - 2 < actual < h + 1
+    candidate = math.floor(a)
+    epsilon = actual - candidate if actual - candidate in (0, 1) else 0
+    upper_ok = actual <= h if conv.side is Side.ABOVE else actual < h + 1
     return PredictionOutcome(
         n=conv.n,
         side=conv.side,
@@ -238,8 +195,26 @@ def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) 
         predicted=candidate + epsilon,
         actual=actual,
         formula_held=(candidate + epsilon == actual),
-        window_held=window,
+        window_held=h - 2 < actual and upper_ok,
     )
+
+
+def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) -> PredictionOutcome:
+    """`prediction` with b_{n+1} found by exact search from A_n alone.
+
+    floor(A_n) and floor(A_n) + 1 are tried with `verify_quotient`, then
+    a binary search on theta_n decides.  A test oracle: the program reads
+    b_{n+1} from its certified expansion instead, and the tests check that
+    both routes give the same outcome.
+    """
+    _, h, a = leading_terms(spec, conv, prev)
+    candidate = math.floor(a)
+    for actual in (candidate, candidate + 1):
+        if verify_quotient(spec, conv, prev, actual):
+            break
+    else:
+        actual = next_partial_quotient(spec, conv, prev)
+    return prediction(conv, h, a, actual)
 
 
 @dataclass(frozen=True)
@@ -341,10 +316,14 @@ def _analyze_term(
     spec: RadicandSpec,
     conv: Convergent,
     prev: Convergent | None,
+    d: int,
+    h: Fraction,
     start_bits: int,
     max_bits: int,
 ) -> tuple[RationalInterval, RationalInterval, bool, bool, bool | None]:
     """(theta, remainder, in_unit, universal_identity_ok, cubic_sign_ok) certified.
+
+    d and h are d_n and H_n as `leading_terms` gives them.
 
     The two flags are exact integer tests.  The universal identity
     theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly when
@@ -373,8 +352,8 @@ def _analyze_term(
     """
     m, p, q = spec.m, conv.p, conv.q
     pp, qp = _prev_pq(prev)
-    d = algebraic_distance(spec, conv)
-    hn, hd = m * p ** (m - 1), d * q  # H_n = hn/hd
+    # W_n - q_{n-1}/q_n = (P(S) - D**(m-1) * w0) / (D**(m-1) * q_n * d_n)
+    w0 = m * p ** (m - 1) + qp * d
     above = conv.side is Side.ABOVE
     universal_ok = q * pp - p * qp == (-1 if above else 1)
     sign_ok = (sign_linear_in_alpha(spec, -q, p) > 0) == above if m == 3 else None
@@ -398,9 +377,10 @@ def _analyze_term(
         theta_lo = (n_lo, d_hi if n_lo >= 0 else d_lo)
         theta_hi = (n_hi, d_lo if n_hi >= 0 else d_hi)
 
-        scale = (m - 1) * bits  # W_n and q_{n-1}/q_n over D**(m-1) * hd
-        offset = (hn + qp * d) << scale
-        via_w = [(_power_sum(s * q, dp, m) - offset, hd << scale) for s in (s0, s0 + 1)]
+        scale = (m - 1) * bits  # log2 of D**(m-1)
+        w_den = (q * d) << scale
+        via_w = [(_power_sum(s * q, dp, m) - (w0 << scale), w_den) for s in (s0, s0 + 1)]
+        hn, hd = h.numerator, h.denominator
         via_theta = [(t * hd - hn * u, u * hd) for t, u in (theta_lo, theta_hi)]
         r_lo = via_theta[0] if _less(via_w[0], via_theta[0]) else via_w[0]
         r_hi = via_w[1] if _less(via_w[1], via_theta[1]) else via_theta[1]
@@ -436,9 +416,12 @@ def verify_theorems(
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max.
 
-    Decides |R_n| < 1 exactly (`exact_unit_remainder`), checks the
-    above-side window exactly, measures the epsilon-range and below-side
-    claims, and records the least index from which stability holds
+    Each index takes d_n, H_n and A_n once from `leading_terms` and
+    b_{n+1} from the certified expansion, whose floors are proven and
+    whose last term `expand` re-checks exactly.  It decides |R_n| < 1
+    exactly (`exact_unit_remainder`), checks the above-side window
+    exactly, measures the epsilon-range and below-side claims through
+    `prediction`, and records the least index from which stability holds
     through n_max.  Enclosures are built only for values the result
     shows: theta_n and R_n of every term when keep_terms is set, and the
     observed R_n of each remainder_bound violation.  Each one is checked
@@ -483,18 +466,13 @@ def verify_theorems(
     for n in range(1, n_max + 1):
         conv, prev = exp.pair(n)
         b_next = exp.terms[n + 1].b
-        d = algebraic_distance(spec, conv)
-        h = leading_term(spec, conv)
-        outcome = predict_next(spec, conv, prev)
-        if outcome.actual != b_next:
-            raise InconsistentEnclosureError(
-                f"exact prediction and certified expansion disagree at n={n}"
-            )
-        in_unit = exact_unit_remainder(spec, conv, prev)
+        d, h, a_n = leading_terms(spec, conv, prev)
+        outcome = prediction(conv, h, a_n, b_next)
+        in_unit = exact_unit_remainder(spec, conv, prev, h)
         q_ok = conv.q >= q_min
         if keep_terms or (q_ok and not in_unit):
             theta_iv, r_iv, iv_in_unit, universal_ok, sign_ok = _analyze_term(
-                spec, conv, prev, bits, max_bits
+                spec, conv, prev, d, h, bits, max_bits
             )
             if iv_in_unit != in_unit:
                 raise InconsistentEnclosureError(
@@ -503,15 +481,13 @@ def verify_theorems(
             if sign_ok is False:
                 raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={n}")
 
-        true_eps = outcome.actual - outcome.candidate
+        true_eps = b_next - outcome.candidate
         above = conv.side is Side.ABOVE
-        window_above = (h - 2 < b_next <= h) if above else None
+        window_above = outcome.window_held if above else None  # H_n - 2 < b_{n+1} <= H_n
         below_window = (h <= b_next < h + 2) if not above else None
         above_eps = (true_eps in (0, 1)) if above else None
         below_eps = (true_eps in (-1, 0)) if not above else None
         general_window = b_next <= h and b_next + 2 > h
-        eps_ok = above_eps if above else below_eps
-        a_n = shifted_leading_term(spec, conv, prev) if keep_terms or not eps_ok else None
 
         if q_ok:
             checked.append(n)

@@ -15,11 +15,9 @@ from . import __version__
 from .bvp import (
     ScanReport,
     SkippedCell,
-    algebraic_distance,
-    leading_term,
-    predict_next,
+    leading_terms,
+    prediction,
     scan,
-    shifted_leading_term,
     verify_theorems,
 )
 from .engine import expand
@@ -207,16 +205,9 @@ def run(config: RunConfig) -> dict:
             predictions = []
             for n in range(1, config.terms):
                 conv, prev = exp.pair(n)
-                outcome = predict_next(spec, conv, prev)
-                predictions.append(
-                    (
-                        outcome,
-                        conv,
-                        algebraic_distance(spec, conv),
-                        leading_term(spec, conv),
-                        shifted_leading_term(spec, conv, prev),
-                    )
-                )
+                d, h, a = leading_terms(spec, conv, prev)
+                outcome = prediction(conv, h, a, exp.terms[n + 1].b)
+                predictions.append((outcome, conv, d, h, a))
                 held += outcome.formula_held
                 total += 1
             results.append(predict_payload(exp, predictions))

@@ -98,22 +98,6 @@ class Expansion:
         return self.terms[n], self.terms[n - 1] if n >= 1 else None
 
 
-@dataclass(frozen=True)
-class ThetaEnclosure:
-    """Certified interval around the complete quotient theta_n.
-
-    Indexing follows theta_n = [b_{n+1}; b_{n+2}, ...]: the tail that the
-    convergent pair (n, n-1) exposes.
-    """
-
-    n: int
-    interval: RationalInterval
-
-    def fractional_part(self, b_next: int) -> RationalInterval:
-        """Enclosure of theta_n - b_{n+1}, the fractional tail."""
-        return self.interval - b_next
-
-
 def complete_quotient_interval(
     conv: Convergent, prev: Convergent | None, alpha_iv: RationalInterval
 ) -> RationalInterval:
@@ -127,29 +111,6 @@ def complete_quotient_interval(
     num = pp - qp * alpha_iv
     den = conv.q * alpha_iv - conv.p
     return num / den
-
-
-def theta_enclosure(
-    spec: RadicandSpec,
-    conv: Convergent,
-    prev: Convergent | None,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-    target_width: Fraction | None = None,
-) -> ThetaEnclosure:
-    """Certified theta_n enclosure, refining precision until usable.
-
-    Precision doubles until the defining quotient is computable and, if
-    `target_width` is given, at least that tight.
-    """
-    def attempt(bits: int) -> ThetaEnclosure | None:
-        iv = complete_quotient_interval(conv, prev, alpha_interval(spec, bits))
-        if target_width is None or iv.width <= target_width:
-            return ThetaEnclosure(n=conv.n, interval=iv)
-        return None
-
-    return refine(attempt, start_bits, max_bits)
 
 
 def _theta_exceeds(

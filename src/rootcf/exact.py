@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-Rational = Fraction
 T = TypeVar("T")
 
 DEFAULT_START_BITS = 64

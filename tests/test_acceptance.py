@@ -18,14 +18,10 @@ from rootcf.bvp import (
     REMAINDER_BOUND,
     WINDOW_ABOVE,
     WINDOW_BELOW,
-    certified_unit_remainder,
     cubic_correction,
     general_correction,
-    leading_term,
+    leading_terms,
     predict_next,
-    remainder,
-    remainder_enclosure,
-    shifted_leading_term,
     verify_theorems,
 )
 from rootcf.cli import parse_args, run
@@ -34,7 +30,6 @@ from rootcf.engine import (
     complete_quotient_interval,
     expand,
     expand_exact_oracle,
-    theta_enclosure,
 )
 from rootcf.exact import alpha_interval, validate_spec
 from rootcf.report import emit
@@ -67,21 +62,23 @@ def test_criterion_1_golden_degree_ten():
 
     assert algebraic_distance(spec, conv) == 7849
 
-    h = leading_term(spec, conv)
+    _, h, _ = leading_terms(spec, conv, prev)
     assert h == Fraction(196830, 15698)
     assert abs(h - Fraction("12.5385")) <= Fraction(1, 10 ** 4)
 
-    theta = theta_enclosure(spec, conv, prev, target_width=Fraction(1, 10 ** 3))
-    assert theta.interval.width <= Fraction(1, 10 ** 3)
-    assert within(theta.interval, "11.2689", Fraction(1, 10 ** 4))
+    # theta_1 and R_1 as verify encloses and prints them.
+    term = verify_theorems(spec, 1).terms[0]
+    theta = term.theta
+    assert theta.width <= Fraction(1, 10 ** 3)
+    assert within(theta, "11.2689", Fraction(1, 10 ** 4))
 
-    r_iv = remainder_enclosure(spec, conv, prev, target_width=Fraction(1, 10 ** 3))
+    r_iv = term.remainder
     assert r_iv.width <= Fraction(1, 10 ** 3)
     assert within(r_iv, "-1.2696", Fraction(1, 10 ** 4))
-    certified, inside = certified_unit_remainder(spec, conv, prev)
-    assert not inside and certified.hi < -1
+    assert not term.remainder_in_unit and r_iv.hi < -1
 
     outcome = predict_next(spec, conv, prev)
+    assert term.prediction == outcome
     import math
 
     assert math.floor(h) == 12
@@ -195,7 +192,7 @@ def test_criterion_5_below_side_claim_discrepancy(cubic_sweep):
     assert failure is not None, "expected a measured below-window failure at n=2"
     assert failure.quantity == WINDOW_BELOW
     assert failure.b_next == 5
-    assert leading_term(report.spec, report.expansion.terms[2]) == Fraction(25, 4)
+    assert leading_terms(report.spec, *report.expansion.pair(2))[1] == Fraction(25, 4)
     assert "25/4" in failure.claimed
     # measured, not asserted: it must NOT appear among certified violations
     assert not any(v.quantity == WINDOW_BELOW for v in report.violations)
@@ -255,7 +252,7 @@ def test_criterion_7_identity_suites(cubic_sweep):
         exp = expand(spec, 10)
         for n in range(1, 10):
             conv, prev = exp.pair(n)
-            h = leading_term(spec, conv)
+            _, h, _ = leading_terms(spec, conv, prev)
             widths = []
             for bits in (128, 256):
                 a_iv = alpha_interval(spec, bits)

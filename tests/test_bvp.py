@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,17 +12,16 @@ from rootcf.bvp import (
     EPSILON_RANGE,
     REMAINDER_BOUND,
     WINDOW_BELOW,
+    PredictionOutcome,
     algebraic_distance,
-    certified_unit_remainder,
     cubic_correction,
     exact_unit_remainder,
     general_correction,
-    leading_term,
+    leading_terms,
     predict_next,
+    prediction,
     remainder,
-    remainder_enclosure,
     scan,
-    shifted_leading_term,
     verify_theorems,
 )
 from rootcf.engine import (
@@ -30,6 +30,7 @@ from rootcf.engine import (
     complete_quotient_interval,
     convergent_side,
     expand,
+    next_partial_quotient,
 )
 from rootcf.exact import (
     DEFAULT_MAX_BITS,
@@ -69,61 +70,60 @@ class TestExactQuantities:
         assert algebraic_distance(SPEC_2_3, conv2) == 3  # |125 - 128|
 
     def test_leading_degree_ten(self):
-        conv, _ = EXP_50.pair(1)
-        h = leading_term(SPEC_50_10, conv)
+        d, h, _ = leading_terms(SPEC_50_10, *EXP_50.pair(1))
+        assert d == 7849
         assert h == Fraction(196830, 15698)
         assert within_scalar(h, "12.5385", Fraction(1, 10 ** 4))
 
     def test_leading_cbrt2(self):
-        conv0, _ = EXP_2.pair(0)
-        assert leading_term(SPEC_2_3, conv0) == 3
-        conv1, _ = EXP_2.pair(1)
-        assert leading_term(SPEC_2_3, conv1) == Fraction(8, 5)
+        assert leading_terms(SPEC_2_3, *EXP_2.pair(0))[:2] == (1, 3)
+        assert leading_terms(SPEC_2_3, *EXP_2.pair(1))[:2] == (10, Fraction(8, 5))
 
     def test_shifted_leading(self):
-        conv1, prev1 = EXP_2.pair(1)
-        assert shifted_leading_term(SPEC_2_3, conv1, prev1) == Fraction(19, 15)
-        conv2, prev2 = EXP_2.pair(2)
-        assert leading_term(SPEC_2_3, conv2) == Fraction(25, 4)
-        assert shifted_leading_term(SPEC_2_3, conv2, prev2) == Fraction(11, 2)
+        assert leading_terms(SPEC_2_3, *EXP_2.pair(1))[2] == Fraction(19, 15)
+        assert leading_terms(SPEC_2_3, *EXP_2.pair(2)) == (3, Fraction(25, 4), Fraction(11, 2))
 
 
 def within_scalar(value, target, tol):
     return abs(Fraction(value) - Fraction(target)) <= Fraction(tol)
 
 
+def analyzed(spec, conv, prev):
+    """_analyze_term's (theta, R, in_unit) from 64 bits, as verify refines them."""
+    d, h, _ = leading_terms(spec, conv, prev)
+    return _analyze_term(spec, conv, prev, d, h, 64, DEFAULT_MAX_BITS)[:3]
+
+
 class TestRemainder:
+    # The R_n values are read from the enclosures verify prints.
     def test_degree_ten_value(self):
-        conv, prev = EXP_50.pair(1)
-        iv = remainder_enclosure(SPEC_50_10, conv, prev, target_width=Fraction(1, 10 ** 3))
+        iv = verify_theorems(SPEC_50_10, 1).terms[0].remainder
         assert iv.width <= Fraction(1, 10 ** 3)
         # R_1 = -1.26960464...; endpoints within 1e-4 of the quoted -1.2696
         assert within(iv, Fraction("-1.2696"), Fraction(1, 10 ** 4))
         assert iv.hi < -1
 
     def test_cbrt2_above_inside_unit(self):
-        conv, prev = EXP_2.pair(1)
-        iv = remainder_enclosure(SPEC_2_3, conv, prev, target_width=Fraction(1, 10 ** 6))
+        iv = verify_theorems(SPEC_2_3, 2).terms[0].remainder
+        assert iv.width <= Fraction(1, 10 ** 6)
         assert -1 < iv.lo and iv.hi < 0
         # theta_1 - 8/5 = -0.41981126...
         assert within(iv, Fraction("-0.4198113"), Fraction(1, 10 ** 5))
 
     def test_cbrt2_below_inside_unit(self):
-        conv, prev = EXP_2.pair(2)
-        iv = remainder_enclosure(SPEC_2_3, conv, prev, target_width=Fraction(1, 10 ** 6))
+        iv = verify_theorems(SPEC_2_3, 2).terms[1].remainder
+        assert iv.width <= Fraction(1, 10 ** 6)
         assert -1 < iv.lo and iv.hi < 0  # below side, still negative
 
     def test_certified_unit_check(self):
-        conv, prev = EXP_50.pair(1)
-        iv, inside = certified_unit_remainder(SPEC_50_10, conv, prev)
+        _, iv, inside = analyzed(SPEC_50_10, *EXP_50.pair(1))
         assert not inside and iv.hi < -1
-        conv2, prev2 = EXP_2.pair(2)
-        iv2, inside2 = certified_unit_remainder(SPEC_2_3, conv2, prev2)
+        _, iv2, inside2 = analyzed(SPEC_2_3, *EXP_2.pair(2))
         assert inside2 and iv2.strictly_inside(-1, 1)
 
     def test_two_routes_intersect_and_tighten(self):
         conv, prev = EXP_2.pair(3)
-        h = leading_term(SPEC_2_3, conv)
+        _, h, _ = leading_terms(SPEC_2_3, conv, prev)
         shift = Fraction(prev.q, conv.q)
         for bits in (96, 192):
             a_iv = alpha_interval(SPEC_2_3, bits)
@@ -137,9 +137,9 @@ class TestRemainder:
     @given(k=st.integers(min_value=2, max_value=1000), m=st.integers(min_value=3, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_unit_verdict_matches_exact_oracle(self, k, m):
-        # The interval verdict on |R_n| < 1 and the package's exact one
-        # must both equal the test-side integer-sign decision of
-        # H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
+        # The enclosure verdict of `_analyze_term` on |R_n| < 1 and the
+        # package's exact one must both equal the test-side integer-sign
+        # decision of H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
         try:
             spec = validate_spec(k, m)
         except PerfectPowerError:
@@ -148,9 +148,9 @@ class TestRemainder:
         for n in range(1, 15):
             conv, prev = exp.pair(n)
             expected = unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
-            _, inside = certified_unit_remainder(spec, conv, prev)
-            assert inside == expected
-            assert exact_unit_remainder(spec, conv, prev) == expected
+            assert analyzed(spec, conv, prev)[2] == expected
+            _, h, _ = leading_terms(spec, conv, prev)
+            assert exact_unit_remainder(spec, conv, prev, h) == expected
 
     @given(
         k=st.integers(min_value=2, max_value=1000),
@@ -169,7 +169,8 @@ class TestRemainder:
         p, q, pp, qp = pq
         conv = Convergent(n=1, b=1, p=p, q=q, side=convergent_side(spec, p, q))
         prev = Convergent(n=0, b=1, p=pp, q=qp, side=convergent_side(spec, pp, qp))
-        assert exact_unit_remainder(spec, conv, prev) == unit_remainder_exact(k, m, p, q, pp, qp)
+        _, h, _ = leading_terms(spec, conv, prev)
+        assert exact_unit_remainder(spec, conv, prev, h) == unit_remainder_exact(k, m, p, q, pp, qp)
 
 
 class TestCubicCorrection:
@@ -283,7 +284,7 @@ class TestPredictNext:
         # window {floor(A), floor(A)+1} misses from above.
         spec = validate_spec(3, 3)
         conv, prev = expand(spec, 2).pair(1)
-        assert shifted_leading_term(spec, conv, prev) == 4
+        assert leading_terms(spec, conv, prev)[2] == 4
         out = predict_next(spec, conv, prev)
         assert out.candidate == 4 and out.actual == 3
         assert not out.formula_held
@@ -297,6 +298,70 @@ class TestPredictNext:
             assert out.predicted == out.candidate + out.epsilon
             assert out.formula_held == (out.predicted == out.actual)
             assert out.actual == exp.terms[n + 1].b
+
+
+def in_window(side, h, b):
+    """The certain window, H-2 < b <= H above and H-2 < b < H+1 below,
+    as integer ranges: floor(H)-1 <= b <= floor(H) above, and
+    floor(H)-1 <= b <= ceil(H) below."""
+    top = math.floor(h) if side is Side.ABOVE else math.ceil(h)
+    return math.floor(h) - 1 <= b <= top
+
+
+def searched_prediction(spec, conv, prev):
+    """The floor-formula outcome from the closed forms of H_n and A_n,
+    with b_{n+1} from the exact binary search alone.
+
+    eps is 0 if b_{n+1} = floor(A_n), 1 if b_{n+1} = floor(A_n) + 1, and
+    0 otherwise.
+    """
+    m, p, q = spec.m, conv.p, conv.q
+    h = Fraction(m * p ** (m - 1), abs(p ** m - spec.k * q ** m) * q)
+    candidate = math.floor(h - Fraction(prev.q, q))
+    actual = next_partial_quotient(spec, conv, prev)
+    eps = {candidate: 0, candidate + 1: 1}.get(actual, 0)
+    return PredictionOutcome(
+        n=conv.n, side=conv.side, candidate=candidate, epsilon=eps,
+        predicted=candidate + eps, actual=actual,
+        formula_held=candidate + eps == actual,
+        window_held=in_window(conv.side, h, actual),
+    )
+
+
+class TestOneRoute:
+    @given(
+        k=st.integers(min_value=2, max_value=1000),
+        m=st.integers(min_value=2, max_value=12),
+        n=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(k=3, m=3, n=1)  # A_1 = 4 but b_2 = 3: offset -1, so eps = 0
+    @example(k=190, m=3, n=2)  # floor(A_2) = 0 and b_3 = 1: eps = 1
+    @example(k=7, m=3, n=1)  # H_1 = 12 exactly, on the above side
+    def test_certified_quotient_route_matches_exact_oracle(self, k, m, n):
+        # verify and predict read b_{n+1} from the certified expansion and
+        # compute d_n, H_n and A_n once.  Their outcome must equal
+        # predict_next's, which searches b_{n+1} exactly, and a test-side
+        # search from the closed forms.  The window rule is checked at
+        # every integer near H_n, since on true convergents b_{n+1} never
+        # reaches H_n on the above side.
+        try:
+            spec = validate_spec(k, m)
+        except PerfectPowerError:
+            return
+        exp = expand(spec, n + 1)
+        conv, prev = exp.pair(n)
+        d, h, a = leading_terms(spec, conv, prev)
+        assert d == algebraic_distance(spec, conv)
+        assert h == Fraction(m * conv.p ** (m - 1), d * conv.q)
+        assert a == h - Fraction(prev.q, conv.q)
+        outcome = prediction(conv, h, a, exp.terms[n + 1].b)
+        assert outcome == predict_next(spec, conv, prev) == searched_prediction(spec, conv, prev)
+        for b in range(math.floor(h) - 3, math.floor(h) + 4):
+            assert prediction(conv, h, a, b).window_held == in_window(conv.side, h, b)
+        report = verify_theorems(spec, n, keep_terms=True)
+        for t in report.terms:
+            assert t.prediction == predict_next(spec, *exp.pair(t.n))
 
 
 class TestVerifyTheorems:
@@ -432,7 +497,8 @@ class TestAnalyzeTerm:
         exp = expand(spec, n + 1)
         conv, prev = exp.pair(n)
         bits = start or exp.precision_bits
-        got = _analyze_term(spec, conv, prev, bits, DEFAULT_MAX_BITS)[:3]
+        d, h, _ = leading_terms(spec, conv, prev)
+        got = _analyze_term(spec, conv, prev, d, h, bits, DEFAULT_MAX_BITS)[:3]
         assert got == interval_route(spec, conv, prev, bits)
 
 

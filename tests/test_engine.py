@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
     Side,
     complete_quotient_interval,
@@ -12,10 +13,10 @@ from rootcf.engine import (
     expand,
     expand_exact_oracle,
     next_partial_quotient,
-    theta_enclosure,
     verify_quotient,
 )
 from rootcf.exact import (
+    DEFAULT_MAX_BITS,
     PerfectPowerError,
     PrecisionCeilingError,
     alpha_interval,
@@ -111,24 +112,25 @@ class TestConvergentStep:
 
 
 class TestThetaEnclosure:
+    # Values of theta_n come from the enclosures verify prints (_analyze_term).
     def test_degree_ten_value(self):
-        conv, prev = expand(SPEC_50_10, 2).pair(1)
-        enc = theta_enclosure(SPEC_50_10, conv, prev, start_bits=128)
-        assert enc.interval.width <= Fraction(1, 10 ** 4)
+        theta = verify_theorems(SPEC_50_10, 1).terms[0].theta
+        assert theta.width <= Fraction(1, 10 ** 6)
         # theta_1 = 11.26893529...; endpoints within 1e-4 of the 4dp value
         target = Fraction("11.2689")
-        assert abs(enc.interval.lo - target) <= Fraction(1, 10 ** 4)
-        assert abs(enc.interval.hi - target) <= Fraction(1, 10 ** 4)
-        fine = theta_enclosure(SPEC_50_10, conv, prev, target_width=Fraction(1, 10 ** 6))
-        for end in (fine.interval.lo, fine.interval.hi):
+        assert abs(theta.lo - target) <= Fraction(1, 10 ** 4)
+        assert abs(theta.hi - target) <= Fraction(1, 10 ** 4)
+        for end in (theta.lo, theta.hi):
             assert abs(end - Fraction("11.26893529")) <= Fraction(1, 10 ** 6)
 
     def test_cbrt2_first_quotient(self):
         conv, prev = expand(SPEC_2_3, 1).pair(0)
         assert prev is None
-        enc = theta_enclosure(SPEC_2_3, conv, prev, target_width=Fraction(1, 10 ** 8))
+        d, h, _ = leading_terms(SPEC_2_3, conv, prev)
+        theta = _analyze_term(SPEC_2_3, conv, prev, d, h, 64, DEFAULT_MAX_BITS)[0]
+        assert theta.width <= Fraction(1, 10 ** 8)
         # theta_0 = 1/(alpha - 1) = 3.84732210...
-        assert abs(enc.interval.mid - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
+        assert abs(theta.mid - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
 
     def test_width_shrinks_with_precision(self):
         conv, prev = expand(SPEC_2_3, 8).pair(6)
@@ -139,9 +141,9 @@ class TestThetaEnclosure:
         assert all(w2 <= w1 / 2 for w1, w2 in zip(widths, widths[1:]))
 
     def test_fractional_part(self):
-        conv, prev = expand(SPEC_50_10, 2).pair(1)
-        enc = theta_enclosure(SPEC_50_10, conv, prev)
-        frac = enc.fractional_part(11)
+        term = verify_theorems(SPEC_50_10, 1).terms[0]
+        assert term.b_next == 11
+        frac = term.theta - term.b_next  # theta_1 - b_2, the fractional tail
         assert frac.lo > 0 and frac.hi < 1
 
 

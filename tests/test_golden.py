@@ -11,9 +11,12 @@ m = 7) in all three formats, and the precision-cap exit for both
 `expand` and `scan`.  Three `verify` rows reach deep indices, where the
 enclosures are printed at hundreds of bits: 120 terms of cbrt(2) in
 json, 40 terms of 50^(1/10) in csv, and 12 terms of 11^(1/7) in text,
-which includes a `remainder_bound` violation enclosure.  The capped `expand` writes nothing; the capped
-`scan` writes its cells, the capped ones as skipped rows, before it
-exits 3.
+which includes a `remainder_bound` violation enclosure.  Two rows pin
+the edges of the floor formula: the `predict` grid has rows with
+`eps = 1` and rows with `floor(A_n) <= 0`, and `verify` of 50^(1/4)
+prints `floor(A)=0 eps=1` at n = 2 and `formula_held=False` at n = 1.
+The capped `expand` writes nothing; the capped `scan` writes its cells,
+the capped ones as skipped rows, before it exits 3.
 """
 import hashlib
 
@@ -50,6 +53,10 @@ GOLDEN = [
      "8d5b64600482527d065b960b65847ee6fd6e4eafd510bbeb16a5fe82b34cb7f6"),
     ("verify --k 11 --m 7 --terms 12 --format text", 0, 5533,
      "0423f032b231616bfb530e2eab44c2135b8c30d9e45c065e176ae430909b153f"),
+    ("predict --k-range 2..30 --m-range 3..6 --terms 8 --format csv", 0, 74679,
+     "c26204756914c9e37b89ae6642980537b03905ca8a9ae3bfa461699f78d69aa4"),
+    ("verify --k 50 --m 4 --terms 6 --format text", 0, 2818,
+     "9edfcbce1fa97b5c4503b5b0892ce0b8e9a5f18daef7affd010fa17fe3213a7f"),
     ("scan --m-range 2..7 --k-range 2..25 --terms 10 --format json", 0, 34916,
      "a465af4af7a15c77b1ef085e11d8ec5fdb2490f2f5d768f237c1c896d8f82820"),
     ("scan --m 3 --k-range 2..20 --terms 12 --format csv", 0, 1041,
