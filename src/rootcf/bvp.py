@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .exact import (
     DEFAULT_MAX_BITS,
-    DEFAULT_START_BITS,
     InconsistentEnclosureError,
     InvalidDegreeError,
     PerfectPowerError,
@@ -62,7 +61,9 @@ CLAIM_ABOVE_WINDOW = "above side: H_n - 2 < b_{n+1} <= H_n"
 CLAIM_ABOVE_EPSILON = "above side: b_{n+1} = floor(A_n) + eps with eps in {0, 1}"
 CLAIM_BELOW_WINDOW = "below side: H_n <= b_{n+1} < H_n + 2"
 CLAIM_BELOW_EPSILON = "below side: b_{n+1} = floor(A_n) + eps with eps in {-1, 0}"
-CLAIM_REMAINDER = "|R_n| < 1 for q_n >= 2"
+# Least q_n at which a stated bound is measured; q_0 = 1 sits outside them all.
+Q_MIN = 2
+CLAIM_REMAINDER = f"|R_n| < 1 for q_n >= {Q_MIN}"
 
 
 def algebraic_distance(spec: RadicandSpec, conv: Convergent) -> int:
@@ -285,7 +286,6 @@ class TheoremReport:
 
     spec: RadicandSpec
     n_max: int
-    q_min: int
     expansion: Expansion
     checked: tuple[int, ...]
     skipped: tuple[int, ...]
@@ -409,9 +409,7 @@ def verify_theorems(
     spec: RadicandSpec,
     n_max: int,
     *,
-    q_min: int = 2,
     keep_terms: bool = True,
-    start_bits: int = DEFAULT_START_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max.
@@ -426,20 +424,21 @@ def verify_theorems(
     shows: theta_n and R_n of every term when keep_terms is set, and the
     observed R_n of each remainder_bound violation.  Each one is checked
     against the exact verdict (InconsistentEnclosureError if they differ).
-    Indices with q_n < q_min are excluded from claims and violations;
-    index 0 is always skipped (q_0 = 1 sits outside every stated bound).
+    Indices with q_n < Q_MIN, index 0 always among them, are excluded
+    from claims and violations.  Enclosures start at the precision the
+    expansion needed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    exp = expand(spec, n_max + 1, start_bits=start_bits, max_bits=max_bits)
-    bits = max(exp.precision_bits, start_bits)
+    exp = expand(spec, n_max + 1, max_bits=max_bits)
 
     violations: list[ViolationRecord] = []
-    tallies = {
-        CLAIM_ABOVE_EPSILON: [0, 0, []],
-        CLAIM_BELOW_WINDOW: [0, 0, []],
-        CLAIM_BELOW_EPSILON: [0, 0, []],
-    }
+    # Failures of each measured claim, and checked indices of each side:
+    # a claim passes at every index of its side that it does not fail.
+    above_eps_failures: list[ViolationRecord] = []
+    below_window_failures: list[ViolationRecord] = []
+    below_eps_failures: list[ViolationRecord] = []
+    checked_on = {Side.ABOVE: 0, Side.BELOW: 0}
     term_checks: list[TermCheck] = []
     remainder_failures: list[int] = []
     window_failures: list[int] = []
@@ -454,25 +453,16 @@ def verify_theorems(
             observed=observed, claimed=claimed,
         )
 
-    def tally(claim, ok, failure):
-        # failure() builds the claim's record; only a failed check needs one.
-        entry = tallies[claim]
-        if ok:
-            entry[0] += 1
-        else:
-            entry[1] += 1
-            entry[2].append(failure())
-
     for n in range(1, n_max + 1):
         conv, prev = exp.pair(n)
         b_next = exp.terms[n + 1].b
         d, h, a_n = leading_terms(spec, conv, prev)
         outcome = prediction(conv, h, a_n, b_next)
         in_unit = exact_unit_remainder(spec, conv, prev, h)
-        q_ok = conv.q >= q_min
+        q_ok = conv.q >= Q_MIN
         if keep_terms or (q_ok and not in_unit):
             theta_iv, r_iv, iv_in_unit, universal_ok, sign_ok = _analyze_term(
-                spec, conv, prev, d, h, bits, max_bits
+                spec, conv, prev, d, h, exp.precision_bits, max_bits
             )
             if iv_in_unit != in_unit:
                 raise InconsistentEnclosureError(
@@ -499,22 +489,29 @@ def verify_theorems(
                 )
             if not general_window:
                 window_failures.append(n)
+            checked_on[conv.side] += 1
             if above:
                 if spec.m == 3 and not window_above:
                     violations.append(
                         record(n, conv, b_next, d, WINDOW_ABOVE, b_next,
                                f"{CLAIM_ABOVE_WINDOW} with H_n = {h}")
                     )
-                tally(CLAIM_ABOVE_EPSILON, above_eps,
-                      lambda: record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
-                                     f"{CLAIM_ABOVE_EPSILON}; A_n = {a_n}"))
+                if not above_eps:
+                    above_eps_failures.append(
+                        record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
+                               f"{CLAIM_ABOVE_EPSILON}; A_n = {a_n}")
+                    )
             else:
-                tally(CLAIM_BELOW_WINDOW, below_window,
-                      lambda: record(n, conv, b_next, d, WINDOW_BELOW, b_next,
-                                     f"{CLAIM_BELOW_WINDOW} with H_n = {h}"))
-                tally(CLAIM_BELOW_EPSILON, below_eps,
-                      lambda: record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
-                                     f"{CLAIM_BELOW_EPSILON}; A_n = {a_n}"))
+                if not below_window:
+                    below_window_failures.append(
+                        record(n, conv, b_next, d, WINDOW_BELOW, b_next,
+                               f"{CLAIM_BELOW_WINDOW} with H_n = {h}")
+                    )
+                if not below_eps:
+                    below_eps_failures.append(
+                        record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
+                               f"{CLAIM_BELOW_EPSILON}; A_n = {a_n}")
+                    )
         else:
             skipped.append(n)
 
@@ -533,21 +530,22 @@ def verify_theorems(
                 )
             )
 
-    stats = {
-        claim: ClaimStats(claim=claim, passed=entry[0], failed=entry[1], failures=tuple(entry[2]))
-        for claim, entry in tallies.items()
-    }
+    def stats(claim: str, side: Side, failures: list[ViolationRecord]) -> ClaimStats:
+        return ClaimStats(
+            claim=claim, passed=checked_on[side] - len(failures), failed=len(failures),
+            failures=tuple(failures),
+        )
+
     return TheoremReport(
         spec=spec,
         n_max=n_max,
-        q_min=q_min,
         expansion=exp,
         checked=tuple(checked),
         skipped=tuple(skipped),
         violations=tuple(violations),
-        above_epsilon=stats[CLAIM_ABOVE_EPSILON],
-        below_window=stats[CLAIM_BELOW_WINDOW],
-        below_epsilon=stats[CLAIM_BELOW_EPSILON],
+        above_epsilon=stats(CLAIM_ABOVE_EPSILON, Side.ABOVE, above_eps_failures),
+        below_window=stats(CLAIM_BELOW_WINDOW, Side.BELOW, below_window_failures),
+        below_epsilon=stats(CLAIM_BELOW_EPSILON, Side.BELOW, below_eps_failures),
         remainder_stable_from=_stable_from(remainder_failures, last_checked),
         window_stable_from=_stable_from(window_failures, last_checked),
         terms=tuple(term_checks),
@@ -586,16 +584,13 @@ class ScanReport:
 
 
 def _scan_cell(args) -> tuple:
-    k, m, n_max, q_min, start_bits, max_bits = args
+    k, m, n_max, max_bits = args
     try:
         spec = validate_spec(k, m)
     except (PerfectPowerError, InvalidDegreeError, ValueError) as exc:
         return k, m, None, SkippedCell(k=k, m=m, reason=str(exc))
     try:
-        report = verify_theorems(
-            spec, n_max, q_min=q_min, keep_terms=False,
-            start_bits=start_bits, max_bits=max_bits,
-        )
+        report = verify_theorems(spec, n_max, keep_terms=False, max_bits=max_bits)
     except PrecisionCeilingError as exc:
         return k, m, None, SkippedCell(k=k, m=m, reason=str(exc), precision_capped=True)
     return k, m, report, None
@@ -606,9 +601,7 @@ def scan(
     m_values,
     n_max: int,
     *,
-    q_min: int = 2,
     workers: int = 1,
-    start_bits: int = DEFAULT_START_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> ScanReport:
     """Sweep verify_theorems over a grid of radicands and degrees.
@@ -621,7 +614,7 @@ def scan(
     hold whenever they are stated.
     """
     jobs = [
-        (k, m, n_max, q_min, start_bits, max_bits)
+        (k, m, n_max, max_bits)
         for m in sorted(set(m_values))
         for k in sorted(set(k_values))
     ]

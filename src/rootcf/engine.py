@@ -205,7 +205,6 @@ def expand(
     spec: RadicandSpec,
     count: int,
     *,
-    start_bits: int = DEFAULT_START_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> Expansion:
     """Certified expansion b_0..b_count by integer Euclid on enclosure endpoints.
@@ -220,7 +219,7 @@ def expand(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return refine(lambda bits: _expand_at(spec, count, bits), start_bits, max_bits)
+    return refine(lambda bits: _expand_at(spec, count, bits), DEFAULT_START_BITS, max_bits)
 
 
 def expand_exact_oracle(spec: RadicandSpec, count: int) -> Expansion:

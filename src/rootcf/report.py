@@ -12,7 +12,7 @@ import json
 import math
 from fractions import Fraction
 
-from .bvp import ScanReport, TheoremReport, ViolationRecord
+from .bvp import Q_MIN, ScanReport, TheoremReport, ViolationRecord
 from .engine import Expansion
 from .exact import RationalInterval
 
@@ -60,29 +60,29 @@ def decimal_string(x: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def sci_string(x: Fraction, sig: int = 2) -> str:
-    """Exact truncated scientific notation, e.g. '4.6e-06'; '0' for zero."""
+def sci_string(x: Fraction) -> str:
+    """Exact truncated two-digit scientific notation, e.g. '4.6e-06'; '0' for zero."""
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
     ax = abs(Fraction(x))
     e = _decimal_exponent(ax)
     mantissa = ax / Fraction(10) ** e
-    digits = str(mantissa.numerator * 10 ** (sig - 1) // mantissa.denominator)
+    digits = str(mantissa.numerator * 10 // mantissa.denominator)
     return f"{sign}{digits[0]}.{digits[1:]}e{e:+03d}"
 
 
-def justified_places(width: Fraction, cap: int = 40) -> int:
-    """Largest d <= cap with width <= 10**-d: digits the width certifies."""
+def justified_places(width: Fraction) -> int:
+    """Largest d <= 40 with width <= 10**-d: digits the width certifies."""
     if width < 0:
         raise ValueError("width must be non-negative")
     if width == 0:
-        return cap
+        return 40
     if width > 1:
         return 0
     e = _decimal_exponent(width)
     d = -e if width == Fraction(10) ** e else -e - 1
-    return max(0, min(cap, d))
+    return max(0, min(40, d))
 
 
 def enclosure_json(iv: RationalInterval) -> dict:
@@ -207,7 +207,7 @@ def verify_payload(report: TheoremReport) -> dict:
         "k": report.spec.k,
         "m": report.spec.m,
         "terms": report.n_max,
-        "q_min": report.q_min,
+        "q_min": Q_MIN,
         "precision_bits": report.expansion.precision_bits,
         "partial_quotients": report.expansion.partial_quotients,
         "note": THETA_INDEX_NOTE,
@@ -278,8 +278,11 @@ def _csv_escape(value) -> str:
 
 
 def _shown(value):
-    """A payload value as text: exact 'num/den ~ decimal', enclosure 'decimal (width w)'."""
-    if not isinstance(value, dict):
+    """A payload value as text: exact 'num/den ~ decimal', enclosure 'decimal (width w)'.
+
+    Any other value, a nested result included, is returned unchanged.
+    """
+    if not (isinstance(value, dict) and "decimal" in value):
         return value
     if "rational" in value:
         return f"{value['rational']} ~ {value['decimal']}"
@@ -332,83 +335,67 @@ def _emit_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
+    """(line template, entries) of one result, in text order.
+
+    A heading is a template over the result itself, or over nothing when
+    the heading is left out.  Unlike CSV, scan lists its violations last.
+    """
+    quotients = "  b = {partial_quotients}"
+    if command == "expand":
+        return [
+            ("\nalpha = {k}^(1/{m})  [certified at {precision_bits} bits]\n" + quotients, [result]),
+            ("  n={n:<3d} b={b:<6d} side={side:<5s} p/q = {p}/{q}", result["convergents"]),
+        ]
+    if command == "predict":
+        return [
+            ("\nalpha = {k}^(1/{m})\n" + quotients, [result]),
+            ("  n={n:<3d} side={side:<5s} H={leading}  A={shifted_leading}  "
+             "floor(A)={candidate} eps={epsilon} predicted={predicted} actual={actual} "
+             "formula_held={formula_held} window_held={window_held}", result["predictions"]),
+        ]
+    violations = result["violations"]
+    if command == "verify":
+        rows = [
+            ("\nalpha = {k}^(1/{m})  terms<= {terms}\n" + quotients + "\n  note: {note}\n"
+             "  skipped n (q < {q_min} or n = 0): {skipped}", [result]),
+            ("  n={n:<3d} (theta index {n}/alt {theta_index_alt}) "
+             "side={side:<5s} b_next={b_next} d={d}\n"
+             "      H = {leading}   A = {shifted_leading}\n"
+             "      theta = {theta}\n"
+             "      R = {remainder}  |R|<1: {remainder_in_unit}\n"
+             "      predict: floor(A)={candidate} eps={epsilon} predicted={predicted} "
+             "actual={actual} formula_held={formula_held}", result["items"]),
+            ("  violations:" if violations else "  violations: none", [result]),
+            ("    n={n} {quantity}: observed {observed}; claimed: {claimed}", violations),
+        ]
+        for name, claim in result["claims"].items():
+            rows.append(("  measured claim [{name}]: '{claim}' passed={passed} failed={failed}",
+                         [{"name": name, **claim}]))
+            rows.append(("    n={n}: observed {observed}", claim["failures"]))
+        return rows + [("  remainder stable from n = {remainder_stable_from}; "
+                        "window stable from n = {window_stable_from}", [result])]
+    return [
+        ("  k={k:<5d} m={m:<3d} violations={violations} "
+         "remainder_stable_from={remainder_stable_from} "
+         "window_stable_from={window_stable_from}", result["cells"]),
+        ("  k={k:<5d} m={m:<3d} skipped: {reason}", result["skipped"]),
+        ("  violations:", [result] if violations else []),
+        ("    k={k} m={m} n={n} {quantity}: observed {observed}; claimed: {claimed}", violations),
+    ]
+
+
 def _emit_text(report: dict) -> str:
-    command = report["config"]["command"]
-    out = [f"rootcf {report['tool']['version']} -- {command}"]
     cfg = report["config"]
-    out.append(
+    out = [
+        f"rootcf {report['tool']['version']} -- {cfg['command']}",
         f"config: k={cfg['k'][0]}..{cfg['k'][1]} m={cfg['m'][0]}..{cfg['m'][1]} "
-        f"terms={cfg['terms']} precision_cap={cfg['precision_cap']}"
-    )
+        f"terms={cfg['terms']} precision_cap={cfg['precision_cap']}",
+    ]
     for result in report["results"]:
-        if command == "expand":
-            out.append(f"\nalpha = {result['k']}^(1/{result['m']})  "
-                       f"[certified at {result['precision_bits']} bits]")
-            out.append("  b = " + str(result["partial_quotients"]))
-            for t in result["convergents"]:
-                out.append(f"  n={t['n']:<3d} b={t['b']:<6d} side={t['side']:<5s} "
-                           f"p/q = {t['p']}/{t['q']}")
-        elif command == "predict":
-            out.append(f"\nalpha = {result['k']}^(1/{result['m']})")
-            out.append("  b = " + str(result["partial_quotients"]))
-            for pr in result["predictions"]:
-                out.append(
-                    f"  n={pr['n']:<3d} side={pr['side']:<5s} "
-                    f"H={_shown(pr['leading'])}  A={_shown(pr['shifted_leading'])}  "
-                    f"floor(A)={pr['candidate']} eps={pr['epsilon']} "
-                    f"predicted={pr['predicted']} actual={pr['actual']} "
-                    f"formula_held={pr['formula_held']} window_held={pr['window_held']}"
-                )
-        elif command == "verify":
-            out.append(f"\nalpha = {result['k']}^(1/{result['m']})  terms<= {result['terms']}")
-            out.append("  b = " + str(result["partial_quotients"]))
-            out.append(f"  note: {result['note']}")
-            out.append(f"  skipped n (q < {result['q_min']} or n = 0): {result['skipped']}")
-            for it in result["items"]:
-                out.append(
-                    f"  n={it['n']:<3d} (theta index {it['n']}/alt {it['theta_index_alt']}) "
-                    f"side={it['side']:<5s} b_next={it['b_next']} d={it['d']}"
-                )
-                out.append(f"      H = {_shown(it['leading'])}   A = {_shown(it['shifted_leading'])}")
-                out.append(f"      theta = {_shown(it['theta'])}")
-                out.append(f"      R = {_shown(it['remainder'])}  |R|<1: {it['remainder_in_unit']}")
-                out.append(
-                    f"      predict: floor(A)={it['candidate']} eps={it['epsilon']} "
-                    f"predicted={it['predicted']} actual={it['actual']} "
-                    f"formula_held={it['formula_held']}"
-                )
-            if result["violations"]:
-                out.append("  violations:")
-                for v in result["violations"]:
-                    out.append(f"    n={v['n']} {v['quantity']}: observed {_shown(v['observed'])}; "
-                               f"claimed: {v['claimed']}")
-            else:
-                out.append("  violations: none")
-            for name, claim in result["claims"].items():
-                out.append(
-                    f"  measured claim [{name}]: '{claim['claim']}' "
-                    f"passed={claim['passed']} failed={claim['failed']}"
-                )
-                for f in claim["failures"]:
-                    out.append(f"    n={f['n']}: observed {_shown(f['observed'])}")
-            out.append(f"  remainder stable from n = {result['remainder_stable_from']}; "
-                       f"window stable from n = {result['window_stable_from']}")
-        elif command == "scan":
-            for c in result["cells"]:
-                out.append(
-                    f"  k={c['k']:<5d} m={c['m']:<3d} violations={c['violations']} "
-                    f"remainder_stable_from={c['remainder_stable_from']} "
-                    f"window_stable_from={c['window_stable_from']}"
-                )
-            for s in result["skipped"]:
-                out.append(f"  k={s['k']:<5d} m={s['m']:<3d} skipped: {s['reason']}")
-            if result["violations"]:
-                out.append("  violations:")
-                for v in result["violations"]:
-                    out.append(
-                        f"    k={v['k']} m={v['m']} n={v['n']} {v['quantity']}: "
-                        f"observed {_shown(v['observed'])}; claimed: {v['claimed']}"
-                    )
+        for template, entries in _text_rows(cfg["command"], result):
+            for entry in entries:
+                out.append(template.format(**{key: _shown(v) for key, v in entry.items()}))
     out.append("\nsummary: " + json.dumps(report["summary"]))
     return "\n".join(out) + "\n"
 

@@ -76,7 +76,7 @@ class TestExpand:
 
     def test_precision_ceiling(self):
         with pytest.raises(PrecisionCeilingError):
-            expand(SPEC_2_3, 40, start_bits=64, max_bits=64)
+            expand(SPEC_2_3, 40, max_bits=64)
 
     def test_convergent_values(self):
         exp = expand(SPEC_50_10, 3)

@@ -1,4 +1,3 @@
-import math
 import pickle
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootcf.exact import (
-    AlphaEnclosure,
     InconsistentEnclosureError,
     IntervalZeroDivisionError,
     InvalidDegreeError,

@@ -15,6 +15,9 @@ which includes a `remainder_bound` violation enclosure.  Two rows pin
 the edges of the floor formula: the `predict` grid has rows with
 `eps = 1` and rows with `floor(A_n) <= 0`, and `verify` of 50^(1/4)
 prints `floor(A)=0 eps=1` at n = 2 and `formula_held=False` at n = 1.
+Two text rows cover several radicands in one report: `verify` over
+k = 7..9 (two results around the skipped cube 8, one with a
+`below_window` claim failure) and `predict` over k = 7..9, m = 3..4.
 The capped `expand` writes nothing; the capped `scan` writes its cells,
 the capped ones as skipped rows, before it exits 3.
 """
@@ -57,6 +60,10 @@ GOLDEN = [
      "c26204756914c9e37b89ae6642980537b03905ca8a9ae3bfa461699f78d69aa4"),
     ("verify --k 50 --m 4 --terms 6 --format text", 0, 2818,
      "9edfcbce1fa97b5c4503b5b0892ce0b8e9a5f18daef7affd010fa17fe3213a7f"),
+    ("verify --k-range 7..9 --m 3 --terms 3 --format text", 0, 3378,
+     "cd4c9876b508f0492e17d8788366e9ae59537cdd4dd9817c24097cced9097963"),
+    ("predict --k-range 7..9 --m-range 3..4 --terms 4 --format text", 0, 2127,
+     "10a006e40100f6b9217f24387c4e4b18bb9bc156a32a04e520f06c060cc74c4a"),
     ("scan --m-range 2..7 --k-range 2..25 --terms 10 --format json", 0, 34916,
      "a465af4af7a15c77b1ef085e11d8ec5fdb2490f2f5d768f237c1c896d8f82820"),
     ("scan --m 3 --k-range 2..20 --terms 12 --format csv", 0, 1041,
