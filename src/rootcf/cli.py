@@ -280,13 +280,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidDegreeError) as exc:
         print(f"rootcf: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = emit(report, config.format)
     if config.out is None:
-        sys.stdout.write(payload)
+        emit(report, config.format, sys.stdout)
     else:
         try:
             with open(config.out, "w", newline="") as fh:
-                fh.write(payload)
+                emit(report, config.format, fh)
         except OSError as exc:
             print(f"rootcf: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE

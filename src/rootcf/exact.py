@@ -58,21 +58,34 @@ def _sign(x: int) -> int:
 def int_nth_root(x: int, m: int) -> int:
     """Integer m-th root: the unique r >= 0 with r**m <= x < (r+1)**m.
 
-    Newton's method on integers from an over-estimate, with a final exact
-    adjustment; total for all x >= 0, m >= 1.
+    Newton's method on integers from an over-estimate seeded by the root
+    of x's top bits, with a final exact adjustment; total for all x >= 0,
+    m >= 1.
     """
     if x < 0:
         raise ValueError("x must be non-negative")
     if m < 1:
         raise ValueError("m must be positive")
+    return _nth_root(x, m)
+
+
+def _nth_root(x: int, m: int) -> int:
     if m == 1 or x < 2:
         return x
     if m == 2:
         return math.isqrt(x)
     if x.bit_length() <= m:
         return 1
-    # 2**ceil(bits/m) >= x**(1/m); the iteration decreases monotonically.
-    r = 1 << -(-x.bit_length() // m)
+    shift = x.bit_length() // m // 2
+    if shift >= 32:
+        # With y = x >> (m * shift): x < (y + 1) * 2**(m * shift) and
+        # y + 1 <= (root(y) + 1)**m, so r > x**(1/m); about the top half
+        # of r's bits are already right, so few Newton steps remain.
+        r = (_nth_root(x >> (m * shift), m) + 1) << shift
+    else:
+        # 2**ceil(bits/m) >= x**(1/m).
+        r = 1 << -(-x.bit_length() // m)
+    # From above, the iteration decreases monotonically to the root.
     while True:
         s = ((m - 1) * r + x // r ** (m - 1)) // m
         if s >= r:

@@ -8,9 +8,12 @@ yield byte-identical output in every format.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Iterable
 from fractions import Fraction
+from typing import TextIO
 
 from .bvp import Q_MIN, ScanReport, TheoremReport, ViolationRecord
 from .engine import Expansion
@@ -262,8 +265,76 @@ def build_report(tool_version: str, config: dict, results: list[dict], summary: 
 # --- emitters ---------------------------------------------------------------
 
 
-def _emit_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+BLOCK_CHARS = 1 << 16
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """CPython's C encoder, separating items as indent=2 does `depth` levels deep.
+
+    It renders a container of scalars in one call; json.dumps uses it
+    only when no indent is asked for.
+    """
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * (depth + 1), False, False, True,
+    )
+
+
+def _json_items(value) -> tuple[str, str, Iterable[tuple[str, object]]]:
+    """Brackets of a container and its (key prefix, member) pairs."""
+    if isinstance(value, dict):
+        key = json.encoder.encode_basestring_ascii
+        return "{", "}", ((key(k) + ": ", v) for k, v in value.items())
+    return "[", "]", (("", v) for v in value)
+
+
+def _holds_container(value) -> bool:
+    members = value.values() if isinstance(value, dict) else value
+    return any(isinstance(v, _CONTAINERS) for v in members)
+
+
+def _json_text(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it appears `depth` levels deep."""
+    if not isinstance(value, _CONTAINERS):
+        return "".join(_flat_encoder(depth)(value, 0))
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if _holds_container(value):
+        opening, closing, items = _json_items(value)
+        body = ("," + inner).join(key + _json_text(v, depth + 1) for key, v in items)
+        return f"{opening}{inner}{body}{outer}{closing}"
+    text = "".join(_flat_encoder(depth)(value, 0))
+    return text if len(text) == 2 else f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+
+
+def _json_pieces(value, depth: int = 0, lead: str = ""):
+    """json.dumps(value, indent=2) in pieces, `lead` prefixed to the first.
+
+    A list holding containers, and a dict holding a container that holds
+    containers, is walked; anything else is one piece.  So each
+    convergent, verify item or violation is one piece, and a whole
+    expansion never is.
+    """
+    if isinstance(value, dict):
+        walked = any(isinstance(v, _CONTAINERS) and _holds_container(v) for v in value.values())
+    else:
+        walked = isinstance(value, (list, tuple)) and _holds_container(value)
+    if not walked:
+        yield lead + _json_text(value, depth)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    opening, closing, items = _json_items(value)
+    lead += opening + inner
+    for key, member in items:
+        yield from _json_pieces(member, depth + 1, lead + key)
+        lead = "," + inner
+    yield "\n" + "  " * depth + closing
+
+
+def _emit_json(report: dict):
+    yield from _json_pieces(report)
+    yield "\n"
 
 
 def _csv_escape(value) -> str:
@@ -306,17 +377,17 @@ def _csv_value(entry: dict, column: str):
     return value["decimal"] if f"{column}_width" in CSV_COLUMNS else _shown(value)
 
 
-def _csv_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
+def _csv_rows(command: str, result: dict) -> list[tuple[str, Iterable[dict]]]:
     """(row kind, entries) of one result, in CSV order."""
     km = {"k": result.get("k"), "m": result.get("m")}
     if command == "expand":
-        return [("term", [{**km, **t} for t in result["convergents"]])]
+        return [("term", ({**km, **t} for t in result["convergents"]))]
     if command == "predict":
-        return [("prediction", [{**km, **pr} for pr in result["predictions"]])]
+        return [("prediction", ({**km, **pr} for pr in result["predictions"]))]
     violations = ("violation", result["violations"])
     if command == "verify":
         return [
-            ("check", [{**km, **it} for it in result["items"]]),
+            ("check", ({**km, **it} for it in result["items"])),
             violations,
             *(("claim_failure", claim["failures"]) for claim in result["claims"].values()),
             ("cell", [result]),
@@ -324,15 +395,14 @@ def _csv_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
     return [violations, ("cell", result["cells"]), ("skipped", result["skipped"])]
 
 
-def _emit_csv(report: dict) -> str:
-    lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
+def _emit_csv(report: dict):
+    yield CSV_SCHEMA_LINE + "\n" + ",".join(CSV_COLUMNS) + "\n"
     for result in report["results"]:
         for kind, entries in _csv_rows(report["config"]["command"], result):
             for entry in entries:
-                lines.append(",".join(
+                yield ",".join(
                     [kind] + [_csv_escape(_csv_value(entry, col)) for col in CSV_COLUMNS[1:]]
-                ))
-    return "\n".join(lines) + "\n"
+                ) + "\n"
 
 
 def _text_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
@@ -385,27 +455,42 @@ def _text_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
     ]
 
 
-def _emit_text(report: dict) -> str:
+def _emit_text(report: dict):
     cfg = report["config"]
-    out = [
-        f"rootcf {report['tool']['version']} -- {cfg['command']}",
+    yield (
+        f"rootcf {report['tool']['version']} -- {cfg['command']}\n"
         f"config: k={cfg['k'][0]}..{cfg['k'][1]} m={cfg['m'][0]}..{cfg['m'][1]} "
-        f"terms={cfg['terms']} precision_cap={cfg['precision_cap']}",
-    ]
+        f"terms={cfg['terms']} precision_cap={cfg['precision_cap']}\n"
+    )
     for result in report["results"]:
         for template, entries in _text_rows(cfg["command"], result):
             for entry in entries:
-                out.append(template.format(**{key: _shown(v) for key, v in entry.items()}))
-    out.append("\nsummary: " + json.dumps(report["summary"]))
-    return "\n".join(out) + "\n"
+                yield template.format(**{key: _shown(v) for key, v in entry.items()}) + "\n"
+    yield "\nsummary: " + json.dumps(report["summary"]) + "\n"
 
 
-def emit(report: dict, fmt: str) -> str:
-    """Serialize a report deterministically as json, csv, or text."""
-    if fmt == "json":
-        return _emit_json(report)
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "text":
-        return _emit_text(report)
-    raise ValueError(f"unknown format: {fmt}")
+_EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}
+
+
+def emit(report: dict, fmt: str, out: TextIO | None = None) -> str | None:
+    """Serialize a report deterministically as json, csv, or text.
+
+    With `out`, the report is written there as it is serialized, in
+    blocks of about BLOCK_CHARS characters, and None is returned;
+    without it, the whole report is returned as one string.
+    """
+    if fmt not in _EMITTERS:
+        raise ValueError(f"unknown format: {fmt}")
+    pieces = _EMITTERS[fmt](report)
+    if out is None:
+        return "".join(pieces)
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= BLOCK_CHARS:
+            out.write("".join(block))
+            block, size = [], 0
+    if block:
+        out.write("".join(block))
+    return None

@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootcf.cli import (
     EXIT_OK,
     EXIT_PERFECT_POWER,
     EXIT_PRECISION,
     EXIT_USAGE,
+    FORMATS,
     RunConfig,
     UsageError,
     main,
@@ -18,7 +22,16 @@ from rootcf.cli import (
 )
 from rootcf.engine import expand
 from rootcf.exact import validate_spec
-from rootcf.report import CSV_COLUMNS, CSV_SCHEMA_LINE, decimal_string, emit, justified_places, sci_string
+from rootcf.report import (
+    _EMITTERS,
+    BLOCK_CHARS,
+    CSV_COLUMNS,
+    CSV_SCHEMA_LINE,
+    decimal_string,
+    emit,
+    justified_places,
+    sci_string,
+)
 from fractions import Fraction
 
 
@@ -126,6 +139,16 @@ class TestMain:
         assert captured.err.startswith(f"rootcf: cannot write {path}")
         assert not path.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("terms", ["3", "500"])
+    def test_out_full_device(self, capsys, terms):
+        # 500 terms of CSV run past one block, so the error comes mid-stream.
+        assert main(["expand", "--k", "2", "--m", "3", "--terms", terms, "--format", "csv",
+                     "--out", "/dev/full"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rootcf: cannot write /dev/full: No space left on device\n"
+
     def test_import_leaves_process_pool_out(self):
         # Only `scan --workers N` with N > 1 needs multiprocessing; every
         # other command must not pay for importing it at start-up.
@@ -188,6 +211,26 @@ class TestMain:
         assert [r.split(",")[1] for r in rows if r.startswith("cell,")] == ["2", "4", "7"]
 
 
+class _RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.fixture(scope="module")
+def expansion_500():
+    """An expand report past one block in every format."""
+    return run(parse_args(["expand", "--k", "2", "--m", "3", "--terms", "500"]))
+
+
+@pytest.fixture(scope="module")
+def expansion_2000():
+    return run(parse_args(["expand", "--k", "2", "--m", "3", "--terms", "2000"]))
+
+
 class TestEmit:
     def test_json_shape(self):
         report = run(parse_args(["scan", "--k-range", "8..8", "--m", "3", "--terms", "2",
@@ -209,9 +252,45 @@ class TestEmit:
         assert ",50,10,1," in violation_rows[0]
         assert ",7849," in violation_rows[0]
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, expansion_500):
         with pytest.raises(ValueError):
             emit({"config": {"command": "expand"}}, "yaml")
+        out = _RecordingStream()
+        with pytest.raises(ValueError):
+            emit(expansion_500, "yaml", out)
+        assert out.writes == []
+
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                          | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+        max_leaves=40,
+    ))
+    def test_json_pieces_match_json_dumps(self, value):
+        assert emit(value, "json") == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_streams_in_blocks(self, expansion_500, fmt):
+        whole = emit(expansion_500, fmt)
+        assert len(whole) > BLOCK_CHARS
+        out = _RecordingStream()
+        assert emit(expansion_500, fmt, out) is None
+        assert "".join(out.writes) == whole
+        assert len(out.writes) > 1
+        largest_piece = max(map(len, _EMITTERS[fmt](expansion_500)))
+        assert max(map(len, out.writes)) <= BLOCK_CHARS + largest_piece
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_streaming_stays_small(self, expansion_2000, fmt):
+        # The whole report as one string allocates 4.4 to 4.8 MB here.
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                emit(expansion_2000, fmt, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_repeat_runs_byte_identical(self, fmt):

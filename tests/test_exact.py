@@ -57,6 +57,20 @@ class TestIntNthRoot:
     def test_exact_powers_roundtrip(self, r, m):
         assert int_nth_root(r ** m, m) == r
 
+    # Up to 2**6000, far past the 64*m bits where the Newton start is
+    # seeded from the root of the top bits; bit lengths are drawn first so
+    # that every size is reached, not only the largest.
+    @given(x=st.integers(min_value=0, max_value=6000).flatmap(lambda bits: st.integers(0, 2 ** bits)),
+           m=st.integers(min_value=3, max_value=12))
+    def test_floor_property_wide(self, x, m):
+        r = int_nth_root(x, m)
+        assert r ** m <= x < (r + 1) ** m
+
+    @given(r=st.integers(min_value=1, max_value=2 ** 500), m=st.integers(min_value=3, max_value=12))
+    def test_wide_powers_and_their_predecessors(self, r, m):
+        assert int_nth_root(r ** m, m) == r
+        assert int_nth_root(r ** m - 1, m) == r - 1
+
 
 class TestValidateSpec:
     def test_degree_ten_case(self):

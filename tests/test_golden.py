@@ -18,8 +18,11 @@ prints `floor(A)=0 eps=1` at n = 2 and `formula_held=False` at n = 1.
 Two text rows cover several radicands in one report: `verify` over
 k = 7..9 (two results around the skipped cube 8, one with a
 `below_window` claim failure) and `predict` over k = 7..9, m = 3..4.
-The capped `expand` writes nothing; the capped `scan` writes its cells,
-the capped ones as skipped rows, before it exits 3.
+Three `expand` rows run past one 64 KiB output block, so they pin the
+seams between streamed blocks: 300 terms of 50^(1/10) in json, and 500
+terms of cbrt(2) in csv and in text.  The capped `expand` writes
+nothing; the capped `scan` writes its cells, the capped ones as skipped
+rows, before it exits 3.
 """
 import hashlib
 
@@ -74,6 +77,12 @@ GOLDEN = [
      "41032940a8cc98d4c8938a6a450a06139f558e1eb12a885a845785e69d609bf0"),
     ("scan --m 7 --k-range 2..25 --terms 10 --format text", 0, 3109,
      "c02307a5aa1e26ec6f0f9ad296cfb455d9a7f305addf9c0da4e88c0b65b01ea9"),
+    ("expand --k 50 --m 10 --terms 300 --format json", 0, 88257,
+     "9d0f8e8149d3e0f5ce860e84b2603fb5b00d2f370940069639f8e5bea5ed81ae"),
+    ("expand --k 2 --m 3 --terms 500 --format csv", 0, 154330,
+     "e75f2b145c2d9be8cb290d96556906a833125139a1c293dd89cfb8b95ad60c14"),
+    ("expand --k 2 --m 3 --terms 500 --format text", 0, 152360,
+     "4d4fd01f3c3627725a3935cfff50f5c4f683c63820163e9a72502082475ecdae"),
     ("expand --k 2 --m 3 --terms 60 --precision-cap 64", 3, 0, EMPTY_SHA256),
     ("scan --m 3 --k-range 2..6 --terms 50 --precision-cap 64 --format csv", 3, 671,
      "f20547dbaadba9ee81480ad30b95317ab80676e29a80258f15ed9bb7cc969c6f"),
