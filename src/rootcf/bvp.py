@@ -22,8 +22,8 @@ satisfies V_n = -W_n and sgn(V_n) = sgn(x_n - alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     DEFAULT_MAX_BITS,
@@ -160,8 +160,7 @@ def exact_unit_remainder(
     return _theta_exceeds(spec, conv, prev, h - 1) and not _theta_exceeds(spec, conv, prev, h + 1)
 
 
-@dataclass(frozen=True)
-class PredictionOutcome:
+class PredictionOutcome(NamedTuple):
     """Result of predicting b_{n+1} from the floor of A_n.
 
     epsilon is actual - floor(A_n) when that is 0 or 1, else 0 with
@@ -218,8 +217,7 @@ def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) 
     return prediction(conv, h, a, actual)
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     """A measured failure of a stated bound, with regeneration data.
 
     (k, m, n, p, q, b_next, distance) suffice to recompute the violation
@@ -238,8 +236,7 @@ class ViolationRecord:
     claimed: str
 
 
-@dataclass(frozen=True)
-class ClaimStats:
+class ClaimStats(NamedTuple):
     """Measured pass/fail tally for one stated claim (never asserted)."""
 
     claim: str
@@ -248,8 +245,7 @@ class ClaimStats:
     failures: tuple[ViolationRecord, ...]
 
 
-@dataclass(frozen=True)
-class TermCheck:
+class TermCheck(NamedTuple):
     """Everything the verifier measured at one index."""
 
     n: int
@@ -274,8 +270,7 @@ class TermCheck:
     cubic_sign_ok: bool | None
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of sweeping every stated bound over one expansion.
 
     violations holds certified failures of the unconditional claims
@@ -552,8 +547,7 @@ def verify_theorems(
     )
 
 
-@dataclass(frozen=True)
-class CellSummary:
+class CellSummary(NamedTuple):
     """One (k, m) cell of a scan."""
 
     k: int
@@ -564,8 +558,7 @@ class CellSummary:
     window_stable_from: int | None
 
 
-@dataclass(frozen=True)
-class SkippedCell:
+class SkippedCell(NamedTuple):
     """A (k, m) pair rejected before analysis, or whose analysis hit the precision cap."""
 
     k: int
@@ -574,8 +567,7 @@ class SkippedCell:
     precision_capped: bool = False
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Deterministic violation search over a (k, m) grid."""
 
     cells: tuple[CellSummary, ...]

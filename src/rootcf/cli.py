@@ -1,15 +1,17 @@
 """Command-line front end: expand, predict, verify, scan.
 
-Exit codes partition the error space: 0 success, 1 invalid usage/config,
-2 degenerate radicand (perfect power), 3 precision ceiling reached.  A scan
-whose cells hit the ceiling still writes the report of every cell, the
-capped ones as skipped rows, and then exits 3.
+Exit codes partition the error space: 0 success, 1 invalid usage/config or
+output that could not be written, 2 degenerate radicand (perfect power),
+3 precision ceiling reached.  A scan whose cells hit the ceiling still
+writes the report of every cell, the capped ones as skipped rows, and then
+exits 3.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .bvp import (
@@ -59,10 +61,7 @@ class IncompleteReport(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run request: command, (k, m) ranges, sizes, output."""
-
+class _ConfigFields(NamedTuple):
     command: str
     k_range: tuple[int, int]
     m_range: tuple[int, int]
@@ -72,25 +71,39 @@ class RunConfig:
     out: str | None
     workers: int
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        if self.k_range[0] > self.k_range[1]:
-            raise UsageError(f"empty k range {self.k_range[0]}..{self.k_range[1]}")
-        if self.m_range[0] > self.m_range[1]:
-            raise UsageError(f"empty m range {self.m_range[0]}..{self.m_range[1]}")
-        if self.k_range[0] < 1:
+
+class RunConfig(_ConfigFields):
+    """Validated run request: command, (k, m) ranges, sizes, output."""
+
+    __slots__ = ()
+
+    def __new__(cls, command, k_range, m_range, terms, precision_cap, format, out, workers):
+        if command not in COMMANDS:
+            raise UsageError(f"unknown command {command!r}")
+        if k_range[0] > k_range[1]:
+            raise UsageError(f"empty k range {k_range[0]}..{k_range[1]}")
+        if m_range[0] > m_range[1]:
+            raise UsageError(f"empty m range {m_range[0]}..{m_range[1]}")
+        if k_range[0] < 1:
             raise UsageError("k must be positive")
-        if self.m_range[0] < 2:
+        if m_range[0] < 2:
             raise UsageError("m must be >= 2")
-        if self.terms < 1:
+        if terms < 1:
             raise UsageError("terms must be >= 1")
-        if self.precision_cap < 64:
+        if precision_cap < 64:
             raise UsageError("precision cap must be >= 64 bits")
-        if self.format not in FORMATS:
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.workers < 1:
+        if format not in FORMATS:
+            raise UsageError(f"unknown format {format!r}")
+        if workers < 1:
             raise UsageError("workers must be >= 1")
+        return tuple.__new__(
+            cls, (command, k_range, m_range, terms, precision_cap, format, out, workers)
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds its result here; validate it like any other.
+        return cls(*iterable)
 
     def config_echo(self) -> dict:
         return {
@@ -281,7 +294,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rootcf: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if config.out is None:
-        emit(report, config.format, sys.stdout)
+        try:
+            emit(report, config.format, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early, as `| head` does.  Point fd 1
+            # at the null device so the flush at interpreter exit is quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_USAGE
     else:
         try:
             with open(config.out, "w", newline="") as fh:

@@ -9,9 +9,9 @@ cross-certify them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     DEFAULT_MAX_BITS,
@@ -33,8 +33,7 @@ class Side(Enum):
     BELOW = "below"
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """One expansion term: partial quotient b_n with convergent p_n/q_n."""
 
     n: int
@@ -81,8 +80,7 @@ def convergent_step(
     return Convergent(n=n, b=b, p=p, q=q, side=convergent_side(spec, p, q))
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Partial quotients b_0..b_N of alpha with their convergents."""
 
     spec: RadicandSpec

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -113,8 +112,12 @@ def prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-@dataclass(frozen=True)
-class RadicandSpec:
+class _SpecFields(NamedTuple):
+    k: int
+    m: int
+
+
+class RadicandSpec(_SpecFields):
     """The pair (k, m) defining alpha = k**(1/m).
 
     Construction rejects k that is a p-th power for any prime p | m, so
@@ -122,23 +125,28 @@ class RadicandSpec:
     Degree 2 is admitted as a cross-check regime (periodic expansions).
     """
 
-    k: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or not isinstance(self.m, int):
+    def __new__(cls, k: int, m: int):
+        if not isinstance(k, int) or not isinstance(m, int):
             raise TypeError("k and m must be integers")
-        if self.m < 2:
-            raise InvalidDegreeError(f"degree m must be >= 2, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"radicand k must be positive, got {self.k}")
-        for p in prime_divisors(self.m):
-            r = int_nth_root(self.k, p)
-            if r ** p == self.k:
+        if m < 2:
+            raise InvalidDegreeError(f"degree m must be >= 2, got {m}")
+        if k < 1:
+            raise ValueError(f"radicand k must be positive, got {k}")
+        for p in prime_divisors(m):
+            r = int_nth_root(k, p)
+            if r ** p == k:
                 raise PerfectPowerError(
-                    f"k = {self.k} = {r}**{p} with prime {p} | m = {self.m}; "
+                    f"k = {k} = {r}**{p} with prime {p} | m = {m}; "
                     f"alpha would be rational or of reduced degree"
                 )
+        return tuple.__new__(cls, (k, m))
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds its result here; validate it like any other.
+        return cls(*iterable)
 
 
 def validate_spec(k: int, m: int) -> RadicandSpec:
@@ -175,23 +183,46 @@ def _as_endpoints(value) -> tuple[Fraction, Fraction]:
     return f, f
 
 
-@dataclass(frozen=True)
 class RationalInterval:
     """Interval [lo, hi] with exact rational endpoints.
 
     All operations are exact, so results are the tightest enclosures of
     the image set; the containment guarantee is preserved throughout.
-    Scalars (int/Fraction) mix freely as point intervals.
+    Scalars (int/Fraction) mix freely as point intervals.  Immutable, and
+    not a tuple: `+` and `*` are interval arithmetic, and intervals have
+    no total order to sort by.
     """
 
+    __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.lo, self.hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @classmethod
     def point(cls, value) -> "RationalInterval":
@@ -277,8 +308,7 @@ class RationalInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class AlphaEnclosure:
+class AlphaEnclosure(NamedTuple):
     """Certified enclosure of alpha scaled by base**digits.
 
     scaled_floor = floor(alpha * base**digits), so alpha lies in

@@ -149,12 +149,29 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "rootcf: cannot write /dev/full: No space left on device\n"
 
-    def test_import_leaves_process_pool_out(self):
-        # Only `scan --workers N` with N > 1 needs multiprocessing; every
-        # other command must not pay for importing it at start-up.
-        code = "import sys, rootcf.cli; print('concurrent.futures.process' in sys.modules)"
+    @pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
+    def test_import_leaves_out(self, module):
+        # Every command pays for what rootcf.cli imports at start-up.  Only
+        # `scan --workers N` with N > 1 needs multiprocessing, and the
+        # records are named tuples, so nothing needs dataclasses (which
+        # would also bring in inspect, ast and tokenize).
+        code = f"import sys, rootcf.cli; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
         assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closing_stdout_early(self, unbuffered):
+        # As `rootcf ... | head -c 10`: the 3,000-term CSV is megabytes,
+        # far past what the pipe holds, so writing hits a closed pipe.
+        cmd = [sys.executable, "-m", "rootcf", "expand", "--k", "2", "--m", "3",
+               "--terms", "3000", "--format", "csv"]
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head == CSV_SCHEMA_LINE.encode()[:10]
+        assert (proc.returncode, err) == (EXIT_USAGE, b"")
 
     def test_report_past_the_int_str_digit_limit(self):
         # q_1300 of cbrt(2) has 668 digits, past the 640-digit limit set
