@@ -1,17 +1,20 @@
 """rootcf: exact continued fractions of integer m-th roots, with a
-Bombieri-van der Poorten decomposition analyzer and verification harness."""
+Bombieri-van der Poorten decomposition analyzer and verification harness.
+
+The routes the tests check the package against (interval arithmetic, an
+exact-search expansion) live in tests/oracles.py.  The program never calls
+`complete_quotient_interval`, `next_partial_quotient`, `general_correction`,
+`cubic_correction` or `predict_next`; the benchmark's tracer wraps them.
+"""
 
 from .exact import (
-    AlphaEnclosure,
     InconsistentEnclosureError,
-    IntervalZeroDivisionError,
     InvalidDegreeError,
     PerfectPowerError,
     PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
     WrongDegreeError,
-    alpha_floor_scaled,
     alpha_interval,
     int_nth_root,
     sign_linear_in_alpha,
@@ -22,9 +25,7 @@ from .engine import (
     Expansion,
     Side,
     complete_quotient_interval,
-    convergent_step,
     expand,
-    expand_exact_oracle,
     next_partial_quotient,
     verify_quotient,
 )
@@ -44,7 +45,6 @@ from .bvp import (
     leading_terms,
     predict_next,
     prediction,
-    remainder,
     scan,
     verify_theorems,
 )

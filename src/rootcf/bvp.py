@@ -12,8 +12,9 @@ and measures every claimed bound, recording violations it can certify.
 Each index is worked once: `leading_terms` gives d_n, H_n and
 A_n = H_n - q_{n-1}/q_n, and `prediction` reads the floor formula
 b_{n+1} = floor(A_n) + eps against the b_{n+1} that `expand` certified.
-`predict_next`, which finds b_{n+1} by its own exact search, is the
-tests' oracle for that route.
+`predict_next`, which finds b_{n+1} by its own exact search, and
+`general_correction` and `cubic_correction` stay public for the
+benchmark's tracer only; the tests compare them with tests/oracles.py.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
 classical correction V_n = (q_n/d_n)(2x_n**2 - x_n*alpha - alpha**2)
@@ -43,9 +44,10 @@ from .engine import (
     Convergent,
     Expansion,
     Side,
+    _common_denominator,
     _prev_pq,
+    _theta_corners,
     _theta_exceeds,
-    complete_quotient_interval,
     expand,
     next_partial_quotient,
     verify_quotient,
@@ -84,68 +86,54 @@ def leading_terms(
     return d, Fraction(hn, hd), Fraction(hn - _prev_pq(prev)[1] * d, hd)
 
 
+def _power_sum(u: int, v: int, m: int) -> int:
+    """sum_{j<m} u**(m-1-j) * v**j, by Horner's rule in u."""
+    total, vj = 0, 1
+    for _ in range(m):
+        total = total * u + vj
+        vj *= v
+    return total
+
+
+def _correction_ends(
+    m: int, conv: Convergent, d: int, c: int, a: int, b: int, den: int
+) -> list[tuple[int, int]]:
+    """(P(s) - c*den**(m-1)) / (q_n d_n den**(m-1)) at s = a and s = b.
+
+    With P(s) = sum_{j<m} (s*q_n)**(m-1-j) (den*p_n)**j and c = m*p_n**(m-1)
+    this is W_n at alpha = s/den; each unit more in c subtracts 1/(q_n d_n).
+    W_n increases with alpha > 0: for 0 < a <= b these are its least and
+    greatest values on [a, b]/den, as (numerator, positive denominator).
+    """
+    scale = den ** (m - 1)
+    p_den, w_den, shift = conv.p * den, conv.q * d * scale, c * scale
+    return [(_power_sum(s * conv.q, p_den, m) - shift, w_den) for s in (a, b)]
+
+
 def general_correction(
     spec: RadicandSpec, conv: Convergent, alpha_iv: RationalInterval
 ) -> RationalInterval:
-    """Enclosure of the linearization error W_n, any degree m >= 2.
+    """Enclosure of the linearization error W_n on alpha_iv > 0, any degree m >= 2.
 
     W_n = (q_n**(m-2)/d_n) * (sum_{j<m} x_n**j * alpha**(m-1-j) - m*x_n**(m-1)),
-    so that R_n = W_n - q_{n-1}/q_n.
+    so that R_n = W_n - q_{n-1}/q_n; the endpoints are `_correction_ends`'.
     """
-    m = spec.m
-    x = Fraction(conv.p, conv.q)
-    total = RationalInterval.point(-m * x ** (m - 1))
-    for j in range(m):
-        total = total + (alpha_iv ** (m - 1 - j)) * (x ** j)
-    return total * Fraction(conv.q ** (m - 2), algebraic_distance(spec, conv))
+    d, c = algebraic_distance(spec, conv), spec.m * conv.p ** (spec.m - 1)
+    lo, hi = _correction_ends(spec.m, conv, d, c, *_common_denominator(alpha_iv))
+    return RationalInterval(Fraction(*lo), Fraction(*hi))
 
 
 def cubic_correction(
     spec: RadicandSpec, conv: Convergent, alpha_iv: RationalInterval
 ) -> RationalInterval:
-    """Signed enclosure of the cubic correction V_n (degree 3 only).
+    """Enclosure of the cubic correction V_n on alpha_iv > 0 (degree 3 only).
 
-    Evaluates both the defining form (q/d)(2x**2 - x*alpha - alpha**2) and
-    the closed form (2x + alpha)/(q**2 (x**2 + x*alpha + alpha**2)) with the
-    sign attached exactly from the convergent's side, and returns the
-    intersection of the two enclosures.
+    V_n = (q_n/d_n)(2x_n**2 - x_n*alpha - alpha**2) = -W_n.
     """
     if spec.m != 3:
         raise WrongDegreeError(f"cubic correction needs m = 3, got m = {spec.m}")
-    x = Fraction(conv.p, conv.q)
-    d = algebraic_distance(spec, conv)
-    defining = (2 * x * x - x * alpha_iv - alpha_iv ** 2) * Fraction(conv.q, d)
-    magnitude = (2 * x + alpha_iv) / ((x * x + x * alpha_iv + alpha_iv ** 2) * (conv.q ** 2))
-    closed = magnitude if conv.side is Side.ABOVE else -magnitude
-    out = defining.intersect(closed)
-    if out is None:
-        raise InconsistentEnclosureError(
-            f"cubic correction forms disjoint at n={conv.n}: {defining} vs {closed}"
-        )
-    return out
-
-
-def remainder(
-    spec: RadicandSpec,
-    conv: Convergent,
-    prev: Convergent | None,
-    alpha_iv: RationalInterval,
-) -> RationalInterval:
-    """Enclosure of R_n, doubly certified.
-
-    Computed both as W_n - q_{n-1}/q_n and as theta_n - H_n; the two
-    enclosures must intersect and the (tighter) intersection is returned.
-    """
-    qp = _prev_pq(prev)[1]
-    _, h, _ = leading_terms(spec, conv, prev)
-    via_correction = general_correction(spec, conv, alpha_iv) - Fraction(qp, conv.q)
-    via_quotient = complete_quotient_interval(conv, prev, alpha_iv) - h
-    out = via_correction.intersect(via_quotient)
-    if out is None:
-        raise InconsistentEnclosureError(
-            f"remainder routes disjoint at n={conv.n}: {via_correction} vs {via_quotient}"
-        )
-    return out
+    w = general_correction(spec, conv, alpha_iv)
+    return RationalInterval(-w.hi, -w.lo)
 
 
 def exact_unit_remainder(
@@ -298,15 +286,6 @@ def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] < b[0] * a[1]
 
 
-def _power_sum(u: int, v: int, m: int) -> int:
-    """sum_{j<m} u**(m-1-j) * v**j, by Horner's rule in u."""
-    total, vj = 0, 1
-    for _ in range(m):
-        total = total * u + vj
-        vj *= v
-    return total
-
-
 def _analyze_term(
     spec: RadicandSpec,
     conv: Convergent,
@@ -329,54 +308,29 @@ def _analyze_term(
     sgn(V_n) = sgn(x_n - alpha) is one exact sign.
 
     Only the enclosures a report prints, theta_n and R_n, are built, and
-    from integers: with alpha in [S_0, S_1]/D, S_1 = S_0 + 1, D = 2**bits,
-    they have the endpoints that `complete_quotient_interval` and
-    `general_correction` give on that interval, as exact rationals.
-    - theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n) spans the
-      four corners n_i/d_j, n_i = p_{n-1}*D - q_{n-1}*S_i and
-      d_j = q_n*S_j - p_n*D.  If d_0 <= 0 <= d_1 the denominator is not
-      separated from 0 and the attempt asks `refine` for more bits.
-    - W_n is increasing in alpha > 0, so its enclosure is its value at
-      each S_i: (P(S_i) - m*(D*p_n)**(m-1)) / (D**(m-1) q_n d_n), with
-      P(s) = sum_{j<m} (s*q_n)**(m-1-j) (D*p_n)**j.
-    - R_n = (W_n - q_{n-1}/q_n) intersected with theta_n - H_n; disjoint
-      routes raise InconsistentEnclosureError.
-    The enclosures are refined until R_n decides |R_n| < 1 on its own, and
+    from the integers of alpha's enclosure [S, S+1]/2**bits: theta_n by
+    `_theta_corners` (no answer if q_n*alpha - p_n is not separated from 0),
+    and R_n as W_n - q_{n-1}/q_n (`_correction_ends`) intersected with
+    theta_n - H_n; disjoint routes raise InconsistentEnclosureError.  The
+    enclosures are refined until R_n decides |R_n| < 1 on its own, and
     the caller checks that in_unit equals the exact verdict of
     `exact_unit_remainder`.
     """
     m, p, q = spec.m, conv.p, conv.q
     pp, qp = _prev_pq(prev)
-    # W_n - q_{n-1}/q_n = (P(S) - D**(m-1) * w0) / (D**(m-1) * q_n * d_n)
-    w0 = m * p ** (m - 1) + qp * d
+    c = m * p ** (m - 1) + qp * d
     above = conv.side is Side.ABOVE
     universal_ok = q * pp - p * qp == (-1 if above else 1)
     sign_ok = (sign_linear_in_alpha(spec, -q, p) > 0) == above if m == 3 else None
+    hn, hd = h.numerator, h.denominator
 
     def attempt(bits: int):
-        # alpha_interval's lower end is S_0/2**bits in lowest terms, so its
-        # denominator is a power of two no larger than D.
-        lo = alpha_interval(spec, bits).lo
-        s0 = lo.numerator << (bits + 1 - lo.denominator.bit_length())
-        dp = p << bits
-        d0 = q * s0 - dp
-        n0 = (pp << bits) - qp * s0
-        if d0 > 0:  # d_1 = d_0 + q_n, n_1 = n_0 - q_{n-1}
-            n_lo, n_hi, d_lo, d_hi = n0 - qp, n0, d0, d0 + q
-        elif d0 + q < 0:  # negate every corner's numerator and denominator
-            n_lo, n_hi, d_lo, d_hi = -n0, qp - n0, -(d0 + q), -d0
-        else:
+        ends = _common_denominator(alpha_interval(spec, bits))  # (S, S+1, 2**bits)
+        corners = _theta_corners(conv, prev, *ends)
+        if corners is None:
             return None
-        # Over positive denominators the least corner has the least
-        # numerator, over the largest denominator if that numerator is >= 0.
-        theta_lo = (n_lo, d_hi if n_lo >= 0 else d_lo)
-        theta_hi = (n_hi, d_lo if n_hi >= 0 else d_hi)
-
-        scale = (m - 1) * bits  # log2 of D**(m-1)
-        w_den = (q * d) << scale
-        via_w = [(_power_sum(s * q, dp, m) - (w0 << scale), w_den) for s in (s0, s0 + 1)]
-        hn, hd = h.numerator, h.denominator
-        via_theta = [(t * hd - hn * u, u * hd) for t, u in (theta_lo, theta_hi)]
+        via_w = _correction_ends(m, conv, d, c, *ends)
+        via_theta = [(t * hd - hn * u, u * hd) for t, u in corners]
         r_lo = via_theta[0] if _less(via_w[0], via_theta[0]) else via_w[0]
         r_hi = via_w[1] if _less(via_w[1], via_theta[1]) else via_theta[1]
         if _less(r_hi, r_lo):
@@ -384,7 +338,7 @@ def _analyze_term(
         in_unit = -r_lo[1] < r_lo[0] and r_hi[0] < r_hi[1]
         if not (in_unit or r_hi[0] < -r_hi[1] or r_lo[0] > r_lo[1]):
             return None
-        theta_iv = RationalInterval(Fraction(*theta_lo), Fraction(*theta_hi))
+        theta_iv = RationalInterval(Fraction(*corners[0]), Fraction(*corners[1]))
         return theta_iv, RationalInterval(Fraction(*r_lo), Fraction(*r_hi)), in_unit
 
     return (*refine(attempt, start_bits, max_bits), universal_ok, sign_ok)
@@ -610,7 +564,10 @@ def scan(
         for m in sorted(set(m_values))
         for k in sorted(set(k_values))
     ]
-    if workers > 1 and len(jobs) > 1:
+    # The pool starts all its workers at once; more than one per cell
+    # would only start idle processes.
+    workers = min(workers, len(jobs))
+    if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which every
         # other command would otherwise pay for at start-up.
         from concurrent.futures import ProcessPoolExecutor

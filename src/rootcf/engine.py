@@ -1,14 +1,15 @@
 """Certified regular continued fraction expansion of alpha = k**(1/m).
 
-Two independent routes produce partial quotients: `expand` runs integer
-Euclid on both endpoints of a binary enclosure of alpha and keeps the
-quotients on which they agree (fast, precision-adaptive), while
-`expand_exact_oracle` finds each quotient by binary search on an exact
-integer order test and never forms an enclosure.  They must agree; tests
-cross-certify them.
+`expand` runs integer Euclid on both endpoints of a binary enclosure of
+alpha and keeps the quotients on which they agree (precision-adaptive);
+the last term is re-checked by the exact order test `verify_quotient`.
+The tests cross-certify it against an exact-search expansion and a
+fixed-precision one (tests/oracles.py).  `complete_quotient_interval`
+and `next_partial_quotient` stay public for the benchmark's tracer only.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,42 +43,10 @@ class Convergent(NamedTuple):
     q: int
     side: Side
 
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def _prev_pq(prev: Convergent | None) -> tuple[int, int]:
     # Seed (p_{-1}, q_{-1}) = (1, 0) stands in for the term before index 0.
     return (prev.p, prev.q) if prev is not None else (1, 0)
-
-
-def convergent_side(spec: RadicandSpec, p: int, q: int) -> Side:
-    """Exact classification of p/q against alpha: p**m vs k*q**m."""
-    return Side.ABOVE if p ** spec.m > spec.k * q ** spec.m else Side.BELOW
-
-
-def convergent_step(
-    spec: RadicandSpec,
-    prev: tuple[Convergent | None, Convergent | None],
-    b: int,
-) -> Convergent:
-    """Apply the recurrence p_n = b*p_{n-1} + p_{n-2} (same for q).
-
-    `prev` is (previous, one-before-previous); pass (None, None) to start
-    from the seeds (1,0), (0,1).
-    """
-    if b < 1:
-        raise ValueError(f"partial quotient must be >= 1, got {b}")
-    p1, q1 = _prev_pq(prev[0])
-    if prev[1] is not None:
-        p2, q2 = prev[1].p, prev[1].q
-    elif prev[0] is not None:
-        p2, q2 = 1, 0  # n = 1: the term two back is the (1, 0) seed
-    else:
-        p2, q2 = 0, 1  # n = 0: the term two back is the (0, 1) seed
-    n = prev[0].n + 1 if prev[0] is not None else 0
-    p, q = b * p1 + p2, b * q1 + q2
-    return Convergent(n=n, b=b, p=p, q=q, side=convergent_side(spec, p, q))
 
 
 class Expansion(NamedTuple):
@@ -96,19 +65,49 @@ class Expansion(NamedTuple):
         return self.terms[n], self.terms[n - 1] if n >= 1 else None
 
 
+def _theta_corners(
+    conv: Convergent, prev: Convergent | None, a: int, b: int, den: int
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Least and greatest of theta_n's corners over alpha in [a, b]/den, den > 0.
+
+    theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n) spans the corners
+    n_i/d_j, n_i = p_{n-1}*den - q_{n-1}*s_i, d_j = q_n*s_j - p_n*den, over
+    s_0 = a, s_1 = b; each is returned as (numerator, positive denominator).
+    None when d_0 <= 0 <= d_1: the denominator is not separated from 0.
+    """
+    pp, qp = _prev_pq(prev)
+    p_den, pp_den = conv.p * den, pp * den
+    d0, d1 = conv.q * a - p_den, conv.q * b - p_den
+    n0, n1 = pp_den - qp * a, pp_den - qp * b  # n1 <= n0
+    if d0 > 0:
+        n_lo, n_hi, d_lo, d_hi = n1, n0, d0, d1
+    elif d1 < 0:  # negate every corner's numerator and denominator
+        n_lo, n_hi, d_lo, d_hi = -n0, -n1, -d1, -d0
+    else:
+        return None
+    # Over positive denominators the least corner has the least
+    # numerator, over the largest denominator if that numerator is >= 0.
+    return (n_lo, d_hi if n_lo >= 0 else d_lo), (n_hi, d_lo if n_hi >= 0 else d_hi)
+
+
+def _common_denominator(iv: RationalInterval) -> tuple[int, int, int]:
+    """(a, b, den) with [a, b]/den = iv and den > 0."""
+    den = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    return (iv.lo.numerator * (den // iv.lo.denominator),
+            iv.hi.numerator * (den // iv.hi.denominator), den)
+
+
 def complete_quotient_interval(
     conv: Convergent, prev: Convergent | None, alpha_iv: RationalInterval
 ) -> RationalInterval:
-    """Enclosure of theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n).
+    """Enclosure of theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n) on alpha_iv.
 
-    Equivalent to 1/(q_n|q_n*alpha - p_n|) - q_{n-1}/q_n with the sign
-    handled implicitly.  Raises IntervalZeroDivisionError when alpha_iv is
-    too wide to separate the denominator from zero.
+    ZeroDivisionError when alpha_iv cannot separate the denominator from 0.
     """
-    pp, qp = _prev_pq(prev)
-    num = pp - qp * alpha_iv
-    den = conv.q * alpha_iv - conv.p
-    return num / den
+    corners = _theta_corners(conv, prev, *_common_denominator(alpha_iv))
+    if corners is None:
+        raise ZeroDivisionError(f"q_n*alpha - p_n is not separated from 0 at n={conv.n}")
+    return RationalInterval(Fraction(*corners[0]), Fraction(*corners[1]))
 
 
 def _theta_exceeds(
@@ -211,31 +210,10 @@ def expand(
     endpoints; a term is kept only where their floors agree.  When some
     floor is ambiguous the whole prefix is recomputed at doubled precision
     (`refine`), so every emitted term is certain, not merely probable.
-    The final term is re-certified by the exact oracle.  Each convergent's
-    side is taken from the parity of n (even below, odd above), which
-    holds for every irrational alpha; `convergent_side` is the exact test.
+    The final term is re-certified by the exact order test.  Each
+    convergent's side is taken from the parity of n (even below, odd
+    above), which holds for every irrational alpha.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     return refine(lambda bits: _expand_at(spec, count, bits), DEFAULT_START_BITS, max_bits)
-
-
-def expand_exact_oracle(spec: RadicandSpec, count: int) -> Expansion:
-    """Expansion via the exact order test only; no interval arithmetic.
-
-    Asymptotically slower than `expand`; exists to cross-certify it.
-    precision_bits is reported as 0 because no enclosure is ever formed.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    terms: list[Convergent] = []
-    prev: Convergent | None = None
-    prev2: Convergent | None = None
-    b = int_nth_root(spec.k, spec.m)
-    for n in range(count + 1):
-        conv = convergent_step(spec, (prev, prev2), b)
-        terms.append(conv)
-        prev2, prev = prev, conv
-        if n < count:
-            b = next_partial_quotient(spec, conv, prev2)
-    return Expansion(spec=spec, terms=tuple(terms), precision_bits=0)

@@ -1,8 +1,9 @@
 """Exact integer/rational kernel for alpha = k**(1/m).
 
 No floats anywhere.  Order decisions against alpha are made by integer
-power comparisons, and every alpha-dependent real quantity is represented
-by a rational interval certified to contain the true value.
+power comparisons.  Every alpha-dependent real a report shows is a
+`RationalInterval` built from the integer ends of [S, S+1]/2**bits,
+certified to contain the true value.
 """
 from __future__ import annotations
 
@@ -36,10 +37,6 @@ class PrecisionCeilingError(RuntimeError):
         # The default pickles self.args (the message) and would rebuild the
         # error by passing that message back in as `bits`.
         return type(self), (self.bits,)
-
-
-class IntervalZeroDivisionError(ZeroDivisionError):
-    """Division by an interval containing zero."""
 
 
 class InconsistentEnclosureError(ArithmeticError):
@@ -176,21 +173,11 @@ def sign_linear_in_alpha(spec: RadicandSpec, u: int, v: int) -> int:
     return s if u > 0 else -s
 
 
-def _as_endpoints(value) -> tuple[Fraction, Fraction]:
-    if isinstance(value, RationalInterval):
-        return value.lo, value.hi
-    f = Fraction(value)
-    return f, f
-
-
 class RationalInterval:
-    """Interval [lo, hi] with exact rational endpoints.
+    """Interval [lo, hi] with exact rational endpoints, as a report shows it.
 
-    All operations are exact, so results are the tightest enclosures of
-    the image set; the containment guarantee is preserved throughout.
-    Scalars (int/Fraction) mix freely as point intervals.  Immutable, and
-    not a tuple: `+` and `*` are interval arithmetic, and intervals have
-    no total order to sort by.
+    Immutable, and not a tuple: intervals have no total order to sort by.
+    It has no arithmetic; the tests' oracles hold interval arithmetic.
     """
 
     __slots__ = ("lo", "hi")
@@ -224,10 +211,8 @@ class RationalInterval:
     def __repr__(self):
         return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
-    @classmethod
-    def point(cls, value) -> "RationalInterval":
-        f = Fraction(value)
-        return cls(f, f)
+    def __str__(self):
+        return f"[{self.lo}, {self.hi}]"
 
     @property
     def width(self) -> Fraction:
@@ -237,134 +222,32 @@ class RationalInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, value) -> bool:
-        f = Fraction(value)
-        return self.lo <= f <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_inside(self, lo, hi) -> bool:
-        return Fraction(lo) < self.lo and self.hi < Fraction(hi)
-
-    def intersects(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "RationalInterval") -> "RationalInterval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return RationalInterval(lo, hi) if lo <= hi else None
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __add__(self, other) -> "RationalInterval":
-        olo, ohi = _as_endpoints(other)
-        return RationalInterval(self.lo + olo, self.hi + ohi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalInterval":
-        olo, ohi = _as_endpoints(other)
-        return RationalInterval(self.lo - ohi, self.hi - olo)
-
-    def __rsub__(self, other) -> "RationalInterval":
-        return (-self).__add__(other)
-
-    def __mul__(self, other) -> "RationalInterval":
-        olo, ohi = _as_endpoints(other)
-        products = (self.lo * olo, self.lo * ohi, self.hi * olo, self.hi * ohi)
-        return RationalInterval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RationalInterval":
-        if self.lo <= 0 <= self.hi:
-            raise IntervalZeroDivisionError(f"0 in [{self.lo}, {self.hi}]")
-        return RationalInterval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other) -> "RationalInterval":
-        olo, ohi = _as_endpoints(other)
-        return self * RationalInterval(olo, ohi).reciprocal()
-
-    def __rtruediv__(self, other) -> "RationalInterval":
-        olo, ohi = _as_endpoints(other)
-        return RationalInterval(olo, ohi) * self.reciprocal()
-
-    def __pow__(self, exponent: int) -> "RationalInterval":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("interval powers take non-negative integer exponents")
-        if exponent == 0:
-            return RationalInterval.point(1)
-        plo, phi = self.lo ** exponent, self.hi ** exponent
-        if self.lo >= 0:
-            return RationalInterval(plo, phi)
-        if self.hi <= 0:
-            return RationalInterval(plo, phi) if exponent % 2 else RationalInterval(phi, plo)
-        if exponent % 2:
-            return RationalInterval(plo, phi)
-        return RationalInterval(Fraction(0), max(plo, phi))
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
-
-
-class AlphaEnclosure(NamedTuple):
-    """Certified enclosure of alpha scaled by base**digits.
-
-    scaled_floor = floor(alpha * base**digits), so alpha lies in
-    [scaled_floor, scaled_floor + 1] / base**digits.
-    """
-
-    spec: RadicandSpec
-    precision_digits: int
-    base: int
-    scaled_floor: int
-
-    @property
-    def interval(self) -> RationalInterval:
-        scale = self.base ** self.precision_digits
-        return RationalInterval(
-            Fraction(self.scaled_floor, scale), Fraction(self.scaled_floor + 1, scale)
-        )
-
 
 @functools.lru_cache(maxsize=32)
-def _scaled_root(k: int, m: int, digits: int, base: int) -> int:
-    # Memoised: verify encloses every index of an expansion at one
-    # precision, and would otherwise take the same root once per index.
-    return int_nth_root(k * base ** (m * digits), m)
-
-
-def alpha_floor_scaled(spec: RadicandSpec, digits: int, base: int = 2) -> AlphaEnclosure:
-    """Enclosure of alpha of width base**-digits, via one integer root."""
-    if digits < 0:
-        raise ValueError("digits must be non-negative")
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    scaled = _scaled_root(spec.k, spec.m, digits, base)
-    return AlphaEnclosure(spec=spec, precision_digits=digits, base=base, scaled_floor=scaled)
+def _scaled_root(k: int, m: int, bits: int) -> int:
+    # floor(alpha * 2**bits).  Memoised: verify encloses every index of an
+    # expansion at one precision, and would otherwise take this root per index.
+    return int_nth_root(k << (m * bits), m)
 
 
 def alpha_interval(spec: RadicandSpec, bits: int) -> RationalInterval:
-    """Binary enclosure of alpha with width 2**-bits."""
-    return alpha_floor_scaled(spec, bits, base=2).interval
+    """Binary enclosure [S, S+1]/2**bits of alpha, S = floor(alpha * 2**bits)."""
+    scaled = _scaled_root(spec.k, spec.m, bits)
+    return RationalInterval(Fraction(scaled, 1 << bits), Fraction(scaled + 1, 1 << bits))
 
 
 def refine(attempt: Callable[[int], T | None], start_bits: int, max_bits: int) -> T:
     """Call attempt(bits) at start_bits, then at doubled bits, until it answers.
 
     This is the package's one precision policy.  An attempt that returns
-    None or raises IntervalZeroDivisionError found its enclosures too
-    coarse and is retried at twice the bits; once the next precision would
-    exceed max_bits, PrecisionCeilingError(max_bits) is raised.  The first
-    attempt always runs.  Any other exception propagates unchanged.
+    None found its enclosures too coarse and is retried at twice the bits;
+    once the next precision would exceed max_bits,
+    PrecisionCeilingError(max_bits) is raised.  The first attempt always
+    runs.  Exceptions propagate unchanged.
     """
     bits = start_bits
     while True:
-        try:
-            result = attempt(bits)
-        except IntervalZeroDivisionError:
-            result = None
+        result = attempt(bits)
         if result is not None:
             return result
         bits *= 2

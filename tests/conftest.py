@@ -1,12 +1,29 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import reject
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from rootcf.bvp import verify_theorems
 from rootcf.exact import PerfectPowerError, validate_spec
+
+
+def spec_or_reject(k, m):
+    """validate_spec(k, m); a perfect power rejects the Hypothesis example."""
+    try:
+        return validate_spec(k, m)
+    except PerfectPowerError:
+        reject()
+
+
+def within(iv, target, tol) -> bool:
+    """Both ends of the enclosure iv lie within tol of target."""
+    t, eps = Fraction(target), Fraction(tol)
+    return abs(iv.lo - t) <= eps and abs(iv.hi - t) <= eps
+
 
 SWEEP_K_MAX = 200
 SWEEP_N_MAX = 50

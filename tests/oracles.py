@@ -1,9 +1,10 @@
-"""Independent test oracles.
+"""Independent test oracles, which import nothing from the package.
 
-Deliberately different mechanisms from the package: bisection instead of
-Newton for integer roots, and a fixed-precision endpoint Gauss map on
-plain Fractions instead of the adaptive interval engine.  Expected values
-frozen into the tests were produced by these.
+Deliberately different mechanisms from it: bisection instead of Newton for
+integer roots, a fixed-precision endpoint Gauss map on plain Fractions, an
+expansion by exact search alone, and interval arithmetic (`Interval`) where
+the package encloses from integer endpoints.  Expected values frozen into
+the tests were produced by these.  A side is "above" or "below".
 """
 from fractions import Fraction
 
@@ -32,10 +33,8 @@ def cf_terms_fixed_point(k: int, m: int, count: int, bits: int = 0) -> list[int]
     Runs the exact Gauss map on both endpoints of a 2**-bits enclosure of
     alpha and keeps a term only when both runs agree on its floor.
     """
-    bits = bits or (200 + 40 * count)
-    scaled = nth_root_bisect(k << (m * bits), m)
-    lo = Fraction(scaled, 1 << bits)
-    hi = Fraction(scaled + 1, 1 << bits)
+    alpha = alpha_enclosure(k, m, bits or (200 + 40 * count))
+    lo, hi = alpha.lo, alpha.hi
     terms = []
     for _ in range(count + 1):
         fl = lo.numerator // lo.denominator
@@ -48,6 +47,8 @@ def cf_terms_fixed_point(k: int, m: int, count: int, bits: int = 0) -> list[int]
 
 def convergents_from_terms(terms: list[int]) -> list[tuple[int, int]]:
     """(p_n, q_n) for each partial quotient via the standard recurrence."""
+    if any(b < 1 for b in terms[1:]):
+        raise ValueError(f"partial quotients after b_0 must be >= 1: {terms}")
     ps, qs = [0, 1], [1, 0]
     for b in terms:
         ps.append(b * ps[-1] + ps[-2])
@@ -78,6 +79,27 @@ def theta_exceeds_rational(k: int, m: int, p: int, q: int, pp: int, qp: int, t: 
     return num * den > 0
 
 
+def convergent_side(k: int, m: int, p: int, q: int) -> str:
+    """Where p/q lies against k**(1/m): p**m against k*q**m."""
+    return "above" if p ** m > k * q ** m else "below"
+
+
+def expand_exact_oracle(k: int, m: int, count: int) -> list[int]:
+    """b_0..b_count by exact search alone, forming no enclosure of alpha:
+    b_{n+1} = floor(theta_n), by doubling then bisection on theta_n > t."""
+    terms = [nth_root_bisect(k, m)]
+    while len(terms) <= count:
+        (pp, qp), (p, q) = ([(1, 0)] + convergents_from_terms(terms))[-2:]
+        lo, hi = 1, 2
+        while theta_exceeds_rational(k, m, p, q, pp, qp, Fraction(hi)):
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if theta_exceeds_rational(k, m, p, q, pp, qp, Fraction(mid)) else (lo, mid)
+        terms.append(lo)
+    return terms
+
+
 def unit_remainder_exact(k: int, m: int, p: int, q: int, pp: int, qp: int) -> bool:
     """|R_n| < 1, i.e. H_n - 1 < theta_n < H_n + 1, with no interval arithmetic.
 
@@ -86,6 +108,130 @@ def unit_remainder_exact(k: int, m: int, p: int, q: int, pp: int, qp: int) -> bo
     h = Fraction(m * p ** (m - 1), abs(p ** m - k * q ** m) * q)
     return (theta_exceeds_rational(k, m, p, q, pp, qp, h - 1)
             and not theta_exceeds_rational(k, m, p, q, pp, qp, h + 1))
+
+
+class Interval:
+    """[lo, hi] with exact rational endpoints and exact interval arithmetic:
+    each result is the tightest enclosure of the image set.  Scalars mix in
+    as points; dividing by an interval that holds 0 raises ZeroDivisionError.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+
+    def __eq__(self, other):
+        return isinstance(other, Interval) and (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __repr__(self):
+        return f"Interval({self.lo}, {self.hi})"
+
+    width = property(lambda self: self.hi - self.lo)
+    mid = property(lambda self: (self.lo + self.hi) / 2)
+
+    def __contains__(self, value) -> bool:
+        return self.lo <= value <= self.hi
+
+    def contains_interval(self, other: "Interval") -> bool:
+        return self.lo <= other.lo and other.hi <= self.hi
+
+    def strictly_inside(self, lo, hi) -> bool:
+        return lo < self.lo and self.hi < hi
+
+    def intersects(self, other: "Interval") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    def intersect(self, other: "Interval") -> "Interval | None":
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return Interval(lo, hi) if lo <= hi else None
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        other = as_interval(other)
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -as_interval(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = as_interval(other)
+        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return Interval(min(products), max(products))
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        if self.lo <= 0 <= self.hi:
+            raise ZeroDivisionError(f"0 in {self}")
+        return Interval(1 / self.hi, 1 / self.lo)
+
+    def __truediv__(self, other):
+        return self * as_interval(other).reciprocal()
+
+    def __rtruediv__(self, other):
+        return as_interval(other) * self.reciprocal()
+
+    def __pow__(self, exponent: int):  # exponent >= 0
+        powers = (self.lo ** exponent, self.hi ** exponent)
+        straddles = exponent % 2 == 0 and self.lo < 0 < self.hi
+        return Interval(0 if exponent and straddles else min(powers), max(powers))
+
+
+def as_interval(value) -> Interval:
+    """An Interval, an enclosure with lo and hi ends, or a scalar as a point."""
+    lo, hi = (value.lo, value.hi) if hasattr(value, "lo") else (value, value)
+    return Interval(lo, hi)
+
+
+def alpha_enclosure(k: int, m: int, bits: int) -> Interval:
+    """[S, S+1]/2**bits with S = floor(k**(1/m) * 2**bits), by bisection."""
+    scaled = nth_root_bisect(k << (m * bits), m)
+    return Interval(Fraction(scaled, 1 << bits), Fraction(scaled + 1, 1 << bits))
+
+
+def complete_quotient_interval(p: int, q: int, pp: int, qp: int, alpha: Interval) -> Interval:
+    """theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n) on alpha."""
+    return (pp - qp * alpha) / (q * alpha - p)
+
+
+def general_correction(k: int, m: int, p: int, q: int, alpha: Interval) -> Interval:
+    """W_n = (q_n**(m-2)/d_n) (sum_{j<m} x_n**j alpha**(m-1-j) - m x_n**(m-1)) on alpha."""
+    x = Fraction(p, q)
+    total = sum((alpha ** (m - 1 - j) * x ** j for j in range(m)), as_interval(-m * x ** (m - 1)))
+    return total * Fraction(q ** (m - 2), abs(p ** m - k * q ** m))
+
+
+def cubic_correction(k: int, p: int, q: int, alpha: Interval) -> Interval:
+    """V_n = (q_n/d_n)(2x_n**2 - x_n*alpha - alpha**2) on alpha, degree 3, which
+    must meet the closed form sgn(x_n - alpha)(2x + alpha)/(q**2 (x**2 + x*alpha + alpha**2))."""
+    x = Fraction(p, q)
+    defining = (2 * x * x - x * alpha - alpha ** 2) * Fraction(q, abs(p ** 3 - k * q ** 3))
+    magnitude = (2 * x + alpha) / ((x * x + x * alpha + alpha ** 2) * q ** 2)
+    closed = magnitude if convergent_side(k, 3, p, q) == "above" else -magnitude
+    if not defining.intersects(closed):
+        raise ArithmeticError(f"cubic correction forms disjoint: {defining} vs {closed}")
+    return defining
+
+
+def remainder(k: int, m: int, p: int, q: int, pp: int, qp: int, alpha: Interval) -> Interval:
+    """R_n on alpha: W_n - q_{n-1}/q_n intersected with theta_n - H_n."""
+    h = Fraction(m * p ** (m - 1), abs(p ** m - k * q ** m) * q)
+    via_correction = general_correction(k, m, p, q, alpha) - Fraction(qp, q)
+    via_quotient = complete_quotient_interval(p, q, pp, qp, alpha) - h
+    out = via_correction.intersect(via_quotient)
+    if out is None:
+        raise ArithmeticError(f"remainder routes disjoint: {via_correction} vs {via_quotient}")
+    return out
 
 
 # Frozen prefixes produced by cf_terms_fixed_point (bits = 2000).

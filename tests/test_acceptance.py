@@ -11,8 +11,6 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from rootcf.bvp import (
     EPSILON_RANGE,
     REMAINDER_BOUND,
@@ -29,23 +27,18 @@ from rootcf.engine import (
     Side,
     complete_quotient_interval,
     expand,
-    expand_exact_oracle,
 )
 from rootcf.exact import alpha_interval, validate_spec
 from rootcf.report import emit
 
-from conftest import SWEEP_N_MAX
+import oracles
+from conftest import SWEEP_N_MAX, within
 
 
 def report_line(cid: str, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {cid}: {status} - {detail}")
     assert ok, f"{cid} FAILED - {detail}"
-
-
-def within(iv, target, tol) -> bool:
-    t, eps = Fraction(target), Fraction(tol)
-    return abs(iv.lo - t) <= eps and abs(iv.hi - t) <= eps
 
 
 def test_criterion_1_golden_degree_ten():
@@ -217,8 +210,8 @@ def test_criterion_6_oracle_equivalence():
     for k, m in cases:
         spec = validate_spec(k, m)
         fast = expand(spec, 100)
-        slow = expand_exact_oracle(spec, 100)
-        assert fast.partial_quotients == slow.partial_quotients, f"disagreement at {(k, m)}"
+        slow = oracles.expand_exact_oracle(k, m, 100)
+        assert fast.partial_quotients == slow, f"disagreement at {(k, m)}"
         if m == 2:
             period = {2: 2, 5: 4}[k]
             assert all(b == period for b in fast.partial_quotients[1:])
@@ -256,12 +249,14 @@ def test_criterion_7_identity_suites(cubic_sweep):
             widths = []
             for bits in (128, 256):
                 a_iv = alpha_interval(spec, bits)
-                w_iv = general_correction(spec, conv, a_iv)
+                w_iv = oracles.as_interval(general_correction(spec, conv, a_iv))
                 via_w = w_iv - Fraction(prev.q, conv.q)
-                via_theta = complete_quotient_interval(conv, prev, a_iv) - h
+                via_theta = oracles.as_interval(complete_quotient_interval(conv, prev, a_iv)) - h
                 assert via_w.intersects(via_theta)
-                both_forms = cubic_correction(spec, conv, a_iv)  # intersects internally
-                assert (-w_iv).intersects(both_forms)  # V = -W
+                v_iv = oracles.as_interval(cubic_correction(spec, conv, a_iv))
+                assert v_iv == -w_iv  # V = -W
+                # the oracle checks its defining form against its closed form
+                assert v_iv == oracles.cubic_correction(k, conv.p, conv.q, oracles.as_interval(a_iv))
                 widths.append((via_w.width, via_theta.width))
             assert widths[1][0] <= widths[0][0] / 2
             assert widths[1][1] <= widths[0][1] / 2

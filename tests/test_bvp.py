@@ -1,5 +1,8 @@
+import concurrent.futures
+import contextlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,21 +22,19 @@ from rootcf.bvp import (
     leading_terms,
     predict_next,
     prediction,
-    remainder,
     scan,
     verify_theorems,
 )
+from rootcf.cli import parse_args, run
 from rootcf.engine import (
     Convergent,
     Side,
     complete_quotient_interval,
-    convergent_side,
     expand,
     next_partial_quotient,
 )
 from rootcf.exact import (
     DEFAULT_MAX_BITS,
-    PerfectPowerError,
     PrecisionCeilingError,
     WrongDegreeError,
     alpha_interval,
@@ -41,18 +42,14 @@ from rootcf.exact import (
     validate_spec,
 )
 
-from oracles import unit_remainder_exact
+import oracles
+from conftest import spec_or_reject, within
 
 SPEC_50_10 = validate_spec(50, 10)
 SPEC_2_3 = validate_spec(2, 3)
 
 EXP_50 = expand(SPEC_50_10, 4)
 EXP_2 = expand(SPEC_2_3, 8)
-
-
-def within(iv, target, tol):
-    t, eps = Fraction(target), Fraction(tol)
-    return abs(iv.lo - t) <= eps and abs(iv.hi - t) <= eps
 
 
 class TestExactQuantities:
@@ -72,7 +69,7 @@ class TestExactQuantities:
         d, h, _ = leading_terms(SPEC_50_10, *EXP_50.pair(1))
         assert d == 7849
         assert h == Fraction(196830, 15698)
-        assert within_scalar(h, "12.5385", Fraction(1, 10 ** 4))
+        assert abs(h - Fraction("12.5385")) <= Fraction(1, 10 ** 4)
 
     def test_leading_cbrt2(self):
         assert leading_terms(SPEC_2_3, *EXP_2.pair(0))[:2] == (1, 3)
@@ -81,10 +78,6 @@ class TestExactQuantities:
     def test_shifted_leading(self):
         assert leading_terms(SPEC_2_3, *EXP_2.pair(1))[2] == Fraction(19, 15)
         assert leading_terms(SPEC_2_3, *EXP_2.pair(2)) == (3, Fraction(25, 4), Fraction(11, 2))
-
-
-def within_scalar(value, target, tol):
-    return abs(Fraction(value) - Fraction(target)) <= Fraction(tol)
 
 
 def analyzed(spec, conv, prev):
@@ -118,7 +111,7 @@ class TestRemainder:
         _, iv, inside = analyzed(SPEC_50_10, *EXP_50.pair(1))
         assert not inside and iv.hi < -1
         _, iv2, inside2 = analyzed(SPEC_2_3, *EXP_2.pair(2))
-        assert inside2 and iv2.strictly_inside(-1, 1)
+        assert inside2 and -1 < iv2.lo and iv2.hi < 1
 
     def test_two_routes_intersect_and_tighten(self):
         conv, prev = EXP_2.pair(3)
@@ -126,10 +119,10 @@ class TestRemainder:
         shift = Fraction(prev.q, conv.q)
         for bits in (96, 192):
             a_iv = alpha_interval(SPEC_2_3, bits)
-            via_w = general_correction(SPEC_2_3, conv, a_iv) - shift
-            via_theta = complete_quotient_interval(conv, prev, a_iv) - h
+            via_w = oracles.as_interval(general_correction(SPEC_2_3, conv, a_iv)) - shift
+            via_theta = oracles.as_interval(complete_quotient_interval(conv, prev, a_iv)) - h
             assert via_w.intersects(via_theta)
-            combined = remainder(SPEC_2_3, conv, prev, a_iv)
+            combined = oracles.remainder(2, 3, conv.p, conv.q, prev.p, prev.q, oracles.as_interval(a_iv))
             assert via_w.contains_interval(combined)
             assert via_theta.contains_interval(combined)
 
@@ -139,14 +132,11 @@ class TestRemainder:
         # The enclosure verdict of `_analyze_term` on |R_n| < 1 and the
         # package's exact one must both equal the test-side integer-sign
         # decision of H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
+        spec = spec_or_reject(k, m)
         exp = expand(spec, 14)
         for n in range(1, 15):
             conv, prev = exp.pair(n)
-            expected = unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
+            expected = oracles.unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
             assert analyzed(spec, conv, prev)[2] == expected
             _, h, _ = leading_terms(spec, conv, prev)
             assert exact_unit_remainder(spec, conv, prev, h) == expected
@@ -161,15 +151,12 @@ class TestRemainder:
         # On true convergents R_n stays far below +1, so the upper side of
         # H_n - 1 < theta_n < H_n + 1 never decides there.  The sign
         # argument holds for any p/q and p'/q', where both sides do.
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
+        spec = spec_or_reject(k, m)
         p, q, pp, qp = pq
-        conv = Convergent(n=1, b=1, p=p, q=q, side=convergent_side(spec, p, q))
-        prev = Convergent(n=0, b=1, p=pp, q=qp, side=convergent_side(spec, pp, qp))
+        conv = Convergent(n=1, b=1, p=p, q=q, side=Side(oracles.convergent_side(k, m, p, q)))
+        prev = Convergent(n=0, b=1, p=pp, q=qp, side=Side(oracles.convergent_side(k, m, pp, qp)))
         _, h, _ = leading_terms(spec, conv, prev)
-        assert exact_unit_remainder(spec, conv, prev, h) == unit_remainder_exact(k, m, p, q, pp, qp)
+        assert exact_unit_remainder(spec, conv, prev, h) == oracles.unit_remainder_exact(k, m, p, q, pp, qp)
 
 
 class TestCubicCorrection:
@@ -202,13 +189,14 @@ class TestCubicCorrection:
             cubic_correction(SPEC_50_10, conv, alpha_interval(SPEC_50_10, 64))
 
     def test_negated_general_correction(self):
-        # For m = 3 the general linearization error W_n encloses -V_n.
+        # For m = 3, V_n = -W_n, and the oracle's closed form of V_n meets
+        # its defining form.
         a_iv = alpha_interval(SPEC_2_3, 200)
         for n in range(1, 8):
             conv, _ = EXP_2.pair(n)
-            v = cubic_correction(SPEC_2_3, conv, a_iv)
-            w = general_correction(SPEC_2_3, conv, a_iv)
-            assert (-w).intersects(v)
+            v = oracles.as_interval(cubic_correction(SPEC_2_3, conv, a_iv))
+            assert v == -oracles.as_interval(general_correction(SPEC_2_3, conv, a_iv))
+            assert v == oracles.cubic_correction(2, conv.p, conv.q, oracles.as_interval(a_iv))
 
     @pytest.mark.parametrize("k", [2, 3, 17, 100])
     def test_quadratic_decay_bound(self, k):
@@ -238,10 +226,9 @@ class TestGeneralCorrection:
         spec = validate_spec(7, 4)
         a_iv = alpha_interval(spec, 64)
         x = a_iv.mid
-        total = -spec.m * x ** (spec.m - 1)
-        for j in range(spec.m):
-            total = (a_iv ** (spec.m - 1 - j)) * (x ** j) + total
-        assert 0 in total
+        conv = Convergent(n=1, b=1, p=x.numerator, q=x.denominator, side=Side.ABOVE)
+        total = general_correction(spec, conv, a_iv)
+        assert total.lo <= 0 <= total.hi
 
     def test_quadratic_degree(self):
         # m = 2: W_n = (alpha - x_n)/d_n, sign opposite to the side.
@@ -344,10 +331,7 @@ class TestOneRoute:
         # search from the closed forms.  The window rule is checked at
         # every integer near H_n, since on true convergents b_{n+1} never
         # reaches H_n on the above side.
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
+        spec = spec_or_reject(k, m)
         exp = expand(spec, n + 1)
         conv, prev = exp.pair(n)
         d, h, a = leading_terms(spec, conv, prev)
@@ -434,10 +418,7 @@ class TestVerifyTheorems:
         # enclosures included, or both must hit the precision cap.  The
         # exact identity flag holds at every term, and the exact cubic
         # sign flag agrees with the interval route, its oracle here.
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
+        spec = spec_or_reject(k, m)
         reports = []
         for keep_terms in (True, False):
             try:
@@ -450,26 +431,31 @@ class TestVerifyTheorems:
             return
         assert len(full.terms) == n_max and fast.terms == ()
         assert full._replace(terms=()) == fast
-        a_iv = alpha_interval(spec, 256)
+        alpha = oracles.alpha_enclosure(k, m, 256)
         for t in full.terms:
             assert t.universal_identity_ok
             if m == 3:
-                v_iv = cubic_correction(spec, full.expansion.terms[t.n], a_iv)
+                v_iv = oracles.cubic_correction(k, t.p, t.q, alpha)
                 assert t.cubic_sign_ok == ((v_iv.lo > 0) == (t.side is Side.ABOVE))
             else:
                 assert t.cubic_sign_ok is None
 
 
 def interval_route(spec, conv, prev, start_bits):
-    """(theta, R, in_unit) by RationalInterval arithmetic on alpha's enclosure,
-    refined until R decides |R_n| < 1: the route `_analyze_term` replaces.
-    `remainder` intersects general_correction - q_{n-1}/q_n with theta - H_n."""
+    """(theta, R, in_unit) by the oracles' interval arithmetic on their own
+    enclosure of alpha, refined until R decides |R_n| < 1."""
+    k, m = spec
+    args = (conv.p, conv.q, prev.p, prev.q)
+
     def attempt(bits):
-        a_iv = alpha_interval(spec, bits)
-        r = remainder(spec, conv, prev, a_iv)
+        alpha = oracles.alpha_enclosure(k, m, bits)
+        try:
+            r = oracles.remainder(k, m, *args, alpha)
+        except ZeroDivisionError:
+            return None
         in_unit = r.strictly_inside(-1, 1)
         if in_unit or r.hi < -1 or r.lo > 1:
-            return complete_quotient_interval(conv, prev, a_iv), r, in_unit
+            return oracles.complete_quotient_interval(*args, alpha), r, in_unit
         return None
 
     return refine(attempt, start_bits, DEFAULT_MAX_BITS)
@@ -480,25 +466,38 @@ class TestAnalyzeTerm:
         k=st.integers(min_value=2, max_value=1000),
         m=st.integers(min_value=2, max_value=12),
         n=st.integers(min_value=1, max_value=40),
-        start=st.sampled_from([8, 16, None]),
+        start=st.one_of(st.none(), st.integers(min_value=1, max_value=160)),
     )
     @settings(max_examples=150, deadline=None)
     @example(k=2, m=3, n=6, start=8)  # q_6 = 227: 8 bits cannot separate q_n*alpha - p_n from 0
     def test_integer_endpoints_match_interval_route(self, k, m, n, start):
-        # The integer-endpoint enclosures must be the interval route's, to
-        # the last endpoint, at the bits where the interval route stops.
-        # Starting at 8 or 16 bits runs the retries of a too-coarse alpha;
-        # None starts, as verify does, at the expansion's own bits.
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
+        # The integer-endpoint enclosures are the interval route's, to the last
+        # endpoint, also where q_n*alpha - p_n is not separated from 0 at
+        # `start` bits (None starts at the expansion's bits, as verify does).
+        spec = spec_or_reject(k, m)
         exp = expand(spec, n + 1)
         conv, prev = exp.pair(n)
         bits = start or exp.precision_bits
         d, h, _ = leading_terms(spec, conv, prev)
-        got = _analyze_term(spec, conv, prev, d, h, bits, DEFAULT_MAX_BITS)[:3]
+        theta, r, in_unit = _analyze_term(spec, conv, prev, d, h, bits, DEFAULT_MAX_BITS)[:3]
+        got = (oracles.as_interval(theta), oracles.as_interval(r), in_unit)
         assert got == interval_route(spec, conv, prev, bits)
+
+        a_iv = alpha_interval(spec, bits)
+        alpha = oracles.alpha_enclosure(k, m, bits)
+        assert oracles.as_interval(a_iv) == alpha
+        try:
+            want = oracles.complete_quotient_interval(conv.p, conv.q, prev.p, prev.q, alpha)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                complete_quotient_interval(conv, prev, a_iv)
+        else:
+            assert oracles.as_interval(complete_quotient_interval(conv, prev, a_iv)) == want
+        want = oracles.general_correction(k, m, conv.p, conv.q, alpha)
+        assert oracles.as_interval(general_correction(spec, conv, a_iv)) == want
+        if m == 3:
+            want = oracles.cubic_correction(k, conv.p, conv.q, alpha)
+            assert oracles.as_interval(cubic_correction(spec, conv, a_iv)) == want
 
 
 class TestScan:
@@ -542,3 +541,22 @@ class TestScan:
             assert {s.reason for s in report.skipped if s.precision_capped} == {
                 "precision refinement exceeded the 64-bit cap"
             }
+
+    def test_pool_capped_at_cells(self, monkeypatch):
+        # The pool starts all its workers at once.  A recorder that maps
+        # serially stands in for it: this test starts no process.
+        pools = []
+
+        def serial_pool(max_workers):
+            pools.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=lambda fn, jobs, chunksize: map(fn, jobs)))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
+        assert scan([2, 3], [3], 5, workers=5000) == scan([2, 3], [3], 5)
+        assert pools == [2]
+        scan([2], [3], 5, workers=5000)  # one cell runs in this process
+        assert pools == [2]
+        payload = run(parse_args(["scan", "--m", "3", "--k-range", "2..3", "--terms", "5",
+                                  "--workers", "5000"]))
+        assert pools == [2, 2]
+        assert payload["config"]["workers"] == 5000

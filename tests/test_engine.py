@@ -6,24 +6,20 @@ from hypothesis import strategies as st
 
 from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
-    Side,
     complete_quotient_interval,
-    convergent_side,
-    convergent_step,
     expand,
-    expand_exact_oracle,
     next_partial_quotient,
     verify_quotient,
 )
 from rootcf.exact import (
     DEFAULT_MAX_BITS,
-    PerfectPowerError,
     PrecisionCeilingError,
     alpha_interval,
     validate_spec,
 )
 
 import oracles
+from conftest import spec_or_reject
 
 
 SPEC_50_10 = validate_spec(50, 10)
@@ -90,25 +86,25 @@ class TestExpand:
 
 
 class TestConvergentStep:
+    # expand's convergents against the oracles' recurrence and side test.
     def test_seed_step(self):
-        conv = convergent_step(SPEC_2_3, (None, None), 1)
+        conv = expand(SPEC_2_3, 0).terms[0]
+        assert oracles.convergents_from_terms([1]) == [(1, 1)]
         assert (conv.n, conv.p, conv.q) == (0, 1, 1)
-        assert conv.side is Side.BELOW
+        assert conv.side.value == oracles.convergent_side(2, 3, 1, 1) == "below"
 
     def test_cbrt2_second(self):
-        c0 = convergent_step(SPEC_2_3, (None, None), 1)
-        c1 = convergent_step(SPEC_2_3, (c0, None), 3)
-        assert (c1.p, c1.q) == (4, 3)
-        assert c1.side is Side.ABOVE
+        conv = expand(SPEC_2_3, 1).terms[1]
+        assert oracles.convergents_from_terms([1, 3])[1] == (conv.p, conv.q) == (4, 3)
+        assert conv.side.value == oracles.convergent_side(2, 3, 4, 3) == "above"
 
     def test_degree_ten_second(self):
-        c0 = convergent_step(SPEC_50_10, (None, None), 1)
-        c1 = convergent_step(SPEC_50_10, (c0, None), 2)
-        assert (c1.p, c1.q) == (3, 2)
+        conv = expand(SPEC_50_10, 1).terms[1]
+        assert oracles.convergents_from_terms([1, 2])[1] == (conv.p, conv.q) == (3, 2)
 
     def test_rejects_zero_quotient(self):
         with pytest.raises(ValueError):
-            convergent_step(SPEC_2_3, (None, None), 0)
+            oracles.convergents_from_terms([1, 0])
 
 
 class TestThetaEnclosure:
@@ -143,8 +139,8 @@ class TestThetaEnclosure:
     def test_fractional_part(self):
         term = verify_theorems(SPEC_50_10, 1).terms[0]
         assert term.b_next == 11
-        frac = term.theta - term.b_next  # theta_1 - b_2, the fractional tail
-        assert frac.lo > 0 and frac.hi < 1
+        # theta_1 - b_2, the fractional tail, lies in (0, 1)
+        assert term.b_next < term.theta.lo and term.theta.hi < term.b_next + 1
 
 
 class TestVerifyQuotient:
@@ -173,10 +169,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("k,m,count", [(50, 10, 3), (2, 3, 6), (2, 2, 10), (7, 3, 12)])
     def test_agreement(self, k, m, count):
         spec = validate_spec(k, m)
-        assert (
-            expand(spec, count).partial_quotients
-            == expand_exact_oracle(spec, count).partial_quotients
-        )
+        assert expand(spec, count).partial_quotients == oracles.expand_exact_oracle(k, m, count)
 
 
 class TestExpansionInvariants:
@@ -209,10 +202,12 @@ class TestExpansionInvariants:
         widths = {}
         for bits in (128, 256):
             a_iv = alpha_interval(spec, bits)
+            alpha = oracles.as_interval(a_iv)
             for n in range(1, 12):
                 conv, prev = exp.pair(n)
-                lhs = complete_quotient_interval(conv, prev, a_iv) + Fraction(prev.q, conv.q)
-                gap = (conv.value() - a_iv) if conv.side is Side.ABOVE else (a_iv - conv.value())
+                lhs = oracles.as_interval(complete_quotient_interval(conv, prev, a_iv)) + Fraction(prev.q, conv.q)
+                x = Fraction(conv.p, conv.q)
+                gap = (x - alpha) if conv.side.value == "above" else (alpha - x)
                 rhs = (gap * conv.q ** 2).reciprocal()
                 assert lhs.intersects(rhs)
                 previous = widths.get(n)
@@ -228,14 +223,11 @@ class TestExpansionInvariants:
     )
     @settings(max_examples=25, deadline=None)
     def test_random_specs_certified(self, k, m, count):
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
+        spec = spec_or_reject(k, m)
         exp = expand(spec, count)
         assert all(t.b >= 1 for t in exp.terms[1:])
         # Sides come from the parity of n; the exact power test must agree.
-        assert all(t.side is convergent_side(spec, t.p, t.q) for t in exp.terms)
+        assert all(t.side.value == oracles.convergent_side(k, m, t.p, t.q) for t in exp.terms)
         # The test-side endpoint oracle, run at 64 bits and doubled, first
         # answers at exactly the precision expand stopped at, with the same
         # quotients.
@@ -249,4 +241,4 @@ class TestExpansionInvariants:
             pytest.fail(f"fixed-point oracle exhausted at {bits} bits")
         assert (exp.precision_bits, exp.partial_quotients) == (bits, fixed)
         if count <= 60:
-            assert exp.partial_quotients == expand_exact_oracle(spec, count).partial_quotients
+            assert exp.partial_quotients == oracles.expand_exact_oracle(k, m, count)

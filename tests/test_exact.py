@@ -1,3 +1,4 @@
+import operator
 import pickle
 from fractions import Fraction
 
@@ -7,13 +8,11 @@ from hypothesis import strategies as st
 
 from rootcf.exact import (
     InconsistentEnclosureError,
-    IntervalZeroDivisionError,
     InvalidDegreeError,
     PerfectPowerError,
     PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
-    alpha_floor_scaled,
     alpha_interval,
     int_nth_root,
     prime_divisors,
@@ -22,7 +21,8 @@ from rootcf.exact import (
     validate_spec,
 )
 
-from oracles import nth_root_bisect
+from conftest import spec_or_reject
+from oracles import Interval, nth_root_bisect
 
 
 class TestIntNthRoot:
@@ -116,33 +116,27 @@ class TestValidateSpec:
 class TestAlphaEnclosure:
     def test_degree_ten_decimal_digits(self):
         # alpha = 50**(1/10) = 1.4787576366..., so the 8-digit floor ends in 63.
-        enc = alpha_floor_scaled(validate_spec(50, 10), 8, base=10)
-        assert enc.scaled_floor == 147875763
+        assert int_nth_root(50 * 10 ** 80, 10) == nth_root_bisect(50 * 10 ** 80, 10) == 147875763
 
     def test_cbrt2_three_digits(self):
-        enc = alpha_floor_scaled(validate_spec(2, 3), 3, base=10)
-        assert enc.scaled_floor == 1259  # 1259**3 <= 2e9 < 1260**3
+        assert nth_root_bisect(2 * 10 ** 9, 3) == 1259  # 1259**3 <= 2e9 < 1260**3
 
     def test_sqrt2_zero_digits(self):
-        assert alpha_floor_scaled(validate_spec(2, 2), 0, base=10).scaled_floor == 1
+        assert alpha_interval(validate_spec(2, 2), 0) == RationalInterval(1, 2)
 
     @given(
         k=st.integers(min_value=2, max_value=500),
         m=st.integers(min_value=2, max_value=8),
-        digits=st.integers(min_value=0, max_value=30),
-        base=st.sampled_from([2, 10]),
+        bits=st.integers(min_value=0, max_value=100),
     )
     @settings(max_examples=60)
-    def test_soundness(self, k, m, digits, base):
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
-        enc = alpha_floor_scaled(spec, digits, base=base)
-        scaled = k * base ** (m * digits)
-        assert enc.scaled_floor ** m <= scaled < (enc.scaled_floor + 1) ** m
-        iv = enc.interval
-        assert iv.width == Fraction(1, base ** digits)
+    def test_soundness(self, k, m, bits):
+        spec = spec_or_reject(k, m)
+        iv = alpha_interval(spec, bits)
+        scaled = iv.lo * 2 ** bits
+        assert scaled == nth_root_bisect(k << (m * bits), m)
+        assert scaled ** m <= k << (m * bits) < (scaled + 1) ** m
+        assert iv.width == Fraction(1, 2 ** bits)
 
     def test_interval_contains_alpha(self):
         spec = validate_spec(2, 3)
@@ -183,23 +177,21 @@ class TestSignLinearInAlpha:
     def test_agrees_with_enclosure(self, k, m, u, v):
         # Cross-validate against a 50-decimal-digit enclosure whenever the
         # enclosure separates the root -v/u.
-        try:
-            spec = validate_spec(k, m)
-        except PerfectPowerError:
-            return
-        iv = alpha_floor_scaled(spec, 50, base=10).interval
-        at_lo, at_hi = u * iv.lo + v, u * iv.hi + v
+        spec = spec_or_reject(k, m)
+        scaled = nth_root_bisect(k * 10 ** (50 * m), m)
+        at_lo, at_hi = (u * Fraction(s, 10 ** 50) + v for s in (scaled, scaled + 1))
         if at_lo == 0 or at_hi == 0 or (at_lo < 0) != (at_hi < 0):
             return
         expected = 1 if at_lo > 0 else -1
         assert sign_linear_in_alpha(spec, u, v) == expected
 
 
-def iv(lo, hi):
-    return RationalInterval(Fraction(lo), Fraction(hi))
+iv = Interval
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
 
 
 class TestRationalInterval:
+    # The oracles' Interval arithmetic, and the package's RationalInterval.
     def test_add(self):
         assert iv(1, 2) + iv(3, 4) == iv(4, 6)
 
@@ -207,17 +199,17 @@ class TestRationalInterval:
         assert iv(1, 2) * iv(-1, 1) == iv(-2, 2)
 
     def test_div(self):
-        assert iv(1, 2) / iv(4, 8) == RationalInterval(Fraction(1, 8), Fraction(1, 2))
+        assert iv(1, 2) / iv(4, 8) == iv(Fraction(1, 8), Fraction(1, 2))
 
     def test_div_by_zero_interval(self):
-        with pytest.raises(IntervalZeroDivisionError):
+        with pytest.raises(ZeroDivisionError):
             iv(1, 2) / iv(-1, 1)
 
     def test_sub_and_scalars(self):
         assert iv(1, 2) - 1 == iv(0, 1)
         assert 1 - iv(1, 2) == iv(-1, 0)
         assert Fraction(1, 2) * iv(2, 4) == iv(1, 2)
-        assert 1 / iv(2, 4) == RationalInterval(Fraction(1, 4), Fraction(1, 2))
+        assert 1 / iv(2, 4) == iv(Fraction(1, 4), Fraction(1, 2))
 
     def test_pow(self):
         assert iv(-2, 3) ** 2 == iv(0, 9)
@@ -226,17 +218,19 @@ class TestRationalInterval:
         assert iv(2, 3) ** 0 == iv(1, 1)
 
     def test_ordering_guard(self):
-        with pytest.raises(ValueError):
-            iv(2, 1)
+        for cls in (RationalInterval, Interval):
+            with pytest.raises(ValueError):
+                cls(2, 1)
 
     def test_membership_and_width(self):
         box = iv(1, 2)
         assert Fraction(3, 2) in box
         assert 3 not in box
-        assert box.width == 1
-        assert box.mid == Fraction(3, 2)
         assert box.strictly_inside(0, 3)
         assert not box.strictly_inside(1, 3)
+        for shown in (box, RationalInterval(1, 2)):
+            assert shown.width == 1
+            assert shown.mid == Fraction(3, 2)
 
     def test_intersection(self):
         assert iv(1, 3).intersect(iv(2, 5)) == iv(2, 3)
@@ -248,7 +242,7 @@ class TestRationalInterval:
         b=st.tuples(st.integers(-50, 50), st.integers(0, 20)),
         grow_a=st.integers(0, 10),
         grow_b=st.integers(0, 10),
-        op=st.sampled_from(["add", "sub", "mul", "div"]),
+        op=st.sampled_from(OPS),
     )
     @settings(max_examples=200)
     def test_inclusion_monotone(self, a, b, grow_a, grow_b, op):
@@ -256,38 +250,26 @@ class TestRationalInterval:
         inner_b = iv(b[0], b[0] + b[1])
         outer_a = iv(a[0] - grow_a, a[0] + a[1] + grow_a)
         outer_b = iv(b[0] - grow_b, b[0] + b[1] + grow_b)
-        if op == "div" and (0 in outer_b or 0 in inner_b):
+        if op is operator.truediv and 0 in outer_b:
             return
-        apply = {
-            "add": lambda x, y: x + y,
-            "sub": lambda x, y: x - y,
-            "mul": lambda x, y: x * y,
-            "div": lambda x, y: x / y,
-        }[op]
-        assert apply(outer_a, outer_b).contains_interval(apply(inner_a, inner_b))
+        assert op(outer_a, outer_b).contains_interval(op(inner_a, inner_b))
 
     @given(
         a=st.tuples(st.integers(-30, 30), st.integers(0, 15)),
         b=st.tuples(st.integers(-30, 30), st.integers(0, 15)),
         xa=st.fractions(min_value=0, max_value=1),
         xb=st.fractions(min_value=0, max_value=1),
-        op=st.sampled_from(["add", "sub", "mul", "div"]),
+        op=st.sampled_from(OPS),
     )
     @settings(max_examples=200)
     def test_containment_soundness(self, a, b, xa, xb, op):
         box_a = iv(a[0], a[0] + a[1])
         box_b = iv(b[0], b[0] + b[1])
+        if op is operator.truediv and 0 in box_b:
+            return
         point_a = box_a.lo + xa * box_a.width
         point_b = box_b.lo + xb * box_b.width
-        if op == "div" and (0 in box_b or point_b == 0):
-            return
-        apply = {
-            "add": lambda x, y: x + y,
-            "sub": lambda x, y: x - y,
-            "mul": lambda x, y: x * y,
-            "div": lambda x, y: x / y,
-        }[op]
-        assert apply(point_a, point_b) in apply(box_a, box_b)
+        assert op(point_a, point_b) in op(box_a, box_b)
 
 
 def recording(outcome):
@@ -305,19 +287,14 @@ def coarse(bits):
     return None
 
 
-def divides_by_zero(bits):
-    raise IntervalZeroDivisionError
-
-
 class TestRefine:
     def test_doubles_from_start_until_answered(self):
         attempt, calls = recording(lambda bits: bits if bits >= 400 else None)
         assert refine(attempt, 50, 1000) == 400
         assert calls == [50, 100, 200, 400]
 
-    @pytest.mark.parametrize("too_coarse", [coarse, divides_by_zero])
-    def test_none_and_zero_division_retry_up_to_cap(self, too_coarse):
-        attempt, calls = recording(too_coarse)
+    def test_none_retries_up_to_cap(self):
+        attempt, calls = recording(coarse)
         with pytest.raises(PrecisionCeilingError) as info:
             refine(attempt, 64, 1000)
         assert calls == [64, 128, 256, 512]

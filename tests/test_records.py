@@ -11,10 +11,10 @@ import pytest
 from rootcf.bvp import scan, verify_theorems
 from rootcf.cli import UsageError, parse_args
 from rootcf.engine import expand
-from rootcf.exact import PerfectPowerError, alpha_floor_scaled, validate_spec
+from rootcf.exact import PerfectPowerError, alpha_interval, validate_spec
 
 RECORDS = [
-    "RadicandSpec", "RationalInterval", "AlphaEnclosure",
+    "RadicandSpec", "RationalInterval",
     "Convergent", "Expansion",
     "PredictionOutcome", "ViolationRecord", "ClaimStats", "TermCheck",
     "TheoremReport", "CellSummary", "SkippedCell", "ScanReport",
@@ -25,13 +25,12 @@ RECORDS = [
 @pytest.fixture(scope="module")
 def records():
     spec = validate_spec(50, 10)
-    enclosure = alpha_floor_scaled(spec, 64)
     exp = expand(spec, 3)
     report = verify_theorems(spec, 2, keep_terms=True)
     # 49 = 7**2 is skipped at m = 10; 50 keeps its n = 1 violation.
     grid = scan(range(49, 51), [10], 1)
     found = [
-        spec, enclosure.interval, enclosure, exp.terms[1], exp,
+        spec, alpha_interval(spec, 64), exp.terms[1], exp,
         report.terms[0].prediction, report.violations[0], report.below_window,
         report.terms[0], report, grid.cells[0], grid.skipped[0], grid,
         parse_args(["scan", "--m", "3", "--k-range", "2..20", "--workers", "2"]),
