@@ -29,8 +29,6 @@ from typing import NamedTuple
 from .exact import (
     DEFAULT_MAX_BITS,
     InconsistentEnclosureError,
-    InvalidDegreeError,
-    PerfectPowerError,
     PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
@@ -422,11 +420,11 @@ def verify_theorems(
 
         true_eps = b_next - outcome.candidate
         above = conv.side is Side.ABOVE
-        window_above = outcome.window_held if above else None  # H_n - 2 < b_{n+1} <= H_n
+        general_window = b_next <= h < b_next + 2  # H_n - 2 < b_{n+1} <= H_n
+        window_above = general_window if above else None
         below_window = (h <= b_next < h + 2) if not above else None
         above_eps = (true_eps in (0, 1)) if above else None
         below_eps = (true_eps in (-1, 0)) if not above else None
-        general_window = b_next <= h and b_next + 2 > h
 
         if q_ok:
             checked.append(n)
@@ -529,17 +527,24 @@ class ScanReport(NamedTuple):
     violations: tuple[ViolationRecord, ...]
 
 
-def _scan_cell(args) -> tuple:
+def _scan_cell(args) -> tuple[CellSummary | SkippedCell, tuple[ViolationRecord, ...]]:
+    """(row, violations) of one (k, m) cell; its TheoremReport is never pickled."""
     k, m, n_max, max_bits = args
     try:
         spec = validate_spec(k, m)
-    except (PerfectPowerError, InvalidDegreeError, ValueError) as exc:
-        return k, m, None, SkippedCell(k=k, m=m, reason=str(exc))
+    except ValueError as exc:
+        return SkippedCell(k=k, m=m, reason=str(exc)), ()
     try:
         report = verify_theorems(spec, n_max, keep_terms=False, max_bits=max_bits)
     except PrecisionCeilingError as exc:
-        return k, m, None, SkippedCell(k=k, m=m, reason=str(exc), precision_capped=True)
-    return k, m, report, None
+        return SkippedCell(k=k, m=m, reason=str(exc), precision_capped=True), ()
+    row = CellSummary(
+        k=k, m=m, n_max=n_max,
+        violations=len(report.violations),
+        remainder_stable_from=report.remainder_stable_from,
+        window_stable_from=report.window_stable_from,
+    )
+    return row, report.violations
 
 
 def scan(
@@ -553,8 +558,9 @@ def scan(
     """Sweep verify_theorems over a grid of radicands and degrees.
 
     Invalid specs, and cells that hit the precision cap, are skipped and
-    counted without stopping the others; results are merged in (m, k)
-    order so the report is identical no matter how cells were scheduled.
+    counted without stopping the others.  Each cell hands back only its
+    row and violations (`_scan_cell`), merged in the (m, k) order the jobs
+    are built in, so the report is identical however cells were scheduled.
     Violations here are the certified kinds only (remainder bound and,
     for cubics, the above-side window): the claims that are expected to
     hold whenever they are stated.
@@ -577,21 +583,13 @@ def scan(
     else:
         results = [_scan_cell(job) for job in jobs]
 
+    # Already in report order: jobs run in (m, k) order, which the serial
+    # list and pool.map both keep, and verify_theorems lists a cell's
+    # violations by n, remainder_bound before window_above at one n.
     cells: list[CellSummary] = []
     skipped: list[SkippedCell] = []
     violations: list[ViolationRecord] = []
-    for k, m, report, skip in sorted(results, key=lambda r: (r[1], r[0])):
-        if report is None:
-            skipped.append(skip)
-            continue
-        violations.extend(report.violations)
-        cells.append(
-            CellSummary(
-                k=k, m=m, n_max=n_max,
-                violations=len(report.violations),
-                remainder_stable_from=report.remainder_stable_from,
-                window_stable_from=report.window_stable_from,
-            )
-        )
-    violations.sort(key=lambda v: (v.m, v.k, v.n, v.quantity))
+    for row, cell_violations in results:
+        (skipped if isinstance(row, SkippedCell) else cells).append(row)
+        violations.extend(cell_violations)
     return ScanReport(cells=tuple(cells), skipped=tuple(skipped), violations=tuple(violations))

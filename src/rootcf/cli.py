@@ -183,7 +183,7 @@ def _specs(config: RunConfig) -> tuple[list, list[SkippedCell]]:
         for k in range(config.k_range[0], config.k_range[1] + 1):
             try:
                 specs.append(validate_spec(k, m))
-            except (PerfectPowerError, InvalidDegreeError, ValueError) as exc:
+            except ValueError as exc:
                 skipped.append(SkippedCell(k=k, m=m, reason=str(exc)))
                 last_error = exc
     if not specs:

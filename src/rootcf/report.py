@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import TextIO
@@ -41,7 +40,7 @@ THETA_INDEX_NOTE = (
 def _decimal_exponent(x: Fraction) -> int:
     """e with 10**e <= x < 10**(e+1), for x > 0."""
     num, den = x.numerator, x.denominator
-    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000  # ~ log10(2); the loops decide
 
     def at_least(exp: int) -> bool:
         return num >= den * 10 ** exp if exp >= 0 else num * 10 ** -exp >= den

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import math
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,10 +12,14 @@ from hypothesis import strategies as st
 from rootcf.bvp import (
     CLAIM_BELOW_WINDOW,
     _analyze_term,
+    _scan_cell,
     EPSILON_RANGE,
     REMAINDER_BOUND,
     WINDOW_BELOW,
+    CellSummary,
     PredictionOutcome,
+    ScanReport,
+    SkippedCell,
     algebraic_distance,
     cubic_correction,
     exact_unit_remainder,
@@ -522,6 +527,40 @@ class TestScan:
         serial = scan(range(2, 14), [3, 4], 8)
         parallel = scan(range(2, 14), [3, 4], 8, workers=2)
         assert serial == parallel
+
+    def test_matches_per_cell_reference(self):
+        # Built cell by cell in (m, k) order with nothing sorted: scan's
+        # merge keeps the order its cells and violations come in.
+        cells, skipped, violations = [], [], []
+        for m in range(7, 13):
+            for k in range(2, 61):
+                try:
+                    spec = validate_spec(k, m)
+                except ValueError as exc:
+                    skipped.append(SkippedCell(k=k, m=m, reason=str(exc)))
+                    continue
+                report = verify_theorems(spec, 6, keep_terms=False)
+                cells.append(CellSummary(
+                    k=k, m=m, n_max=6, violations=len(report.violations),
+                    remainder_stable_from=report.remainder_stable_from,
+                    window_stable_from=report.window_stable_from,
+                ))
+                violations.extend(report.violations)
+        assert (len(cells), len(skipped), len(violations)) == (331, 23, 148)
+        assert {v.quantity for v in violations} == {REMAINDER_BOUND}
+        keys = [(v.m, v.k, v.n, v.quantity) for v in violations]
+        assert keys == sorted(keys)
+        want = ScanReport(cells=tuple(cells), skipped=tuple(skipped), violations=tuple(violations))
+        for workers in (1, 2):
+            assert scan(range(2, 61), range(7, 13), 6, workers=workers) == want
+
+    def test_cell_result_is_small(self):
+        # A cell hands back its row and violations only; its TheoremReport,
+        # with 202 big-integer convergents here, never crosses the pool.
+        result = _scan_cell((2, 3, 200, DEFAULT_MAX_BITS))
+        assert len(pickle.dumps(result)) < 1024
+        row, cell_violations = result
+        assert isinstance(row, CellSummary) and cell_violations == ()
 
     def test_sorted_by_degree_then_radicand(self):
         report = scan([50, 2], [10, 3], 2)

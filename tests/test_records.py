@@ -1,8 +1,10 @@
 """The record types: immutable values that survive a pickle round trip.
 
-`scan --workers N` pickles TheoremReport and SkippedCell between
-processes.  Construction-time validation is tested next to each type, in
-test_exact.py and test_cli.py; here `_replace` must validate the same way.
+`scan --workers N` pickles each cell's CellSummary or SkippedCell and
+its ViolationRecords between processes; every record here must survive
+the trip all the same.  Construction-time validation is tested next to
+each type, in test_exact.py and test_cli.py; here `_replace` must
+validate the same way.
 """
 import pickle
 
