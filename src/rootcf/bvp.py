@@ -172,7 +172,7 @@ def prediction(conv: Convergent, h: Fraction, a: Fraction, actual: int) -> Predi
     """
     candidate = math.floor(a)
     epsilon = actual - candidate if actual - candidate in (0, 1) else 0
-    upper_ok = actual <= h if conv.side is Side.ABOVE else actual < h + 1
+    upper_ok = actual <= h if conv.side is Side.ABOVE else actual - 1 < h
     return PredictionOutcome(
         n=conv.n,
         side=conv.side,
@@ -181,7 +181,7 @@ def prediction(conv: Convergent, h: Fraction, a: Fraction, actual: int) -> Predi
         predicted=candidate + epsilon,
         actual=actual,
         formula_held=(candidate + epsilon == actual),
-        window_held=h - 2 < actual and upper_ok,
+        window_held=h < actual + 2 and upper_ok,
     )
 
 
@@ -422,7 +422,7 @@ def verify_theorems(
         above = conv.side is Side.ABOVE
         general_window = b_next <= h < b_next + 2  # H_n - 2 < b_{n+1} <= H_n
         window_above = general_window if above else None
-        below_window = (h <= b_next < h + 2) if not above else None
+        below_window = (b_next - 2 < h <= b_next) if not above else None
         above_eps = (true_eps in (0, 1)) if above else None
         below_eps = (true_eps in (-1, 0)) if not above else None
 

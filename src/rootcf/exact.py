@@ -224,15 +224,13 @@ class RationalInterval:
 
 
 @functools.lru_cache(maxsize=32)
-def _scaled_root(k: int, m: int, bits: int) -> int:
-    # floor(alpha * 2**bits).  Memoised: verify encloses every index of an
-    # expansion at one precision, and would otherwise take this root per index.
-    return int_nth_root(k << (m * bits), m)
-
-
 def alpha_interval(spec: RadicandSpec, bits: int) -> RationalInterval:
-    """Binary enclosure [S, S+1]/2**bits of alpha, S = floor(alpha * 2**bits)."""
-    scaled = _scaled_root(spec.k, spec.m, bits)
+    """Binary enclosure [S, S+1]/2**bits of alpha, S = floor(alpha * 2**bits).
+
+    Memoised: verify encloses every index of an expansion at one
+    precision, and would otherwise rebuild the same interval per index.
+    """
+    scaled = int_nth_root(spec.k << (spec.m * bits), spec.m)
     return RationalInterval(Fraction(scaled, 1 << bits), Fraction(scaled + 1, 1 << bits))
 
 

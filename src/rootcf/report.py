@@ -8,7 +8,6 @@ yield byte-identical output in every format.
 """
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Iterable
 from fractions import Fraction
@@ -265,74 +264,10 @@ def build_report(tool_version: str, config: dict, results: list[dict], summary: 
 
 
 BLOCK_CHARS = 1 << 16
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """CPython's C encoder, separating items as indent=2 does `depth` levels deep.
-
-    It renders a container of scalars in one call; json.dumps uses it
-    only when no indent is asked for.
-    """
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", ",\n" + "  " * (depth + 1), False, False, True,
-    )
-
-
-def _json_items(value) -> tuple[str, str, Iterable[tuple[str, object]]]:
-    """Brackets of a container and its (key prefix, member) pairs."""
-    if isinstance(value, dict):
-        key = json.encoder.encode_basestring_ascii
-        return "{", "}", ((key(k) + ": ", v) for k, v in value.items())
-    return "[", "]", (("", v) for v in value)
-
-
-def _holds_container(value) -> bool:
-    members = value.values() if isinstance(value, dict) else value
-    return any(isinstance(v, _CONTAINERS) for v in members)
-
-
-def _json_text(value, depth: int) -> str:
-    """json.dumps(value, indent=2) as it appears `depth` levels deep."""
-    if not isinstance(value, _CONTAINERS):
-        return "".join(_flat_encoder(depth)(value, 0))
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if _holds_container(value):
-        opening, closing, items = _json_items(value)
-        body = ("," + inner).join(key + _json_text(v, depth + 1) for key, v in items)
-        return f"{opening}{inner}{body}{outer}{closing}"
-    text = "".join(_flat_encoder(depth)(value, 0))
-    return text if len(text) == 2 else f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
-
-
-def _json_pieces(value, depth: int = 0, lead: str = ""):
-    """json.dumps(value, indent=2) in pieces, `lead` prefixed to the first.
-
-    A list holding containers, and a dict holding a container that holds
-    containers, is walked; anything else is one piece.  So each
-    convergent, verify item or violation is one piece, and a whole
-    expansion never is.
-    """
-    if isinstance(value, dict):
-        walked = any(isinstance(v, _CONTAINERS) and _holds_container(v) for v in value.values())
-    else:
-        walked = isinstance(value, (list, tuple)) and _holds_container(value)
-    if not walked:
-        yield lead + _json_text(value, depth)
-        return
-    inner = "\n" + "  " * (depth + 1)
-    opening, closing, items = _json_items(value)
-    lead += opening + inner
-    for key, member in items:
-        yield from _json_pieces(member, depth + 1, lead + key)
-        lead = "," + inner
-    yield "\n" + "  " * depth + closing
 
 
 def _emit_json(report: dict):
-    yield from _json_pieces(report)
+    yield from json.JSONEncoder(indent=2).iterencode(report)
     yield "\n"
 
 
@@ -474,15 +409,18 @@ _EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}
 def emit(report: dict, fmt: str, out: TextIO | None = None) -> str | None:
     """Serialize a report deterministically as json, csv, or text.
 
-    With `out`, the report is written there as it is serialized, in
-    blocks of about BLOCK_CHARS characters, and None is returned;
-    without it, the whole report is returned as one string.
+    JSON is the standard library's encoder, the same bytes as
+    json.dumps(report, indent=2) plus a newline.  With `out`, the report
+    is written there as it is serialized, in blocks of about BLOCK_CHARS
+    characters, and None is returned; without it, the whole report is
+    returned as one string.
     """
     if fmt not in _EMITTERS:
         raise ValueError(f"unknown format: {fmt}")
     pieces = _EMITTERS[fmt](report)
     if out is None:
         return "".join(pieces)
+    # Blocks, not a write per piece: stdout may be unbuffered, making each write a syscall.
     block, size = [], 0
     for piece in pieces:
         block.append(piece)

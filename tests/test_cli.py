@@ -280,10 +280,11 @@ class TestEmit:
     @given(value=st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
         lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
-                          | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+                          | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(),
+                                            children, max_size=4)),
         max_leaves=40,
     ))
-    def test_json_pieces_match_json_dumps(self, value):
+    def test_json_matches_json_dumps(self, value):
         assert emit(value, "json") == json.dumps(value, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", FORMATS)
