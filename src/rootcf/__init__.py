@@ -46,6 +46,7 @@ from .bvp import (
     predict_next,
     prediction,
     scan,
+    unit_threshold,
     verify_theorems,
 )
 

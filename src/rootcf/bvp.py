@@ -9,12 +9,12 @@ and the remainder R_n = W_n - q_{n-1}/q_n, where W_n is the linearization
 error of the m-th power difference.  This module computes all of these
 exactly (rationals) or as certified enclosures (alpha-dependent reals),
 and measures every claimed bound, recording violations it can certify.
-Each index is worked once: `leading_terms` gives d_n, H_n and
-A_n = H_n - q_{n-1}/q_n, and `prediction` reads the floor formula
-b_{n+1} = floor(A_n) + eps against the b_{n+1} that `expand` certified.
-`predict_next`, which finds b_{n+1} by its own exact search, and
-`general_correction` and `cubic_correction` stay public for the
-benchmark's tracer only; the tests compare them with tests/oracles.py.
+Each index is worked once, on integers: `leading_terms` gives d_n, H_n and
+A_n = H_n - q_{n-1}/q_n over one denominator, and `prediction` reads the
+floor formula against the b_{n+1} that `expand` certified.  |R_n| < 1 is
+proven at q_n >= Q(k, m) (`unit_threshold`) and decided by exact signs
+below it (`exact_unit_remainder`).  `predict_next`, `general_correction`
+and `cubic_correction` stay public for the benchmark's tracer only.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
 classical correction V_n = (q_n/d_n)(2x_n**2 - x_n*alpha - alpha**2)
@@ -22,7 +22,6 @@ satisfies V_n = -W_n and sgn(V_n) = sgn(x_n - alpha).
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -73,15 +72,36 @@ def algebraic_distance(spec: RadicandSpec, conv: Convergent) -> int:
 
 def leading_terms(
     spec: RadicandSpec, conv: Convergent, prev: Convergent | None
-) -> tuple[int, Fraction, Fraction]:
-    """(d_n, H_n, A_n), the two rationals reduced.
+) -> tuple[int, int, int, int]:
+    """(d_n, hn, hd, an): H_n = hn/hd and A_n = an/hd, unreduced, hd > 0.
 
     H_n = m*p_n**(m-1)/(d_n*q_n) is the leading term of theta_n, and
     A_n = H_n - q_{n-1}/q_n the quantity whose floor predicts b_{n+1}.
     """
     d = algebraic_distance(spec, conv)
-    hn, hd = spec.m * conv.p ** (spec.m - 1), d * conv.q
-    return d, Fraction(hn, hd), Fraction(hn - _prev_pq(prev)[1] * d, hd)
+    hn = spec.m * conv.p ** (spec.m - 1)
+    return d, hn, d * conv.q, hn - _prev_pq(prev)[1] * d
+
+
+def unit_threshold(spec: RadicandSpec, bits: int) -> int:
+    """Q(k, m): the least Q >= Q_MIN with C(Q) <= Q, so |R_n| < 1 wherever q_n >= Q.
+
+    |W_n| = c_n/q_n**2 with c_n = G(alpha, x_n)/S(x_n), S the m monomials
+    of degree m-1 and G the m(m-1)/2 of degree m-2 in (alpha, x_n)
+    (Bombieri & van der Poorten 1995).  |R_n| < 1 needs c_n < q_n**2
+    below alpha (W_n > 0) and c_n < q_n(q_n - q_{n-1}) above (W_n < 0),
+    so c_n < q_n suffices once q_n >= 2.  |x_n - alpha| < 1/q_n**2
+    (Khinchin) gives c_n < C(Q) = ((m-1)/2)(a_hi + Q**-2)**(m-2) /
+    (a_lo - Q**-2)**(m-1) for q_n >= Q, [a_lo, a_hi] alpha's enclosure at
+    bits; C falls as Q grows, so c_n < C(Q) <= Q <= q_n.
+    """
+    m = spec.m
+    lo, hi, den = _common_denominator(alpha_interval(spec, bits))
+    q = Q_MIN
+    # C(Q) <= Q over [lo, hi]/den, times 2 (den Q**2)**(m-1)/Q > 0; lo >= den.
+    while (m - 1) * den * q * (hi * q * q + den) ** (m - 2) > 2 * (lo * q * q - den) ** (m - 1):
+        q += 1
+    return q
 
 
 def _power_sum(u: int, v: int, m: int) -> int:
@@ -135,15 +155,16 @@ def cubic_correction(
 
 
 def exact_unit_remainder(
-    spec: RadicandSpec, conv: Convergent, prev: Convergent | None, h: Fraction
+    spec: RadicandSpec, conv: Convergent, prev: Convergent | None, hn: int, hd: int
 ) -> bool:
-    """Exact |R_n| < 1 for the leading term h = H_n, by integer sign tests.
+    """Exact |R_n| < 1 for the leading term H_n = hn/hd, by integer sign tests.
 
     |R_n| < 1 is H_n - 1 < theta_n < H_n + 1, and each side is the order
     of theta_n against a rational, two exact signs of linear forms in
     alpha.  theta_n is irrational, so it never equals H_n +- 1.
     """
-    return _theta_exceeds(spec, conv, prev, h - 1) and not _theta_exceeds(spec, conv, prev, h + 1)
+    return (_theta_exceeds(spec, conv, prev, Fraction(hn - hd, hd))
+            and not _theta_exceeds(spec, conv, prev, Fraction(hn + hd, hd)))
 
 
 class PredictionOutcome(NamedTuple):
@@ -163,16 +184,17 @@ class PredictionOutcome(NamedTuple):
     window_held: bool
 
 
-def prediction(conv: Convergent, h: Fraction, a: Fraction, actual: int) -> PredictionOutcome:
+def prediction(conv: Convergent, hn: int, hd: int, an: int, actual: int) -> PredictionOutcome:
     """The floor formula b_{n+1} = floor(A_n) + eps read against actual = b_{n+1}.
 
-    h and a are H_n and A_n.  window_held reports the side-appropriate
-    certain window implied by |R_n| < 1: H-2 < b <= H above,
-    H-2 < b < H+1 below.
+    H_n = hn/hd and A_n = an/hd as `leading_terms` gives them; every
+    comparison is cross-multiplied.  window_held reports the
+    side-appropriate certain window implied by |R_n| < 1: H-2 < b <= H
+    above, H-2 < b < H+1 below.
     """
-    candidate = math.floor(a)
+    candidate = an // hd
     epsilon = actual - candidate if actual - candidate in (0, 1) else 0
-    upper_ok = actual <= h if conv.side is Side.ABOVE else actual - 1 < h
+    upper_ok = actual * hd <= hn if conv.side is Side.ABOVE else (actual - 1) * hd < hn
     return PredictionOutcome(
         n=conv.n,
         side=conv.side,
@@ -181,7 +203,7 @@ def prediction(conv: Convergent, h: Fraction, a: Fraction, actual: int) -> Predi
         predicted=candidate + epsilon,
         actual=actual,
         formula_held=(candidate + epsilon == actual),
-        window_held=h < actual + 2 and upper_ok,
+        window_held=hn < (actual + 2) * hd and upper_ok,
     )
 
 
@@ -193,14 +215,14 @@ def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) 
     b_{n+1} from its certified expansion instead, and the tests check that
     both routes give the same outcome.
     """
-    _, h, a = leading_terms(spec, conv, prev)
-    candidate = math.floor(a)
+    _, hn, hd, an = leading_terms(spec, conv, prev)
+    candidate = an // hd
     for actual in (candidate, candidate + 1):
         if verify_quotient(spec, conv, prev, actual):
             break
     else:
         actual = next_partial_quotient(spec, conv, prev)
-    return prediction(conv, h, a, actual)
+    return prediction(conv, hn, hd, an, actual)
 
 
 class ViolationRecord(NamedTuple):
@@ -289,13 +311,14 @@ def _analyze_term(
     conv: Convergent,
     prev: Convergent | None,
     d: int,
-    h: Fraction,
+    hn: int,
+    hd: int,
     start_bits: int,
     max_bits: int,
 ) -> tuple[RationalInterval, RationalInterval, bool, bool, bool | None]:
     """(theta, remainder, in_unit, universal_identity_ok, cubic_sign_ok) certified.
 
-    d and h are d_n and H_n as `leading_terms` gives them.
+    d and H_n = hn/hd are as `leading_terms` gives them.
 
     The two flags are exact integer tests.  The universal identity
     theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly when
@@ -311,16 +334,14 @@ def _analyze_term(
     and R_n as W_n - q_{n-1}/q_n (`_correction_ends`) intersected with
     theta_n - H_n; disjoint routes raise InconsistentEnclosureError.  The
     enclosures are refined until R_n decides |R_n| < 1 on its own, and
-    the caller checks that in_unit equals the exact verdict of
-    `exact_unit_remainder`.
+    the caller checks that in_unit equals its own verdict.
     """
     m, p, q = spec.m, conv.p, conv.q
     pp, qp = _prev_pq(prev)
-    c = m * p ** (m - 1) + qp * d
+    c = hn + qp * d
     above = conv.side is Side.ABOVE
     universal_ok = q * pp - p * qp == (-1 if above else 1)
     sign_ok = (sign_linear_in_alpha(spec, -q, p) > 0) == above if m == 3 else None
-    hn, hd = h.numerator, h.denominator
 
     def attempt(bits: int):
         ends = _common_denominator(alpha_interval(spec, bits))  # (S, S+1, 2**bits)
@@ -342,14 +363,11 @@ def _analyze_term(
     return (*refine(attempt, start_bits, max_bits), universal_ok, sign_ok)
 
 
-def _stable_from(failures: list[int], last_checked: int | None) -> int | None:
-    """Least n0 with no failure in [n0, last_checked]; None if the last index fails."""
-    if last_checked is None:
+def _stable_from(failures: list[int], checked: list[int]) -> int | None:
+    """Least n0 with no failure in [n0, checked[-1]]; None if that index fails."""
+    if not checked or checked[-1] in failures:
         return None
-    if not failures:
-        return 1
-    worst = max(failures)
-    return worst + 1 if worst < last_checked else None
+    return max(failures, default=0) + 1
 
 
 def verify_theorems(
@@ -361,23 +379,25 @@ def verify_theorems(
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max.
 
-    Each index takes d_n, H_n and A_n once from `leading_terms` and
-    b_{n+1} from the certified expansion, whose floors are proven and
-    whose last term `expand` re-checks exactly.  It decides |R_n| < 1
-    exactly (`exact_unit_remainder`), checks the above-side window
-    exactly, measures the epsilon-range and below-side claims through
-    `prediction`, and records the least index from which stability holds
-    through n_max.  Enclosures are built only for values the result
-    shows: theta_n and R_n of every term when keep_terms is set, and the
-    observed R_n of each remainder_bound violation.  Each one is checked
-    against the exact verdict (InconsistentEnclosureError if they differ).
-    Indices with q_n < Q_MIN, index 0 always among them, are excluded
-    from claims and violations.  Enclosures start at the precision the
-    expansion needed.
+    Each index takes d_n, H_n and A_n once, as integers, from
+    `leading_terms`, and b_{n+1} from the certified expansion, whose
+    floors are proven and whose last term `expand` re-checks exactly.
+    |R_n| < 1 is proven where q_n >= Q(k, m) (`unit_threshold`, once per
+    call) and decided exactly below Q (`exact_unit_remainder`).  The
+    windows are checked exactly, the epsilon-range and below-side claims
+    measured through `prediction`, and the least index from which
+    stability holds through n_max recorded.  Enclosures are built only
+    for values the result shows: theta_n and R_n of every term when
+    keep_terms is set, and the observed R_n of each remainder_bound
+    violation; each is checked against the verdict
+    (InconsistentEnclosureError if they differ).  Indices with
+    q_n < Q_MIN, index 0 always among them, are excluded from claims and
+    violations.  Enclosures start at the precision the expansion needed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     exp = expand(spec, n_max + 1, max_bits=max_bits)
+    q_unit = unit_threshold(spec, exp.precision_bits)
 
     violations: list[ViolationRecord] = []
     # Failures of each measured claim, and checked indices of each side:
@@ -385,80 +405,67 @@ def verify_theorems(
     above_eps_failures: list[ViolationRecord] = []
     below_window_failures: list[ViolationRecord] = []
     below_eps_failures: list[ViolationRecord] = []
-    checked_on = {Side.ABOVE: 0, Side.BELOW: 0}
+    checked_above = 0  # the other checked indices lie below alpha
     term_checks: list[TermCheck] = []
-    remainder_failures: list[int] = []
     window_failures: list[int] = []
     checked: list[int] = []
     skipped: list[int] = [0]
-    last_checked: int | None = None
 
-    def record(n, conv, b_next, d, quantity, observed, claimed) -> ViolationRecord:
+    def record(quantity, observed, claimed) -> ViolationRecord:
+        """A failure at the index the loop is on."""
         return ViolationRecord(
-            k=spec.k, m=spec.m, n=n, quantity=quantity,
-            p=conv.p, q=conv.q, b_next=b_next, distance=d,
-            observed=observed, claimed=claimed,
+            k=spec.k, m=spec.m, n=n, quantity=quantity, p=conv.p, q=conv.q,
+            b_next=b_next, distance=d, observed=observed, claimed=claimed,
         )
 
-    for n in range(1, n_max + 1):
-        conv, prev = exp.pair(n)
-        b_next = exp.terms[n + 1].b
-        d, h, a_n = leading_terms(spec, conv, prev)
-        outcome = prediction(conv, h, a_n, b_next)
-        in_unit = exact_unit_remainder(spec, conv, prev, h)
+    for prev, conv, following in zip(exp.terms, exp.terms[1:], exp.terms[2:]):
+        n, b_next = conv.n, following.b
+        d, hn, hd, an = leading_terms(spec, conv, prev)
+        outcome = prediction(conv, hn, hd, an, b_next)
         q_ok = conv.q >= Q_MIN
-        if keep_terms or (q_ok and not in_unit):
+        # Proven at q_n >= Q; a scan never reads the verdict at q_n < Q_MIN.
+        in_unit = (conv.q >= q_unit or not (keep_terms or q_ok)
+                   or exact_unit_remainder(spec, conv, prev, hn, hd))
+        if keep_terms or not in_unit:
             theta_iv, r_iv, iv_in_unit, universal_ok, sign_ok = _analyze_term(
-                spec, conv, prev, d, h, exp.precision_bits, max_bits
+                spec, conv, prev, d, hn, hd, exp.precision_bits, max_bits
             )
             if iv_in_unit != in_unit:
                 raise InconsistentEnclosureError(
-                    f"remainder enclosure contradicts the exact unit verdict at n={n}"
+                    f"remainder enclosure contradicts the unit verdict at n={n}"
                 )
             if sign_ok is False:
                 raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={n}")
 
         true_eps = b_next - outcome.candidate
         above = conv.side is Side.ABOVE
-        general_window = b_next <= h < b_next + 2  # H_n - 2 < b_{n+1} <= H_n
+        general_window = b_next * hd <= hn < (b_next + 2) * hd  # H_n - 2 < b_{n+1} <= H_n
         window_above = general_window if above else None
-        below_window = (b_next - 2 < h <= b_next) if not above else None
+        below_window = ((b_next - 2) * hd < hn <= b_next * hd) if not above else None
         above_eps = (true_eps in (0, 1)) if above else None
         below_eps = (true_eps in (-1, 0)) if not above else None
 
         if q_ok:
             checked.append(n)
-            last_checked = n
             if not in_unit:
-                remainder_failures.append(n)
-                violations.append(
-                    record(n, conv, b_next, d, REMAINDER_BOUND, r_iv, CLAIM_REMAINDER)
-                )
+                violations.append(record(REMAINDER_BOUND, r_iv, CLAIM_REMAINDER))
             if not general_window:
                 window_failures.append(n)
-            checked_on[conv.side] += 1
+            checked_above += above
             if above:
                 if spec.m == 3 and not window_above:
-                    violations.append(
-                        record(n, conv, b_next, d, WINDOW_ABOVE, b_next,
-                               f"{CLAIM_ABOVE_WINDOW} with H_n = {h}")
-                    )
+                    violations.append(record(
+                        WINDOW_ABOVE, b_next, f"{CLAIM_ABOVE_WINDOW} with H_n = {Fraction(hn, hd)}"))
                 if not above_eps:
-                    above_eps_failures.append(
-                        record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
-                               f"{CLAIM_ABOVE_EPSILON}; A_n = {a_n}")
-                    )
+                    above_eps_failures.append(record(
+                        EPSILON_RANGE, true_eps, f"{CLAIM_ABOVE_EPSILON}; A_n = {Fraction(an, hd)}"))
             else:
                 if not below_window:
-                    below_window_failures.append(
-                        record(n, conv, b_next, d, WINDOW_BELOW, b_next,
-                               f"{CLAIM_BELOW_WINDOW} with H_n = {h}")
-                    )
+                    below_window_failures.append(record(
+                        WINDOW_BELOW, b_next, f"{CLAIM_BELOW_WINDOW} with H_n = {Fraction(hn, hd)}"))
                 if not below_eps:
-                    below_eps_failures.append(
-                        record(n, conv, b_next, d, EPSILON_RANGE, true_eps,
-                               f"{CLAIM_BELOW_EPSILON}; A_n = {a_n}")
-                    )
+                    below_eps_failures.append(record(
+                        EPSILON_RANGE, true_eps, f"{CLAIM_BELOW_EPSILON}; A_n = {Fraction(an, hd)}"))
         else:
             skipped.append(n)
 
@@ -466,8 +473,8 @@ def verify_theorems(
             term_checks.append(
                 TermCheck(
                     n=n, b_next=b_next, side=conv.side, p=conv.p, q=conv.q,
-                    distance=d, leading=h,
-                    shifted_leading=a_n,
+                    distance=d, leading=Fraction(hn, hd),
+                    shifted_leading=Fraction(an, hd),
                     theta=theta_iv, remainder=r_iv, remainder_in_unit=in_unit,
                     prediction=outcome, q_at_least_2=q_ok,
                     window_above_ok=window_above, below_window_ok=below_window,
@@ -477,24 +484,21 @@ def verify_theorems(
                 )
             )
 
-    def stats(claim: str, side: Side, failures: list[ViolationRecord]) -> ClaimStats:
+    def stats(claim: str, checked_on_side: int, failures: list[ViolationRecord]) -> ClaimStats:
         return ClaimStats(
-            claim=claim, passed=checked_on[side] - len(failures), failed=len(failures),
+            claim=claim, passed=checked_on_side - len(failures), failed=len(failures),
             failures=tuple(failures),
         )
 
     return TheoremReport(
-        spec=spec,
-        n_max=n_max,
-        expansion=exp,
-        checked=tuple(checked),
-        skipped=tuple(skipped),
-        violations=tuple(violations),
-        above_epsilon=stats(CLAIM_ABOVE_EPSILON, Side.ABOVE, above_eps_failures),
-        below_window=stats(CLAIM_BELOW_WINDOW, Side.BELOW, below_window_failures),
-        below_epsilon=stats(CLAIM_BELOW_EPSILON, Side.BELOW, below_eps_failures),
-        remainder_stable_from=_stable_from(remainder_failures, last_checked),
-        window_stable_from=_stable_from(window_failures, last_checked),
+        spec=spec, n_max=n_max, expansion=exp,
+        checked=tuple(checked), skipped=tuple(skipped), violations=tuple(violations),
+        above_epsilon=stats(CLAIM_ABOVE_EPSILON, checked_above, above_eps_failures),
+        below_window=stats(CLAIM_BELOW_WINDOW, len(checked) - checked_above, below_window_failures),
+        below_epsilon=stats(CLAIM_BELOW_EPSILON, len(checked) - checked_above, below_eps_failures),
+        remainder_stable_from=_stable_from(
+            [v.n for v in violations if v.quantity == REMAINDER_BOUND], checked),
+        window_stable_from=_stable_from(window_failures, checked),
         terms=tuple(term_checks),
     )
 

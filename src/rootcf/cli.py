@@ -218,9 +218,9 @@ def run(config: RunConfig) -> dict:
             predictions = []
             for n in range(1, config.terms):
                 conv, prev = exp.pair(n)
-                d, h, a = leading_terms(spec, conv, prev)
-                outcome = prediction(conv, h, a, exp.terms[n + 1].b)
-                predictions.append((outcome, conv, d, h, a))
+                d, hn, hd, an = leading_terms(spec, conv, prev)
+                outcome = prediction(conv, hn, hd, an, exp.terms[n + 1].b)
+                predictions.append((outcome, conv, d, hn, hd, an))
                 held += outcome.formula_held
                 total += 1
             results.append(predict_payload(exp, predictions))

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from typing import TextIO
 
-from .bvp import Q_MIN, ScanReport, TheoremReport, ViolationRecord
+from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
 from .engine import Expansion
 from .exact import RationalInterval
 
@@ -143,21 +143,21 @@ def expand_payload(exp: Expansion) -> dict:
     }
 
 
-def prediction_json(outcome, conv, distance: int, leading: Fraction, shifted: Fraction) -> dict:
+def outcome_json(outcome: PredictionOutcome) -> dict:
+    """candidate, epsilon, predicted, actual, formula_held, window_held, in field order."""
+    return dict(zip(outcome._fields[2:], outcome[2:]))
+
+
+def prediction_json(outcome, conv, distance: int, hn: int, hd: int, an: int) -> dict:
     return {
         "n": outcome.n,
         "side": outcome.side.value,
         "p": str(conv.p),
         "q": str(conv.q),
         "d": str(distance),
-        "leading": exact_json(leading),
-        "shifted_leading": exact_json(shifted),
-        "candidate": outcome.candidate,
-        "epsilon": outcome.epsilon,
-        "predicted": outcome.predicted,
-        "actual": outcome.actual,
-        "formula_held": outcome.formula_held,
-        "window_held": outcome.window_held,
+        "leading": exact_json(Fraction(hn, hd)),
+        "shifted_leading": exact_json(Fraction(an, hd)),
+        **outcome_json(outcome),
     }
 
 
@@ -167,7 +167,7 @@ def predict_payload(exp: Expansion, predictions: list[tuple]) -> dict:
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
-        "predictions": [prediction_json(o, c, d, h, a) for o, c, d, h, a in predictions],
+        "predictions": [prediction_json(*row) for row in predictions],
     }
 
 
@@ -189,12 +189,7 @@ def verify_payload(report: TheoremReport) -> dict:
                 "theta": enclosure_json(t.theta),
                 "remainder": enclosure_json(t.remainder),
                 "remainder_in_unit": t.remainder_in_unit,
-                "candidate": t.prediction.candidate,
-                "epsilon": t.prediction.epsilon,
-                "predicted": t.prediction.predicted,
-                "actual": t.prediction.actual,
-                "formula_held": t.prediction.formula_held,
-                "window_held": t.prediction.window_held,
+                **outcome_json(t.prediction),
                 "window_above_ok": t.window_above_ok,
                 "below_window_ok": t.below_window_ok,
                 "above_epsilon_ok": t.above_epsilon_ok,

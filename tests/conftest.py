@@ -7,7 +7,7 @@ from hypothesis import reject
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from rootcf.bvp import verify_theorems
+from rootcf.bvp import leading_terms, verify_theorems
 from rootcf.exact import PerfectPowerError, validate_spec
 
 
@@ -23,6 +23,12 @@ def within(iv, target, tol) -> bool:
     """Both ends of the enclosure iv lie within tol of target."""
     t, eps = Fraction(target), Fraction(tol)
     return abs(iv.lo - t) <= eps and abs(iv.hi - t) <= eps
+
+
+def leading_fractions(spec, conv, prev):
+    """(d_n, H_n, A_n) from leading_terms' integers, the two rationals reduced."""
+    d, hn, hd, an = leading_terms(spec, conv, prev)
+    return d, Fraction(hn, hd), Fraction(an, hd)
 
 
 SWEEP_K_MAX = 200

@@ -110,6 +110,45 @@ def unit_remainder_exact(k: int, m: int, p: int, q: int, pp: int, qp: int) -> bo
             and not theta_exceeds_rational(k, m, p, q, pp, qp, h + 1))
 
 
+def floor_prediction(k: int, m: int, p: int, q: int, qp: int, side: str, actual: int) -> dict:
+    """The floor formula and its windows at b_{n+1} = actual, from reduced Fractions.
+
+    H_n and A_n = H_n - q_{n-1}/q_n are built from their closed forms; eps
+    is actual - floor(A_n) when that is 0 or 1, else 0.  The windows are the
+    side's certain window (H-2 < b <= H above, H-2 < b < H+1 below), the
+    general one H-2 < b <= H, and the below side's claim H <= b < H+2.
+    """
+    h = Fraction(m * p ** (m - 1), abs(p ** m - k * q ** m) * q)
+    a = h - Fraction(qp, q)
+    candidate = a.numerator // a.denominator
+    eps = {candidate: 0, candidate + 1: 1}.get(actual, 0)
+    above = side == "above"
+    return {
+        "leading": h,
+        "shifted_leading": a,
+        "candidate": candidate,
+        "epsilon": eps,
+        "predicted": candidate + eps,
+        "formula_held": candidate + eps == actual,
+        "window_held": h - 2 < actual and (actual <= h if above else actual < h + 1),
+        "general_window_ok": h - 2 < actual <= h,
+        "below_window_ok": None if above else h <= actual < h + 2,
+    }
+
+
+def unit_threshold(k: int, m: int, bits: int) -> int:
+    """Least Q >= 2 with C(Q) <= Q, for
+    C(Q) = ((m-1)/2)(a_hi + Q**-2)**(m-2) / (a_lo - Q**-2)**(m-1)
+    evaluated in Fractions over alpha_enclosure(k, m, bits) = [a_lo, a_hi]."""
+    alpha = alpha_enclosure(k, m, bits)
+    q = 2
+    while Fraction(m - 1, 2) * (alpha.hi + Fraction(1, q * q)) ** (m - 2) > (
+        q * (alpha.lo - Fraction(1, q * q)) ** (m - 1)
+    ):
+        q += 1
+    return q
+
+
 class Interval:
     """[lo, hi] with exact rational endpoints and exact interval arithmetic:
     each result is the tightest enclosure of the image set.  Scalars mix in

@@ -18,7 +18,6 @@ from rootcf.bvp import (
     WINDOW_BELOW,
     cubic_correction,
     general_correction,
-    leading_terms,
     predict_next,
     verify_theorems,
 )
@@ -32,7 +31,7 @@ from rootcf.exact import alpha_interval, validate_spec
 from rootcf.report import emit
 
 import oracles
-from conftest import SWEEP_N_MAX, within
+from conftest import SWEEP_N_MAX, leading_fractions, within
 
 
 def report_line(cid: str, ok: bool, detail: str):
@@ -55,7 +54,7 @@ def test_criterion_1_golden_degree_ten():
 
     assert algebraic_distance(spec, conv) == 7849
 
-    _, h, _ = leading_terms(spec, conv, prev)
+    _, h, _ = leading_fractions(spec, conv, prev)
     assert h == Fraction(196830, 15698)
     assert abs(h - Fraction("12.5385")) <= Fraction(1, 10 ** 4)
 
@@ -185,7 +184,7 @@ def test_criterion_5_below_side_claim_discrepancy(cubic_sweep):
     assert failure is not None, "expected a measured below-window failure at n=2"
     assert failure.quantity == WINDOW_BELOW
     assert failure.b_next == 5
-    assert leading_terms(report.spec, *report.expansion.pair(2))[1] == Fraction(25, 4)
+    assert leading_fractions(report.spec, *report.expansion.pair(2))[1] == Fraction(25, 4)
     assert "25/4" in failure.claimed
     # measured, not asserted: it must NOT appear among certified violations
     assert not any(v.quantity == WINDOW_BELOW for v in report.violations)
@@ -245,7 +244,7 @@ def test_criterion_7_identity_suites(cubic_sweep):
         exp = expand(spec, 10)
         for n in range(1, 10):
             conv, prev = exp.pair(n)
-            _, h, _ = leading_terms(spec, conv, prev)
+            _, h, _ = leading_fractions(spec, conv, prev)
             widths = []
             for bits in (128, 256):
                 a_iv = alpha_interval(spec, bits)

@@ -28,6 +28,7 @@ from rootcf.bvp import (
     predict_next,
     prediction,
     scan,
+    unit_threshold,
     verify_theorems,
 )
 from rootcf.cli import parse_args, run
@@ -48,7 +49,7 @@ from rootcf.exact import (
 )
 
 import oracles
-from conftest import spec_or_reject, within
+from conftest import leading_fractions, spec_or_reject, within
 
 SPEC_50_10 = validate_spec(50, 10)
 SPEC_2_3 = validate_spec(2, 3)
@@ -71,24 +72,24 @@ class TestExactQuantities:
         assert algebraic_distance(SPEC_2_3, conv2) == 3  # |125 - 128|
 
     def test_leading_degree_ten(self):
-        d, h, _ = leading_terms(SPEC_50_10, *EXP_50.pair(1))
+        d, h, _ = leading_fractions(SPEC_50_10, *EXP_50.pair(1))
         assert d == 7849
         assert h == Fraction(196830, 15698)
         assert abs(h - Fraction("12.5385")) <= Fraction(1, 10 ** 4)
 
     def test_leading_cbrt2(self):
-        assert leading_terms(SPEC_2_3, *EXP_2.pair(0))[:2] == (1, 3)
-        assert leading_terms(SPEC_2_3, *EXP_2.pair(1))[:2] == (10, Fraction(8, 5))
+        assert leading_fractions(SPEC_2_3, *EXP_2.pair(0))[:2] == (1, 3)
+        assert leading_fractions(SPEC_2_3, *EXP_2.pair(1))[:2] == (10, Fraction(8, 5))
 
     def test_shifted_leading(self):
-        assert leading_terms(SPEC_2_3, *EXP_2.pair(1))[2] == Fraction(19, 15)
-        assert leading_terms(SPEC_2_3, *EXP_2.pair(2)) == (3, Fraction(25, 4), Fraction(11, 2))
+        assert leading_fractions(SPEC_2_3, *EXP_2.pair(1))[2] == Fraction(19, 15)
+        assert leading_fractions(SPEC_2_3, *EXP_2.pair(2)) == (3, Fraction(25, 4), Fraction(11, 2))
 
 
 def analyzed(spec, conv, prev):
     """_analyze_term's (theta, R, in_unit) from 64 bits, as verify refines them."""
-    d, h, _ = leading_terms(spec, conv, prev)
-    return _analyze_term(spec, conv, prev, d, h, 64, DEFAULT_MAX_BITS)[:3]
+    d, hn, hd, _ = leading_terms(spec, conv, prev)
+    return _analyze_term(spec, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)[:3]
 
 
 class TestRemainder:
@@ -120,7 +121,7 @@ class TestRemainder:
 
     def test_two_routes_intersect_and_tighten(self):
         conv, prev = EXP_2.pair(3)
-        _, h, _ = leading_terms(SPEC_2_3, conv, prev)
+        _, h, _ = leading_fractions(SPEC_2_3, conv, prev)
         shift = Fraction(prev.q, conv.q)
         for bits in (96, 192):
             a_iv = alpha_interval(SPEC_2_3, bits)
@@ -143,8 +144,8 @@ class TestRemainder:
             conv, prev = exp.pair(n)
             expected = oracles.unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
             assert analyzed(spec, conv, prev)[2] == expected
-            _, h, _ = leading_terms(spec, conv, prev)
-            assert exact_unit_remainder(spec, conv, prev, h) == expected
+            _, hn, hd, _ = leading_terms(spec, conv, prev)
+            assert exact_unit_remainder(spec, conv, prev, hn, hd) == expected
 
     @given(
         k=st.integers(min_value=2, max_value=1000),
@@ -160,8 +161,48 @@ class TestRemainder:
         p, q, pp, qp = pq
         conv = Convergent(n=1, b=1, p=p, q=q, side=Side(oracles.convergent_side(k, m, p, q)))
         prev = Convergent(n=0, b=1, p=pp, q=qp, side=Side(oracles.convergent_side(k, m, pp, qp)))
-        _, h, _ = leading_terms(spec, conv, prev)
-        assert exact_unit_remainder(spec, conv, prev, h) == oracles.unit_remainder_exact(k, m, p, q, pp, qp)
+        _, hn, hd, _ = leading_terms(spec, conv, prev)
+        assert exact_unit_remainder(spec, conv, prev, hn, hd) == oracles.unit_remainder_exact(k, m, p, q, pp, qp)
+
+
+class TestUnitThreshold:
+    # Q(k, m): |R_n| < 1 is proven at every q_n >= Q, and decided exactly below.
+    def test_cbrt2(self):
+        assert unit_threshold(SPEC_2_3, EXP_2.precision_bits) == 2
+
+    def test_k2_over_degrees(self):
+        # C falls as alpha grows, so k = 2 gives each degree's largest Q.
+        got = [unit_threshold(validate_spec(2, m), 64) for m in range(3, 13)]
+        assert got == [2, 3, 4, 4, 5, 6, 6, 7, 7, 8]
+
+    def test_cubic_two_for_every_k(self):
+        # The paper's cubic theorem: |R_n| < 1 wherever q_n >= 2.
+        for k in range(2, 2001):
+            if oracles.nth_root_bisect(k, 3) ** 3 != k:
+                assert unit_threshold(validate_spec(k, 3), 64) == 2, k
+
+    @given(
+        k=st.integers(min_value=2, max_value=10 ** 5),
+        m=st.integers(min_value=2, max_value=12),
+        n=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(k=10, m=7, n=3)  # |R_1| > 1 at q_1 = 2, below Q = 4
+    @example(k=2, m=12, n=20)  # the largest Q of the sweep, 8
+    def test_verdict_matches_exact_test(self, k, m, n):
+        # verify's verdict, proven at q_n >= Q and checked against the R_n
+        # enclosure at every kept term, is the exact sign test's at every
+        # index; Q is the oracle's, computed in Fractions.
+        spec = spec_or_reject(k, m)
+        report = verify_theorems(spec, n, keep_terms=True)
+        bits = report.expansion.precision_bits
+        q_unit = unit_threshold(spec, bits)
+        assert q_unit == oracles.unit_threshold(k, m, bits)
+        for t in report.terms:
+            conv, prev = report.expansion.pair(t.n)
+            exact = exact_unit_remainder(spec, conv, prev, *leading_terms(spec, conv, prev)[1:3])
+            assert t.remainder_in_unit == exact
+            assert exact or t.q < q_unit
 
 
 class TestCubicCorrection:
@@ -275,7 +316,7 @@ class TestPredictNext:
         # window {floor(A), floor(A)+1} misses from above.
         spec = validate_spec(3, 3)
         conv, prev = expand(spec, 2).pair(1)
-        assert leading_terms(spec, conv, prev)[2] == 4
+        assert leading_fractions(spec, conv, prev)[2] == 4
         out = predict_next(spec, conv, prev)
         assert out.candidate == 4 and out.actual == 3
         assert not out.formula_held
@@ -339,14 +380,15 @@ class TestOneRoute:
         spec = spec_or_reject(k, m)
         exp = expand(spec, n + 1)
         conv, prev = exp.pair(n)
-        d, h, a = leading_terms(spec, conv, prev)
+        d, hn, hd, an = leading_terms(spec, conv, prev)
+        h = Fraction(hn, hd)
         assert d == algebraic_distance(spec, conv)
         assert h == Fraction(m * conv.p ** (m - 1), d * conv.q)
-        assert a == h - Fraction(prev.q, conv.q)
-        outcome = prediction(conv, h, a, exp.terms[n + 1].b)
+        assert Fraction(an, hd) == h - Fraction(prev.q, conv.q)
+        outcome = prediction(conv, hn, hd, an, exp.terms[n + 1].b)
         assert outcome == predict_next(spec, conv, prev) == searched_prediction(spec, conv, prev)
         for b in range(math.floor(h) - 3, math.floor(h) + 4):
-            assert prediction(conv, h, a, b).window_held == in_window(conv.side, h, b)
+            assert prediction(conv, hn, hd, an, b).window_held == in_window(conv.side, h, b)
         report = verify_theorems(spec, n, keep_terms=True)
         for t in report.terms:
             assert t.prediction == predict_next(spec, *exp.pair(t.n))
@@ -421,8 +463,10 @@ class TestVerifyTheorems:
         # only violations; keep_terms=True encloses every index.  Apart
         # from the term list the two reports must be equal, violation
         # enclosures included, or both must hit the precision cap.  The
-        # exact identity flag holds at every term, and the exact cubic
-        # sign flag agrees with the interval route, its oracle here.
+        # exact identity flag holds at every term, the exact cubic sign
+        # flag agrees with the interval route, its oracle here, and the
+        # integer floor formula and windows agree with the oracle's
+        # reduced Fractions.
         spec = spec_or_reject(k, m)
         reports = []
         for keep_terms in (True, False):
@@ -439,6 +483,10 @@ class TestVerifyTheorems:
         alpha = oracles.alpha_enclosure(k, m, 256)
         for t in full.terms:
             assert t.universal_identity_ok
+            qp = full.expansion.terms[t.n - 1].q
+            want = oracles.floor_prediction(k, m, t.p, t.q, qp, t.side.value, t.b_next)
+            got = {**t._asdict(), **t.prediction._asdict()}
+            assert {key: got[key] for key in want} == want
             if m == 3:
                 v_iv = oracles.cubic_correction(k, t.p, t.q, alpha)
                 assert t.cubic_sign_ok == ((v_iv.lo > 0) == (t.side is Side.ABOVE))
@@ -483,8 +531,8 @@ class TestAnalyzeTerm:
         exp = expand(spec, n + 1)
         conv, prev = exp.pair(n)
         bits = start or exp.precision_bits
-        d, h, _ = leading_terms(spec, conv, prev)
-        theta, r, in_unit = _analyze_term(spec, conv, prev, d, h, bits, DEFAULT_MAX_BITS)[:3]
+        d, hn, hd, _ = leading_terms(spec, conv, prev)
+        theta, r, in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, DEFAULT_MAX_BITS)[:3]
         got = (oracles.as_interval(theta), oracles.as_interval(r), in_unit)
         assert got == interval_route(spec, conv, prev, bits)
 

@@ -122,8 +122,8 @@ class TestThetaEnclosure:
     def test_cbrt2_first_quotient(self):
         conv, prev = expand(SPEC_2_3, 1).pair(0)
         assert prev is None
-        d, h, _ = leading_terms(SPEC_2_3, conv, prev)
-        theta = _analyze_term(SPEC_2_3, conv, prev, d, h, 64, DEFAULT_MAX_BITS)[0]
+        d, hn, hd, _ = leading_terms(SPEC_2_3, conv, prev)
+        theta = _analyze_term(SPEC_2_3, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)[0]
         assert theta.width <= Fraction(1, 10 ** 8)
         # theta_0 = 1/(alpha - 1) = 3.84732210...
         assert abs(theta.mid - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
