@@ -18,6 +18,7 @@ from .exact import (
     DEFAULT_MAX_BITS,
     DEFAULT_START_BITS,
     InconsistentEnclosureError,
+    PrecisionCeilingError,
     RadicandSpec,
     RationalInterval,
     alpha_interval,
@@ -198,6 +199,26 @@ def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
     return Expansion(spec=spec, terms=tuple(terms), precision_bits=bits)
 
 
+def _first_useful_bits(count: int) -> int:
+    """The least level 64*2**j at which expanding to b_count can succeed.
+
+    The reals that share b_0..b_N with N = count fill a half-open interval
+    between p_N/q_N and (p_N + p_{N-1})/(q_N + q_{N-1}), of length
+    1/(q_N*(q_N + q_{N-1})).  Both ends of [S, S+1]/2**B must lie in it, so
+    a try at B bits needs 2**B > q_N*(q_N + q_{N-1}) >= F_{N+1}*F_{N+2},
+    since q_n >= F_{n+1} (Fibonacci, F_1 = F_2 = 1).  Every lower level
+    fails, so starting here gives the same precision as starting at 64.
+    """
+    f, g = 1, 1  # F_{n+1}, F_{n+2} at n = 0
+    for _ in range(count):
+        f, g = g, f + g
+    least = (f * g).bit_length()  # 2**B > f*g exactly when B >= least
+    bits = DEFAULT_START_BITS
+    while bits < least:
+        bits *= 2
+    return bits
+
+
 def expand(
     spec: RadicandSpec,
     count: int,
@@ -210,10 +231,15 @@ def expand(
     endpoints; a term is kept only where their floors agree.  When some
     floor is ambiguous the whole prefix is recomputed at doubled precision
     (`refine`), so every emitted term is certain, not merely probable.
-    The final term is re-certified by the exact order test.  Each
-    convergent's side is taken from the parity of n (even below, odd
-    above), which holds for every irrational alpha.
+    The doubling starts at the first level that can succeed
+    (`_first_useful_bits`).  The final term is re-certified by the exact
+    order test.  Each convergent's side is taken from the parity of n
+    (even below, odd above), which holds for every irrational alpha.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return refine(lambda bits: _expand_at(spec, count, bits), DEFAULT_START_BITS, max_bits)
+    start_bits = _first_useful_bits(count)
+    if start_bits > max(max_bits, DEFAULT_START_BITS):
+        # Every level up to the cap provably fails.
+        raise PrecisionCeilingError(max_bits)
+    return refine(lambda bits: _expand_at(spec, count, bits), start_bits, max_bits)

@@ -9,12 +9,12 @@ yield byte-identical output in every format.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import TextIO
 
 from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
-from .engine import Expansion
+from .engine import Convergent, Expansion
 from .exact import RationalInterval
 
 REPORT_SCHEMA = 1
@@ -36,9 +36,8 @@ THETA_INDEX_NOTE = (
 )
 
 
-def _decimal_exponent(x: Fraction) -> int:
-    """e with 10**e <= x < 10**(e+1), for x > 0."""
-    num, den = x.numerator, x.denominator
+def _decimal_exponent(num: int, den: int) -> int:
+    """e with 10**e <= num/den < 10**(e+1), for num, den > 0."""
     e = (num.bit_length() - den.bit_length()) * 30103 // 100000  # ~ log10(2); the loops decide
 
     def at_least(exp: int) -> bool:
@@ -51,53 +50,65 @@ def _decimal_exponent(x: Fraction) -> int:
     return e
 
 
-def decimal_string(x: Fraction, places: int) -> str:
-    """Exact decimal truncation of x toward zero to `places` digits."""
-    sign = "-" if x < 0 else ""
-    scaled = abs(x.numerator) * 10 ** places // x.denominator
+def decimal_string(num: int, den: int, places: int) -> str:
+    """Exact decimal truncation of num/den (den > 0) toward zero to `places` digits."""
+    sign = "-" if num < 0 else ""
+    scaled = abs(num) * 10 ** places // den
     if places == 0:
         return f"{sign}{scaled}"
     digits = str(scaled).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def sci_string(x: Fraction) -> str:
-    """Exact truncated two-digit scientific notation, e.g. '4.6e-06'; '0' for zero."""
-    if x == 0:
+def sci_string(num: int, den: int) -> str:
+    """num/den (den > 0) in exact truncated two-digit scientific notation.
+
+    For example '4.6e-06'; '0' for zero.
+    """
+    if num == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    ax = abs(Fraction(x))
-    e = _decimal_exponent(ax)
-    mantissa = ax / Fraction(10) ** e
-    digits = str(mantissa.numerator * 10 // mantissa.denominator)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    e = _decimal_exponent(num, den)
+    # The mantissa's first two digits: floor(num/den * 10**(1-e)).
+    digits = str(num * 10 ** (1 - e) // den if e <= 1 else num // (den * 10 ** (e - 1)))
     return f"{sign}{digits[0]}.{digits[1:]}e{e:+03d}"
 
 
-def justified_places(width: Fraction) -> int:
-    """Largest d <= 40 with width <= 10**-d: digits the width certifies."""
-    if width < 0:
+def justified_places(num: int, den: int) -> int:
+    """Largest d <= 40 with num/den <= 10**-d (den > 0): digits the width certifies."""
+    if num < 0:
         raise ValueError("width must be non-negative")
-    if width == 0:
+    if num * 10 ** 40 <= den:
         return 40
-    if width > 1:
+    if num > den:
         return 0
-    e = _decimal_exponent(width)
-    d = -e if width == Fraction(10) ** e else -e - 1
-    return max(0, min(40, d))
+    e = _decimal_exponent(num, den)  # -40 <= e <= 0
+    return -e if num * 10 ** -e == den else -e - 1
 
 
 def enclosure_json(iv: RationalInterval) -> dict:
-    width = iv.width
+    """An enclosure's certified digits, worked out on its endpoints' integers.
+
+    Over the common denominator ld*hd, left unreduced, the width is
+    (hn*ld - ln*hd)/(ld*hd) and the midpoint (hn*ld + ln*hd)/(2*ld*hd);
+    only the endpoints are printed, and they are already reduced.
+    """
+    ln, ld = iv.lo.numerator, iv.lo.denominator
+    hn, hd = iv.hi.numerator, iv.hi.denominator
+    hi_num, lo_num, den = hn * ld, ln * hd, ld * hd
+    width = hi_num - lo_num
     return {
-        "decimal": decimal_string(iv.mid, justified_places(width)),
-        "width": sci_string(width),
+        "decimal": decimal_string(hi_num + lo_num, 2 * den, justified_places(width, den)),
+        "width": sci_string(width, den),
         "lo": str(iv.lo),
         "hi": str(iv.hi),
     }
 
 
 def exact_json(x: Fraction) -> dict:
-    return {"rational": str(x), "decimal": decimal_string(x, 12), "width": "0"}
+    digits = decimal_string(x.numerator, x.denominator, 12)
+    return {"rational": str(x), "decimal": digits, "width": "0"}
 
 
 def _observed_json(observed):
@@ -130,6 +141,41 @@ def claim_json(stats) -> dict:
     }
 
 
+# A prime that the last decimal convergent is checked against, modulo it.
+_CHECK_PRIME = (1 << 61) - 1
+
+
+def convergent_digits(terms: Sequence[Convergent]) -> list[tuple[str, str]]:
+    """(str(p_n), str(q_n)) of each convergent, in time linear in its digits.
+
+    str(int) takes time quadratic in the digits on CPython 3.11, which
+    makes printing every convergent of an expansion cubic in its length.
+    Here p_n = b_n*p_{n-1} + p_{n-2} and q_n likewise are rebuilt as
+    integer Decimals from the certified partial quotients, with every
+    inexact or rounded operation trapped, and a Decimal prints its base-10
+    digits as they stand.  The last p_N and q_N are checked against the
+    integers modulo a prime before any string is returned.
+    """
+    import decimal  # only convergent digits need it
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    p, q, pp, qp = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1)
+    digits = []
+    for t in terms:
+        b = decimal.Decimal(t.b)
+        p, q, pp, qp = ctx.fma(b, p, pp), ctx.fma(b, q, qp), p, q
+        digits.append((str(p), str(q)))
+    if terms:
+        prime, last = decimal.Decimal(_CHECK_PRIME), terms[-1]
+        if (int(ctx.remainder(p, prime)), int(ctx.remainder(q, prime))) != (
+            last.p % _CHECK_PRIME, last.q % _CHECK_PRIME
+        ):
+            raise ArithmeticError(f"decimal convergent {last.n} disagrees with the integers")
+    return digits
+
+
 def expand_payload(exp: Expansion) -> dict:
     return {
         "k": exp.spec.k,
@@ -137,8 +183,8 @@ def expand_payload(exp: Expansion) -> dict:
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
         "convergents": [
-            {"n": t.n, "b": t.b, "p": str(t.p), "q": str(t.q), "side": t.side.value}
-            for t in exp.terms
+            {"n": t.n, "b": t.b, "p": p, "q": q, "side": t.side.value}
+            for t, (p, q) in zip(exp.terms, convergent_digits(exp.terms))
         ],
     }
 
@@ -148,12 +194,12 @@ def outcome_json(outcome: PredictionOutcome) -> dict:
     return dict(zip(outcome._fields[2:], outcome[2:]))
 
 
-def prediction_json(outcome, conv, distance: int, hn: int, hd: int, an: int) -> dict:
+def prediction_json(outcome, pq: tuple[str, str], distance: int, hn: int, hd: int, an: int) -> dict:
     return {
         "n": outcome.n,
         "side": outcome.side.value,
-        "p": str(conv.p),
-        "q": str(conv.q),
+        "p": pq[0],
+        "q": pq[1],
         "d": str(distance),
         "leading": exact_json(Fraction(hn, hd)),
         "shifted_leading": exact_json(Fraction(an, hd)),
@@ -162,12 +208,16 @@ def prediction_json(outcome, conv, distance: int, hn: int, hd: int, an: int) -> 
 
 
 def predict_payload(exp: Expansion, predictions: list[tuple]) -> dict:
+    """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index."""
+    digits = convergent_digits(exp.terms)
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
-        "predictions": [prediction_json(*row) for row in predictions],
+        "predictions": [
+            prediction_json(outcome, digits[conv.n], *rest) for outcome, conv, *rest in predictions
+        ],
     }
 
 

@@ -2,9 +2,11 @@
 
 Deliberately different mechanisms from it: bisection instead of Newton for
 integer roots, a fixed-precision endpoint Gauss map on plain Fractions, an
-expansion by exact search alone, and interval arithmetic (`Interval`) where
-the package encloses from integer endpoints.  Expected values frozen into
-the tests were produced by these.  A side is "above" or "below".
+expansion by exact search alone, interval arithmetic (`Interval`) where
+the package encloses from integer endpoints, and report digits from
+reduced Fractions where the package prints from unreduced integer pairs.
+Expected values frozen into the tests were produced by these.  A side is
+"above" or "below".
 """
 from fractions import Fraction
 
@@ -147,6 +149,67 @@ def unit_threshold(k: int, m: int, bits: int) -> int:
     ):
         q += 1
     return q
+
+
+def _decimal_exponent(x: Fraction) -> int:
+    """e with 10**e <= x < 10**(e+1), for x > 0."""
+    num, den = x.numerator, x.denominator
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000  # ~ log10(2); the loops decide
+
+    def at_least(exp: int) -> bool:
+        return num >= den * 10 ** exp if exp >= 0 else num * 10 ** -exp >= den
+
+    while not at_least(e):
+        e -= 1
+    while at_least(e + 1):
+        e += 1
+    return e
+
+
+def decimal_string(x: Fraction, places: int) -> str:
+    """Exact decimal truncation of x toward zero to `places` digits."""
+    sign = "-" if x < 0 else ""
+    scaled = abs(x.numerator) * 10 ** places // x.denominator
+    if places == 0:
+        return f"{sign}{scaled}"
+    digits = str(scaled).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def sci_string(x: Fraction) -> str:
+    """Exact truncated two-digit scientific notation, e.g. '4.6e-06'; '0' for zero."""
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    ax = abs(Fraction(x))
+    e = _decimal_exponent(ax)
+    mantissa = ax / Fraction(10) ** e
+    digits = str(mantissa.numerator * 10 // mantissa.denominator)
+    return f"{sign}{digits[0]}.{digits[1:]}e{e:+03d}"
+
+
+def justified_places(width: Fraction) -> int:
+    """Largest d <= 40 with width <= 10**-d: digits the width certifies."""
+    if width < 0:
+        raise ValueError("width must be non-negative")
+    if width == 0:
+        return 40
+    if width > 1:
+        return 0
+    e = _decimal_exponent(width)
+    d = -e if width == Fraction(10) ** e else -e - 1
+    return max(0, min(40, d))
+
+
+def enclosure_digits(lo: Fraction, hi: Fraction) -> dict:
+    """The digits a report shows for [lo, hi], from reduced Fraction midpoint and width."""
+    width, mid = hi - lo, (lo + hi) / 2
+    return {
+        "decimal": decimal_string(mid, justified_places(width)),
+        "width": sci_string(width),
+        "lo": str(lo),
+        "hi": str(hi),
+    }
 
 
 class Interval:

@@ -328,21 +328,21 @@ class TestEmit:
 
 class TestRendering:
     def test_decimal_string_truncates(self):
-        assert decimal_string(Fraction(196830, 15698), 4) == "12.5385"
-        assert decimal_string(Fraction(-1, 3), 6) == "-0.333333"
-        assert decimal_string(Fraction(5), 0) == "5"
+        assert decimal_string(196830, 15698, 4) == "12.5385"
+        assert decimal_string(-1, 3, 6) == "-0.333333"
+        assert decimal_string(5, 1, 0) == "5"
 
     def test_sci_string(self):
-        assert sci_string(Fraction(0)) == "0"
-        assert sci_string(Fraction(1, 1024)) == "9.7e-04"
-        assert sci_string(Fraction(12345, 10)) == "1.2e+03"
-        assert sci_string(Fraction(-1, 2)) == "-5.0e-01"
+        assert sci_string(0, 1) == "0"
+        assert sci_string(1, 1024) == "9.7e-04"
+        assert sci_string(12345, 10) == "1.2e+03"
+        assert sci_string(-1, 2) == "-5.0e-01"
 
     def test_justified_places(self):
-        assert justified_places(Fraction(1, 1000)) == 3
-        assert justified_places(Fraction(46, 10 ** 7)) == 5
-        assert justified_places(Fraction(2)) == 0
-        assert justified_places(Fraction(0)) == 40
+        assert justified_places(1, 1000) == 3
+        assert justified_places(46, 10 ** 7) == 5
+        assert justified_places(2, 1) == 0
+        assert justified_places(0, 1) == 40
 
     def test_no_uncertified_digits(self):
         # A wide enclosure must print few digits: width 0.25 justifies none.

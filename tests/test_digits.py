@@ -1,0 +1,127 @@
+"""The digit kernels of the report layer against independent routes.
+
+The enclosure kernels work on unreduced integer pairs; the oracles in
+tests/oracles.py print the same quantities from reduced Fractions.  The
+convergent digits come from a decimal recurrence; `str(int)` of the
+integers is the reference.
+"""
+import contextlib
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rootcf.engine import Convergent, Side, expand
+from rootcf.exact import RationalInterval, validate_spec
+from rootcf.report import (
+    convergent_digits,
+    decimal_string,
+    enclosure_json,
+    expand_payload,
+    justified_places,
+    sci_string,
+)
+
+import oracles
+from conftest import spec_or_reject
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift CPython's 4300-digit int/str limit (3.11+, 3.10.7+) for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# Numerators of every sign and size, including 0; denominators >= 1; and a
+# common factor that leaves the pair unreduced.
+numerators = (
+    st.integers(-(10 ** 60), 10 ** 60) | st.integers(-3, 3) | st.integers(-(1 << 700), 1 << 700)
+)
+denominators = st.integers(1, 10 ** 60) | st.integers(1, 4) | st.integers(1, 1 << 700)
+factors = st.integers(1, 10 ** 30)
+places = st.integers(0, 45)
+
+
+class TestEnclosureKernels:
+    @given(numerators, denominators, factors, places)
+    def test_decimal_string_matches_fraction_oracle(self, num, den, g, d):
+        assert decimal_string(num * g, den * g, d) == oracles.decimal_string(Fraction(num, den), d)
+
+    @given(numerators, denominators, factors)
+    def test_sci_string_matches_fraction_oracle(self, num, den, g):
+        assert sci_string(num * g, den * g) == oracles.sci_string(Fraction(num, den))
+
+    @given(numerators.map(abs), denominators, factors)
+    def test_justified_places_matches_fraction_oracle(self, num, den, g):
+        assert justified_places(num * g, den * g) == oracles.justified_places(Fraction(num, den))
+
+    @given(st.integers(0, 45), st.integers(-2, 2), factors)
+    def test_widths_at_and_beside_a_power_of_ten(self, d, offset, g):
+        # 10**-d exactly, and one part in 10**50 either side of it.
+        width = Fraction(1, 10 ** d) + Fraction(offset, 10 ** 50)
+        num, den = width.numerator * g, width.denominator * g
+        assert justified_places(num, den) == oracles.justified_places(width)
+        assert sci_string(num, den) == oracles.sci_string(width)
+
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), factors)
+    def test_widths_above_one(self, extra, den, g):
+        num = den + extra
+        assert justified_places(num * g, den * g) == 0
+        assert oracles.justified_places(Fraction(num, den)) == 0
+
+    def test_negative_width_is_refused(self):
+        with pytest.raises(ValueError):
+            justified_places(-1, 3)
+
+    @given(numerators, denominators, numerators.map(abs), denominators)
+    def test_enclosure_json_matches_fraction_oracle(self, ln, ld, wn, wd):
+        lo = Fraction(ln, ld)
+        hi = lo + Fraction(wn, wd)
+        assert enclosure_json(RationalInterval(lo, hi)) == oracles.enclosure_digits(lo, hi)
+
+
+def synthetic_terms(quotients: list[int]) -> tuple[Convergent, ...]:
+    """Convergents of [b_0; b_1, ...] by the integer recurrence."""
+    return tuple(
+        Convergent(n=n, b=b, p=p, q=q, side=Side.ABOVE if n % 2 else Side.BELOW)
+        for n, (b, (p, q)) in enumerate(zip(quotients, oracles.convergents_from_terms(quotients)))
+    )
+
+
+class TestConvergentDigits:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 200), st.integers(2, 12), st.integers(0, 300))
+    def test_matches_str_of_the_integers(self, k, m, count):
+        exp = expand(spec_or_reject(k, m), count)
+        assert convergent_digits(exp.terms) == [(str(t.p), str(t.q)) for t in exp.terms]
+
+    def test_huge_partial_quotients_past_the_str_limit(self):
+        quotients = [3] + [10 ** 450 + 7 * n for n in range(1, 12)]
+        terms = synthetic_terms(quotients)
+        with unlimited_int_digits():
+            expected = [(str(t.p), str(t.q)) for t in terms]
+        assert len(expected[-1][0]) > 4300
+        assert convergent_digits(terms) == expected
+
+    def test_a_last_convergent_that_disagrees_is_refused(self):
+        terms = list(synthetic_terms([1, 2, 3, 4, 5]))
+        terms[-1] = terms[-1]._replace(p=terms[-1].p + 1)
+        with pytest.raises(ArithmeticError):
+            convergent_digits(terms)
+        exp = expand(validate_spec(2, 3), 4)
+        bad = exp._replace(terms=exp.terms[:-1] + (exp.terms[-1]._replace(q=exp.terms[-1].q - 1),))
+        with pytest.raises(ArithmeticError):
+            expand_payload(bad)
+
+    def test_empty(self):
+        assert convergent_digits(()) == []

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
+    _expand_at,
+    _first_useful_bits,
     complete_quotient_interval,
     expand,
     next_partial_quotient,
@@ -15,6 +17,7 @@ from rootcf.exact import (
     DEFAULT_MAX_BITS,
     PrecisionCeilingError,
     alpha_interval,
+    refine,
     validate_spec,
 )
 
@@ -73,6 +76,33 @@ class TestExpand:
     def test_precision_ceiling(self):
         with pytest.raises(PrecisionCeilingError):
             expand(SPEC_2_3, 40, max_bits=64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 300), st.integers(2, 12), st.integers(0, 700))
+    def test_skipped_levels_fail_and_bits_are_unchanged(self, k, m, count):
+        # expand starts at _first_useful_bits: every level below it fails,
+        # and starting at 64 instead gives the same expansion.
+        spec = spec_or_reject(k, m)
+        start = _first_useful_bits(count)
+        bits = 64
+        while bits < start:
+            assert _expand_at(spec, count, bits) is None
+            bits *= 2
+        from_64 = refine(lambda bits: _expand_at(spec, count, bits), 64, DEFAULT_MAX_BITS)
+        assert expand(spec, count) == from_64
+
+    def test_first_useful_bits(self):
+        # 2**B must exceed F_{N+1}*F_{N+2}: at N = 46 that product has 64
+        # bits, at N = 47 it has 65, and at N = 2,000 it has 2,777.
+        counts = (0, 1, 46, 47, 50, 2000)
+        assert [_first_useful_bits(n) for n in counts] == [64, 64, 64, 128, 128, 4096]
+
+    def test_precision_ceiling_below_the_first_useful_level(self):
+        # Every level up to a 2,048-bit cap fails at 2,000 terms, so the cap
+        # is reported without a try, as it was after trying them all.
+        with pytest.raises(PrecisionCeilingError) as caught:
+            expand(SPEC_2_3, 2000, max_bits=2048)
+        assert caught.value.bits == 2048
 
     def test_convergent_values(self):
         exp = expand(SPEC_50_10, 3)

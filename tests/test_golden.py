@@ -20,7 +20,9 @@ k = 7..9 (two results around the skipped cube 8, one with a
 `below_window` claim failure) and `predict` over k = 7..9, m = 3..4.
 Three `expand` rows run past one 64 KiB output block, so they pin the
 seams between streamed blocks: 300 terms of 50^(1/10) in json, and 500
-terms of cbrt(2) in csv and in text.  The capped `expand` writes
+terms of cbrt(2) in csv and in text.  Two rows pin deep convergent
+digits, printed by the decimal recurrence: `expand` of cbrt(2) to 2,000
+terms and `predict` to 1,000, both in csv.  The capped `expand` writes
 nothing; the capped `scan` writes its cells, the capped ones as skipped
 rows, before it exits 3.
 """
@@ -83,6 +85,10 @@ GOLDEN = [
      "e75f2b145c2d9be8cb290d96556906a833125139a1c293dd89cfb8b95ad60c14"),
     ("expand --k 2 --m 3 --terms 500 --format text", 0, 152360,
      "4d4fd01f3c3627725a3935cfff50f5c4f683c63820163e9a72502082475ecdae"),
+    ("expand --k 2 --m 3 --terms 2000 --format csv", 0, 2137632,
+     "fd1ea16697dd2337e88b5acd649f151c04e939c1c292dfbc5a39c009d4214bf4"),
+    ("predict --k 2 --m 3 --terms 1000 --format csv", 0, 2916819,
+     "76f6052a94bdad74aac2fa5d6b5e1de46fe0557984bdad68fc66c6112d99f986"),
     ("expand --k 2 --m 3 --terms 60 --precision-cap 64", 3, 0, EMPTY_SHA256),
     ("scan --m 3 --k-range 2..6 --terms 50 --precision-cap 64 --format csv", 3, 671,
      "f20547dbaadba9ee81480ad30b95317ab80676e29a80258f15ed9bb7cc969c6f"),
