@@ -21,9 +21,11 @@ from .exact import (
     validate_spec,
 )
 from .engine import (
+    Certificate,
     Convergent,
     Expansion,
     Side,
+    certify,
     complete_quotient_interval,
     expand,
     next_partial_quotient,

@@ -22,7 +22,7 @@ from .bvp import (
     scan,
     verify_theorems,
 )
-from .engine import expand
+from .engine import certify, expand
 from .exact import (
     DEFAULT_MAX_BITS,
     InvalidDegreeError,
@@ -32,9 +32,9 @@ from .exact import (
 )
 from .report import (
     build_report,
+    certificate_payload,
     count_by_kind,
     emit,
-    expand_payload,
     predict_payload,
     scan_payload,
     verify_payload,
@@ -194,6 +194,8 @@ def _specs(config: RunConfig) -> tuple[list, list[SkippedCell]]:
 def run(config: RunConfig) -> dict:
     """Execute a validated config and return the report structure.
 
+    An `expand` report holds only the certified partial quotients: its
+    convergents are `report.Rows`, built, checked and written by `emit`.
     Raises IncompleteReport, carrying the report, when scan cells hit the
     precision cap.
     """
@@ -203,7 +205,7 @@ def run(config: RunConfig) -> dict:
     if config.command == "expand":
         specs, skipped = _specs(config)
         for spec in specs:
-            results.append(expand_payload(expand(spec, config.terms, max_bits=cap)))
+            results.append(certificate_payload(certify(spec, config.terms, max_bits=cap)))
         summary = {
             "specs": len(specs),
             "skipped_specs": len(skipped),

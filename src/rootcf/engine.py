@@ -1,10 +1,15 @@
 """Certified regular continued fraction expansion of alpha = k**(1/m).
 
-`expand` runs integer Euclid on both endpoints of a binary enclosure of
-alpha and keeps the quotients on which they agree (precision-adaptive);
-the last term is re-checked by the exact order test `verify_quotient`.
-The tests cross-certify it against an exact-search expansion and a
-fixed-precision one (tests/oracles.py).  `complete_quotient_interval`
+Two steps.  `certify` runs integer Euclid on both endpoints of a binary
+enclosure of alpha and keeps the quotients on which they agree
+(precision-adaptive); the last term is re-checked by the exact order test
+`verify_quotient`.  It returns the partial quotients b_0..b_N and the bits,
+and holds no convergent beyond the few its last check reads.  `expand`
+then builds the `Convergent`s p_n/q_n from them, for `predict`, `verify`
+and library callers; a report of the quotients alone (the `expand`
+command) prints the convergents from `certify`'s quotients as it writes
+them.  The tests cross-certify both against an exact-search expansion and
+a fixed-precision one (tests/oracles.py).  `complete_quotient_interval`
 and `next_partial_quotient` stay public for the benchmark's tracer only.
 """
 from __future__ import annotations
@@ -174,29 +179,42 @@ def _euclid_quotients(lo: Fraction, hi: Fraction, count: int) -> list[int] | Non
     return quotients
 
 
-def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
-    """The certified expansion at one precision; None if some floor is ambiguous."""
+class Certificate(NamedTuple):
+    """Certified partial quotients b_0..b_N of alpha, without convergents."""
+
+    spec: RadicandSpec
+    partial_quotients: list[int]
+    precision_bits: int
+
+
+def _side(n: int) -> Side:
+    # Convergents of an irrational number alternate about it, starting
+    # below with b_0 = floor(alpha): the side is the parity of n.
+    return Side.ABOVE if n % 2 else Side.BELOW
+
+
+def _certify_at(spec: RadicandSpec, count: int, bits: int) -> Certificate | None:
+    """The certified quotients at one precision; None if some floor is ambiguous."""
     alpha = alpha_interval(spec, bits)
     quotients = _euclid_quotients(alpha.lo, alpha.hi, count)
     if quotients is None:
         return None
     assert quotients[0] == int_nth_root(spec.k, spec.m)
-    # Convergents of an irrational number alternate about it, starting
-    # below with b_0 = floor(alpha): the side is the parity of n.
-    terms: list[Convergent] = []
-    p, q, pp, qp = 1, 0, 0, 1
-    for n, b in enumerate(quotients):
-        p, q, pp, qp = b * p + pp, b * q + qp, p, q
-        terms.append(Convergent(n=n, b=b, p=p, q=q, side=Side.ABOVE if n % 2 else Side.BELOW))
     if count >= 1:
-        certified = verify_quotient(
-            spec, terms[-2], terms[-3] if count >= 2 else None, terms[-1].b
+        # b_N = floor(theta_{N-1}) reads convergents N-1 and N-2 only.
+        p, q, pp, qp = 1, 0, 0, 1
+        for b in quotients[:-1]:
+            p, q, pp, qp = b * p + pp, b * q + qp, p, q
+        conv = Convergent(n=count - 1, b=quotients[-2], p=p, q=q, side=_side(count - 1))
+        prev = (
+            Convergent(n=count - 2, b=quotients[-3], p=pp, q=qp, side=_side(count - 2))
+            if count >= 2 else None
         )
-        if not certified:
+        if not verify_quotient(spec, conv, prev, quotients[-1]):
             raise InconsistentEnclosureError(
                 "endpoint Euclid expansion disagrees with the exact oracle on the last term"
             )
-    return Expansion(spec=spec, terms=tuple(terms), precision_bits=bits)
+    return Certificate(spec=spec, partial_quotients=quotients, precision_bits=bits)
 
 
 def _first_useful_bits(count: int) -> int:
@@ -219,22 +237,21 @@ def _first_useful_bits(count: int) -> int:
     return bits
 
 
-def expand(
+def certify(
     spec: RadicandSpec,
     count: int,
     *,
     max_bits: int = DEFAULT_MAX_BITS,
-) -> Expansion:
-    """Certified expansion b_0..b_count by integer Euclid on enclosure endpoints.
+) -> Certificate:
+    """Certified partial quotients b_0..b_count by integer Euclid on enclosure endpoints.
 
     alpha is enclosed in [s, s+1]/2**bits and Euclid runs on both
     endpoints; a term is kept only where their floors agree.  When some
     floor is ambiguous the whole prefix is recomputed at doubled precision
-    (`refine`), so every emitted term is certain, not merely probable.
+    (`refine`), so every certified term is certain, not merely probable.
     The doubling starts at the first level that can succeed
     (`_first_useful_bits`).  The final term is re-certified by the exact
-    order test.  Each convergent's side is taken from the parity of n
-    (even below, odd above), which holds for every irrational alpha.
+    order test.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -242,4 +259,26 @@ def expand(
     if start_bits > max(max_bits, DEFAULT_START_BITS):
         # Every level up to the cap provably fails.
         raise PrecisionCeilingError(max_bits)
-    return refine(lambda bits: _expand_at(spec, count, bits), start_bits, max_bits)
+    return refine(lambda bits: _certify_at(spec, count, bits), start_bits, max_bits)
+
+
+def expand(
+    spec: RadicandSpec,
+    count: int,
+    *,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> Expansion:
+    """Certified expansion b_0..b_count with every convergent p_n/q_n.
+
+    The quotients come from `certify`; the convergents are built from them
+    by p_n = b_n*p_{n-1} + p_{n-2}, q_n likewise.  Each convergent's side
+    is taken from the parity of n (even below, odd above), which holds for
+    every irrational alpha.
+    """
+    cert = certify(spec, count, max_bits=max_bits)
+    terms: list[Convergent] = []
+    p, q, pp, qp = 1, 0, 0, 1
+    for n, b in enumerate(cert.partial_quotients):
+        p, q, pp, qp = b * p + pp, b * q + qp, p, q
+        terms.append(Convergent(n=n, b=b, p=p, q=q, side=_side(n)))
+    return Expansion(spec=spec, terms=tuple(terms), precision_bits=cert.precision_bits)

@@ -4,17 +4,20 @@ Reports never print an uncertified digit: every decimal shown for an
 alpha-dependent quantity is the enclosure midpoint truncated to the digit
 count its width justifies, with the width printed alongside.  Exact
 rationals additionally appear verbatim as num/den.  Identical inputs
-yield byte-identical output in every format.
+yield byte-identical output in every format.  The digits themselves are
+worked out in `rootcf.digits`.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import TextIO
 
 from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
-from .engine import Convergent, Expansion
+from .digits import convergent_digits, decimal_string, justified_places, sci_string
+from .engine import Certificate, Expansion
 from .exact import RationalInterval
 
 REPORT_SCHEMA = 1
@@ -34,57 +37,6 @@ THETA_INDEX_NOTE = (
     "the same quantity is sometimes labeled theta[n+1] (1-based tail labeling), "
     "so both indices are listed per item"
 )
-
-
-def _decimal_exponent(num: int, den: int) -> int:
-    """e with 10**e <= num/den < 10**(e+1), for num, den > 0."""
-    e = (num.bit_length() - den.bit_length()) * 30103 // 100000  # ~ log10(2); the loops decide
-
-    def at_least(exp: int) -> bool:
-        return num >= den * 10 ** exp if exp >= 0 else num * 10 ** -exp >= den
-
-    while not at_least(e):
-        e -= 1
-    while at_least(e + 1):
-        e += 1
-    return e
-
-
-def decimal_string(num: int, den: int, places: int) -> str:
-    """Exact decimal truncation of num/den (den > 0) toward zero to `places` digits."""
-    sign = "-" if num < 0 else ""
-    scaled = abs(num) * 10 ** places // den
-    if places == 0:
-        return f"{sign}{scaled}"
-    digits = str(scaled).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def sci_string(num: int, den: int) -> str:
-    """num/den (den > 0) in exact truncated two-digit scientific notation.
-
-    For example '4.6e-06'; '0' for zero.
-    """
-    if num == 0:
-        return "0"
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    e = _decimal_exponent(num, den)
-    # The mantissa's first two digits: floor(num/den * 10**(1-e)).
-    digits = str(num * 10 ** (1 - e) // den if e <= 1 else num // (den * 10 ** (e - 1)))
-    return f"{sign}{digits[0]}.{digits[1:]}e{e:+03d}"
-
-
-def justified_places(num: int, den: int) -> int:
-    """Largest d <= 40 with num/den <= 10**-d (den > 0): digits the width certifies."""
-    if num < 0:
-        raise ValueError("width must be non-negative")
-    if num * 10 ** 40 <= den:
-        return 40
-    if num > den:
-        return 0
-    e = _decimal_exponent(num, den)  # -40 <= e <= 0
-    return -e if num * 10 ** -e == den else -e - 1
 
 
 def enclosure_json(iv: RationalInterval) -> dict:
@@ -141,52 +93,53 @@ def claim_json(stats) -> dict:
     }
 
 
-# A prime that the last decimal convergent is checked against, modulo it.
-_CHECK_PRIME = (1 << 61) - 1
+class Rows:
+    """A JSON array whose items are made while the report is written.
 
-
-def convergent_digits(terms: Sequence[Convergent]) -> list[tuple[str, str]]:
-    """(str(p_n), str(q_n)) of each convergent, in time linear in its digits.
-
-    str(int) takes time quadratic in the digits on CPython 3.11, which
-    makes printing every convergent of an expansion cubic in its length.
-    Here p_n = b_n*p_{n-1} + p_{n-2} and q_n likewise are rebuilt as
-    integer Decimals from the certified partial quotients, with every
-    inexact or rounded operation trapped, and a Decimal prints its base-10
-    digits as they stand.  The last p_N and q_N are checked against the
-    integers modulo a prime before any string is returned.
+    `make()` returns an iterator over batches (lists) of the items.  It is
+    called afresh for each pass, so a report that holds Rows can be
+    emitted more than once.  Iterating Rows gives the items one by one, as
+    the CSV and text emitters do; the JSON emitter writes whole batches.
     """
-    import decimal  # only convergent digits need it
 
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
-    )
-    p, q, pp, qp = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1)
-    digits = []
-    for t in terms:
-        b = decimal.Decimal(t.b)
-        p, q, pp, qp = ctx.fma(b, p, pp), ctx.fma(b, q, qp), p, q
-        digits.append((str(p), str(q)))
-    if terms:
-        prime, last = decimal.Decimal(_CHECK_PRIME), terms[-1]
-        if (int(ctx.remainder(p, prime)), int(ctx.remainder(q, prime))) != (
-            last.p % _CHECK_PRIME, last.q % _CHECK_PRIME
-        ):
-            raise ArithmeticError(f"decimal convergent {last.n} disagrees with the integers")
-    return digits
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Iterator[list]]):
+        self.make = make
+
+    def __iter__(self) -> Iterator:
+        return itertools.chain.from_iterable(self.make())
+
+
+def certificate_payload(cert: Certificate) -> dict:
+    """`expand`'s payload from certified quotients alone.
+
+    Its convergents are a row source: each batch of rows is built, checked
+    and written as the emitter reaches it, so no convergent of the whole
+    expansion is held at once.
+    """
+    quotients = cert.partial_quotients
+    return {
+        "k": cert.spec.k,
+        "m": cert.spec.m,
+        "precision_bits": cert.precision_bits,
+        "partial_quotients": quotients,
+        "convergents": Rows(lambda: convergent_digits(quotients)),
+    }
+
+
+def _convergent_rows(exp: Expansion) -> list[dict]:
+    """Every convergent row of an expansion, checked against its own integers."""
+    last = exp.terms[-1]
+    return list(itertools.chain.from_iterable(
+        convergent_digits(exp.partial_quotients, (last.p, last.q))
+    ))
 
 
 def expand_payload(exp: Expansion) -> dict:
-    return {
-        "k": exp.spec.k,
-        "m": exp.spec.m,
-        "precision_bits": exp.precision_bits,
-        "partial_quotients": exp.partial_quotients,
-        "convergents": [
-            {"n": t.n, "b": t.b, "p": p, "q": q, "side": t.side.value}
-            for t, (p, q) in zip(exp.terms, convergent_digits(exp.terms))
-        ],
-    }
+    """`expand`'s payload from a built Expansion: the convergents as a list of rows."""
+    cert = Certificate(exp.spec, exp.partial_quotients, exp.precision_bits)
+    return {**certificate_payload(cert), "convergents": _convergent_rows(exp)}
 
 
 def outcome_json(outcome: PredictionOutcome) -> dict:
@@ -194,12 +147,12 @@ def outcome_json(outcome: PredictionOutcome) -> dict:
     return dict(zip(outcome._fields[2:], outcome[2:]))
 
 
-def prediction_json(outcome, pq: tuple[str, str], distance: int, hn: int, hd: int, an: int) -> dict:
+def prediction_json(outcome, row: dict, distance: int, hn: int, hd: int, an: int) -> dict:
     return {
         "n": outcome.n,
         "side": outcome.side.value,
-        "p": pq[0],
-        "q": pq[1],
+        "p": row["p"],
+        "q": row["q"],
         "d": str(distance),
         "leading": exact_json(Fraction(hn, hd)),
         "shifted_leading": exact_json(Fraction(an, hd)),
@@ -209,14 +162,14 @@ def prediction_json(outcome, pq: tuple[str, str], distance: int, hn: int, hd: in
 
 def predict_payload(exp: Expansion, predictions: list[tuple]) -> dict:
     """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index."""
-    digits = convergent_digits(exp.terms)
+    rows = _convergent_rows(exp)
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
         "predictions": [
-            prediction_json(outcome, digits[conv.n], *rest) for outcome, conv, *rest in predictions
+            prediction_json(outcome, rows[conv.n], *rest) for outcome, conv, *rest in predictions
         ],
     }
 
@@ -312,7 +265,43 @@ BLOCK_CHARS = 1 << 16
 
 
 def _emit_json(report: dict):
-    yield from json.JSONEncoder(indent=2).iterencode(report)
+    """json.dumps(report, indent=2) plus a newline, piece by piece, Rows as arrays.
+
+    The encoder hands each Rows to `default`, which pulls its first
+    non-empty batch (so its check runs first) and returns a stand-in: []
+    for no rows, else [""].  The encoder's very next piece is then '[',
+    a newline, the item indent and '""'.  In its place go the batches,
+    each encoded whole by a plain encoder and re-indented; the encoder
+    closes the array itself.  A report string "" is never taken for a
+    stand-in: only the piece right after a `default` call is replaced.
+    """
+    pending = []
+
+    def default(value):
+        if not isinstance(value, Rows):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        batches = value.make()
+        first = next((batch for batch in batches if batch), None)
+        if first is None:
+            return []
+        pending.append(itertools.chain([first], batches))
+        return [""]
+
+    plain = json.JSONEncoder(indent=2)
+    for piece in json.JSONEncoder(indent=2, default=default).iterencode(report):
+        if not pending:
+            yield piece
+            continue
+        # piece is '[\n' + indent + '  ""' for an array whose line has that
+        # indent.  A batch encoded alone has indent '', so every newline in
+        # it gains the array's; its own '[' and closing '\n]' are dropped.
+        newline = "\n" + piece[4:-2]
+        opening = "["
+        for batch in pending.pop():
+            if batch:
+                yield opening
+                yield plain.encode(batch).replace("\n", newline)[1:-len(newline) - 1]
+                opening = ","
     yield "\n"
 
 
@@ -455,10 +444,13 @@ def emit(report: dict, fmt: str, out: TextIO | None = None) -> str | None:
     """Serialize a report deterministically as json, csv, or text.
 
     JSON is the standard library's encoder, the same bytes as
-    json.dumps(report, indent=2) plus a newline.  With `out`, the report
-    is written there as it is serialized, in blocks of about BLOCK_CHARS
-    characters, and None is returned; without it, the whole report is
-    returned as one string.
+    json.dumps(report, indent=2) plus a newline, where each `Rows` in the
+    report stands for the array of its items.  A `Rows` is a row source:
+    its rows are built, checked and serialized batch by batch as the
+    emitter reaches them, so an `expand` report never holds its
+    convergents whole.  With `out`, the report is written there as it is
+    serialized, in blocks of about BLOCK_CHARS characters, and None is
+    returned; without it, the whole report is returned as one string.
     """
     if fmt not in _EMITTERS:
         raise ValueError(f"unknown format: {fmt}")

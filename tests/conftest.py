@@ -25,6 +25,17 @@ def within(iv, target, tol) -> bool:
     return abs(iv.lo - t) <= eps and abs(iv.hi - t) <= eps
 
 
+class RecordingStream:
+    """A text stream that keeps each write, to see what reached the output and when."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
 def leading_fractions(spec, conv, prev):
     """(d_n, H_n, A_n) from leading_terms' integers, the two rationals reduced."""
     d, hn, hd, an = leading_terms(spec, conv, prev)

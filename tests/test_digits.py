@@ -1,4 +1,4 @@
-"""The digit kernels of the report layer against independent routes.
+"""The digit kernels (`rootcf.digits`) against independent routes.
 
 The enclosure kernels work on unreduced integer pairs; the oracles in
 tests/oracles.py print the same quantities from reduced Fractions.  The
@@ -6,6 +6,8 @@ convergent digits come from a decimal recurrence; `str(int)` of the
 integers is the reference.
 """
 import contextlib
+import decimal
+import itertools
 import sys
 from fractions import Fraction
 
@@ -13,19 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootcf.engine import Convergent, Side, expand
-from rootcf.exact import RationalInterval, validate_spec
-from rootcf.report import (
+from rootcf import digits
+from rootcf.cli import parse_args, run
+from rootcf.digits import (
+    ROW_BATCH,
     convergent_digits,
     decimal_string,
-    enclosure_json,
-    expand_payload,
     justified_places,
     sci_string,
 )
+from rootcf.engine import Convergent, Side, expand
+from rootcf.exact import RationalInterval, validate_spec
+from rootcf.report import emit, enclosure_json, expand_payload
 
 import oracles
-from conftest import spec_or_reject
+from conftest import RecordingStream, spec_or_reject
 
 
 @contextlib.contextmanager
@@ -98,12 +102,37 @@ def synthetic_terms(quotients: list[int]) -> tuple[Convergent, ...]:
     )
 
 
+def rows_of(quotients, ends=None) -> list[dict]:
+    return list(itertools.chain.from_iterable(convergent_digits(quotients, ends)))
+
+
+class _FaultyContext(decimal.Context):
+    """The digits' exact context, with p_n off by one at one index n."""
+
+    def __init__(self, n: int):
+        super().__init__(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
+        self.fault_at, self.calls = 2 * n + 1, 0  # two fma calls per index, p_n first
+
+    def fma(self, a, b, c):
+        self.calls += 1
+        if self.calls == self.fault_at:
+            c = super().add(c, 1)
+        return super().fma(a, b, c)
+
+
 class TestConvergentDigits:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 200), st.integers(2, 12), st.integers(0, 300))
     def test_matches_str_of_the_integers(self, k, m, count):
         exp = expand(spec_or_reject(k, m), count)
-        assert convergent_digits(exp.terms) == [(str(t.p), str(t.q)) for t in exp.terms]
+        batches = list(convergent_digits(exp.partial_quotients))
+        assert [len(b) for b in batches[:-1]] == [ROW_BATCH] * (len(batches) - 1)
+        assert 1 <= len(batches[-1]) <= ROW_BATCH
+        assert list(itertools.chain.from_iterable(batches)) == [
+            {"n": t.n, "b": t.b, "p": str(t.p), "q": str(t.q), "side": t.side.value}
+            for t in exp.terms
+        ]
 
     def test_huge_partial_quotients_past_the_str_limit(self):
         quotients = [3] + [10 ** 450 + 7 * n for n in range(1, 12)]
@@ -111,17 +140,41 @@ class TestConvergentDigits:
         with unlimited_int_digits():
             expected = [(str(t.p), str(t.q)) for t in terms]
         assert len(expected[-1][0]) > 4300
-        assert convergent_digits(terms) == expected
+        assert [(r["p"], r["q"]) for r in rows_of(quotients)] == expected
 
     def test_a_last_convergent_that_disagrees_is_refused(self):
         terms = list(synthetic_terms([1, 2, 3, 4, 5]))
         terms[-1] = terms[-1]._replace(p=terms[-1].p + 1)
         with pytest.raises(ArithmeticError):
-            convergent_digits(terms)
+            rows_of([t.b for t in terms], (terms[-1].p, terms[-1].q))
         exp = expand(validate_spec(2, 3), 4)
         bad = exp._replace(terms=exp.terms[:-1] + (exp.terms[-1]._replace(q=exp.terms[-1].q - 1),))
         with pytest.raises(ArithmeticError):
             expand_payload(bad)
 
+    @pytest.mark.parametrize("n", [0, ROW_BATCH - 1, ROW_BATCH, 1500])
+    def test_a_faulty_digit_stops_its_batch(self, monkeypatch, n):
+        quotients = expand(validate_spec(2, 3), 2000).partial_quotients
+        monkeypatch.setattr(digits, "_DIGITS", _FaultyContext(n))
+        batches = convergent_digits(quotients)
+        for _ in range(n // ROW_BATCH):  # the batches before the fault pass
+            next(batches)
+        with pytest.raises(ArithmeticError):
+            next(batches)
+
+    @pytest.mark.parametrize("fmt, row", [("json", '"n": 1472,'), ("csv", "\nterm,2,3,1472,"),
+                                          ("text", "\n  n=1472 ")])
+    def test_no_row_of_a_faulty_batch_is_written(self, monkeypatch, fmt, row):
+        # The fault is at n = 1500, in the batch of rows 1472..1535.
+        argv = ["expand", "--k", "2", "--m", "3", "--terms", "2000", "--format", fmt]
+        whole = emit(run(parse_args(argv)), fmt)
+        monkeypatch.setattr(digits, "_DIGITS", _FaultyContext(1500))
+        out = RecordingStream()
+        with pytest.raises(ArithmeticError):
+            emit(run(parse_args(argv)), fmt, out)
+        written = "".join(out.writes)
+        assert written and whole.startswith(written)
+        assert len(written) <= whole.index(row)
+
     def test_empty(self):
-        assert convergent_digits(()) == []
+        assert list(convergent_digits([])) == []

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
-    _expand_at,
+    _certify_at,
     _first_useful_bits,
+    certify,
     complete_quotient_interval,
     expand,
     next_partial_quotient,
@@ -80,16 +81,18 @@ class TestExpand:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 300), st.integers(2, 12), st.integers(0, 700))
     def test_skipped_levels_fail_and_bits_are_unchanged(self, k, m, count):
-        # expand starts at _first_useful_bits: every level below it fails,
-        # and starting at 64 instead gives the same expansion.
+        # certify starts at _first_useful_bits: every level below it fails,
+        # and starting at 64 instead gives the same quotients and bits.
         spec = spec_or_reject(k, m)
         start = _first_useful_bits(count)
         bits = 64
         while bits < start:
-            assert _expand_at(spec, count, bits) is None
+            assert _certify_at(spec, count, bits) is None
             bits *= 2
-        from_64 = refine(lambda bits: _expand_at(spec, count, bits), 64, DEFAULT_MAX_BITS)
-        assert expand(spec, count) == from_64
+        from_64 = refine(lambda bits: _certify_at(spec, count, bits), 64, DEFAULT_MAX_BITS)
+        assert certify(spec, count) == from_64
+        exp = expand(spec, count)
+        assert (exp.partial_quotients, exp.precision_bits) == from_64[1:]
 
     def test_first_useful_bits(self):
         # 2**B must exceed F_{N+1}*F_{N+2}: at N = 46 that product has 64
