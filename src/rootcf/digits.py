@@ -121,3 +121,19 @@ def convergent_digits(
         raise ArithmeticError("the last convergent disagrees with its partial quotients")
     if batch:
         yield _checked(batch, p, q, (ip, iq))
+
+
+_ROW_JSON = ('"n": {n},', '"b": {b},', '"p": "{p}",', '"q": "{q}",', '"side": "{side}"')
+
+
+def convergent_row_json(indent: str) -> str:
+    """The str.format template of one convergent row, a JSON array item at `indent`.
+
+    json.dumps(rows, indent=2) writes each row {n, b, p, q, side} exactly
+    so: n and b by int.__repr__, which format() of an int equals, and p, q
+    and side as strings that need no escaping (decimal digits, 'above' or
+    'below').  A row starts with its newline; a batch is its rows joined by
+    commas.
+    """
+    inner = "\n" + indent + "  "
+    return "\n" + indent + "{{" + inner + inner.join(_ROW_JSON) + "\n" + indent + "}}"

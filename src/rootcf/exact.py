@@ -214,14 +214,6 @@ class RationalInterval:
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 @functools.lru_cache(maxsize=32)
 def alpha_interval(spec: RadicandSpec, bits: int) -> RationalInterval:

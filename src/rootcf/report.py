@@ -16,7 +16,13 @@ from fractions import Fraction
 from typing import TextIO
 
 from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
-from .digits import convergent_digits, decimal_string, justified_places, sci_string
+from .digits import (
+    convergent_digits,
+    convergent_row_json,
+    decimal_string,
+    justified_places,
+    sci_string,
+)
 from .engine import Certificate, Expansion
 from .exact import RationalInterval
 
@@ -100,12 +106,18 @@ class Rows:
     called afresh for each pass, so a report that holds Rows can be
     emitted more than once.  Iterating Rows gives the items one by one, as
     the CSV and text emitters do; the JSON emitter writes whole batches.
+    `template`, where the items have one fixed shape, maps the items'
+    indent to a str.format template that writes one item as
+    json.dumps(indent=2) would, led by its newline; without it, each batch
+    goes through the standard library's encoder.
     """
 
-    __slots__ = ("make",)
+    __slots__ = ("make", "template")
 
-    def __init__(self, make: Callable[[], Iterator[list]]):
+    def __init__(self, make: Callable[[], Iterator[list]],
+                 template: Callable[[str], str] | None = None):
         self.make = make
+        self.template = template
 
     def __iter__(self) -> Iterator:
         return itertools.chain.from_iterable(self.make())
@@ -116,7 +128,8 @@ def certificate_payload(cert: Certificate) -> dict:
 
     Its convergents are a row source: each batch of rows is built, checked
     and written as the emitter reaches it, so no convergent of the whole
-    expansion is held at once.
+    expansion is held at once.  In JSON every row is written by one
+    template (`digits.convergent_row_json`).
     """
     quotients = cert.partial_quotients
     return {
@@ -124,22 +137,21 @@ def certificate_payload(cert: Certificate) -> dict:
         "m": cert.spec.m,
         "precision_bits": cert.precision_bits,
         "partial_quotients": quotients,
-        "convergents": Rows(lambda: convergent_digits(quotients)),
+        "convergents": Rows(lambda: convergent_digits(quotients), convergent_row_json),
     }
 
 
-def _convergent_rows(exp: Expansion) -> list[dict]:
-    """Every convergent row of an expansion, checked against its own integers."""
+def _convergent_batches(exp: Expansion) -> Iterator[list[dict]]:
+    """The convergent rows of an expansion in batches, checked against its own integers."""
     last = exp.terms[-1]
-    return list(itertools.chain.from_iterable(
-        convergent_digits(exp.partial_quotients, (last.p, last.q))
-    ))
+    return convergent_digits(exp.partial_quotients, (last.p, last.q))
 
 
 def expand_payload(exp: Expansion) -> dict:
     """`expand`'s payload from a built Expansion: the convergents as a list of rows."""
     cert = Certificate(exp.spec, exp.partial_quotients, exp.precision_bits)
-    return {**certificate_payload(cert), "convergents": _convergent_rows(exp)}
+    rows = list(itertools.chain.from_iterable(_convergent_batches(exp)))
+    return {**certificate_payload(cert), "convergents": rows}
 
 
 def outcome_json(outcome: PredictionOutcome) -> dict:
@@ -147,12 +159,12 @@ def outcome_json(outcome: PredictionOutcome) -> dict:
     return dict(zip(outcome._fields[2:], outcome[2:]))
 
 
-def prediction_json(outcome, row: dict, distance: int, hn: int, hd: int, an: int) -> dict:
+def prediction_json(outcome, p: str, q: str, distance: int, hn: int, hd: int, an: int) -> dict:
     return {
         "n": outcome.n,
         "side": outcome.side.value,
-        "p": row["p"],
-        "q": row["q"],
+        "p": p,
+        "q": q,
         "d": str(distance),
         "leading": exact_json(Fraction(hn, hd)),
         "shifted_leading": exact_json(Fraction(an, hd)),
@@ -161,15 +173,18 @@ def prediction_json(outcome, row: dict, distance: int, hn: int, hd: int, an: int
 
 
 def predict_payload(exp: Expansion, predictions: list[tuple]) -> dict:
-    """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index."""
-    rows = _convergent_rows(exp)
+    """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index.
+
+    Of each convergent row only the digits (p, q) are kept.
+    """
+    digits = [(row["p"], row["q"]) for batch in _convergent_batches(exp) for row in batch]
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
         "predictions": [
-            prediction_json(outcome, rows[conv.n], *rest) for outcome, conv, *rest in predictions
+            prediction_json(outcome, *digits[conv.n], *rest) for outcome, conv, *rest in predictions
         ],
     }
 
@@ -270,10 +285,12 @@ def _emit_json(report: dict):
     The encoder hands each Rows to `default`, which pulls its first
     non-empty batch (so its check runs first) and returns a stand-in: []
     for no rows, else [""].  The encoder's very next piece is then '[',
-    a newline, the item indent and '""'.  In its place go the batches,
-    each encoded whole by a plain encoder and re-indented; the encoder
-    closes the array itself.  A report string "" is never taken for a
-    stand-in: only the piece right after a `default` call is replaced.
+    a newline, the item indent and '""'.  In its place go the batches:
+    for a Rows with a template, each row formatted by the template built
+    for that indent; otherwise each batch encoded whole by a plain encoder
+    and re-indented.  The encoder closes the array itself.  A report
+    string "" is never taken for a stand-in: only the piece right after a
+    `default` call is replaced.
     """
     pending = []
 
@@ -284,7 +301,7 @@ def _emit_json(report: dict):
         first = next((batch for batch in batches if batch), None)
         if first is None:
             return []
-        pending.append(itertools.chain([first], batches))
+        pending.append((value.template, itertools.chain([first], batches)))
         return [""]
 
     plain = json.JSONEncoder(indent=2)
@@ -292,15 +309,21 @@ def _emit_json(report: dict):
         if not pending:
             yield piece
             continue
-        # piece is '[\n' + indent + '  ""' for an array whose line has that
-        # indent.  A batch encoded alone has indent '', so every newline in
-        # it gains the array's; its own '[' and closing '\n]' are dropped.
-        newline = "\n" + piece[4:-2]
+        # piece is '[\n' + indent + '""', indent being the items'.
+        template, batches = pending.pop()
+        indent = piece[2:-2]
+        row = template(indent).format_map if template else None
+        # A batch encoded alone has indent '', so every newline in it gains
+        # the array's; its own '[' and closing '\n]' are dropped.
+        newline = "\n" + indent[2:]
         opening = "["
-        for batch in pending.pop():
+        for batch in batches:
             if batch:
                 yield opening
-                yield plain.encode(batch).replace("\n", newline)[1:-len(newline) - 1]
+                if row:
+                    yield ",".join(map(row, batch))
+                else:
+                    yield plain.encode(batch).replace("\n", newline)[1:-len(newline) - 1]
                 opening = ","
     yield "\n"
 

@@ -231,9 +231,6 @@ class Interval:
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 
-    width = property(lambda self: self.hi - self.lo)
-    mid = property(lambda self: (self.lo + self.hi) / 2)
-
     def __contains__(self, value) -> bool:
         return self.lo <= value <= self.hi
 
@@ -287,6 +284,16 @@ class Interval:
         powers = (self.lo ** exponent, self.hi ** exponent)
         straddles = exponent % 2 == 0 and self.lo < 0 < self.hi
         return Interval(0 if exponent and straddles else min(powers), max(powers))
+
+
+def width(enclosure) -> Fraction:
+    """hi - lo of an enclosure with lo and hi ends."""
+    return enclosure.hi - enclosure.lo
+
+
+def mid(enclosure) -> Fraction:
+    """The midpoint of an enclosure with lo and hi ends."""
+    return (enclosure.lo + enclosure.hi) / 2
 
 
 def as_interval(value) -> Interval:

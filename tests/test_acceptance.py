@@ -61,11 +61,11 @@ def test_criterion_1_golden_degree_ten():
     # theta_1 and R_1 as verify encloses and prints them.
     term = verify_theorems(spec, 1).terms[0]
     theta = term.theta
-    assert theta.width <= Fraction(1, 10 ** 3)
+    assert oracles.width(theta) <= Fraction(1, 10 ** 3)
     assert within(theta, "11.2689", Fraction(1, 10 ** 4))
 
     r_iv = term.remainder
-    assert r_iv.width <= Fraction(1, 10 ** 3)
+    assert oracles.width(r_iv) <= Fraction(1, 10 ** 3)
     assert within(r_iv, "-1.2696", Fraction(1, 10 ** 4))
     assert not term.remainder_in_unit and r_iv.hi < -1
 
@@ -256,7 +256,7 @@ def test_criterion_7_identity_suites(cubic_sweep):
                 assert v_iv == -w_iv  # V = -W
                 # the oracle checks its defining form against its closed form
                 assert v_iv == oracles.cubic_correction(k, conv.p, conv.q, oracles.as_interval(a_iv))
-                widths.append((via_w.width, via_theta.width))
+                widths.append((oracles.width(via_w), oracles.width(via_theta)))
             assert widths[1][0] <= widths[0][0] / 2
             assert widths[1][1] <= widths[0][1] / 2
     report_line(

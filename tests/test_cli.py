@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootcf.cli import (
@@ -20,7 +20,7 @@ from rootcf.cli import (
     parse_args,
     run,
 )
-from rootcf.engine import expand
+from rootcf.engine import Certificate, certify, expand
 from rootcf.digits import ROW_BATCH, decimal_string, justified_places, sci_string
 from rootcf.exact import validate_spec
 from rootcf.report import (
@@ -29,11 +29,13 @@ from rootcf.report import (
     CSV_COLUMNS,
     CSV_SCHEMA_LINE,
     Rows,
+    build_report,
+    certificate_payload,
     emit,
 )
 from fractions import Fraction
 
-from conftest import RecordingStream
+from conftest import RecordingStream, spec_or_reject
 
 
 class TestParseArgs:
@@ -271,6 +273,39 @@ def _with_row_sources(value, data):
     return Rows(lambda: iter(batches)), items
 
 
+def _expand_result(data):
+    """(lazy, plain): an `expand` payload, its convergents as templated Rows and as a list.
+
+    The quotients are certified for a drawn valid (k, m) to N terms, or
+    are N synthetic quotients past 450 digits.
+    """
+    n = data.draw(st.sampled_from(ROW_LENGTHS))
+    if data.draw(st.booleans()):
+        quotients = data.draw(st.lists(st.integers(10 ** 450, 10 ** 451), min_size=n, max_size=n))
+        cert = Certificate(validate_spec(2, 3), quotients, 64)
+    else:
+        k, m = data.draw(st.integers(2, 200)), data.draw(st.integers(2, 12))
+        cert = certify(spec_or_reject(k, m), n)
+    lazy = certificate_payload(cert)
+    return lazy, {**lazy, "convergents": list(lazy["convergents"])}
+
+
+def _nested(pair, data):
+    """(lazy, plain), each put the same drawn number of levels deep among drawn siblings."""
+    lazy, plain = pair
+    for _ in range(data.draw(st.integers(0, 3))):
+        siblings = data.draw(st.lists(st.integers() | st.text(max_size=3), max_size=2))
+        at = data.draw(st.integers(0, len(siblings)))
+        as_dict = data.draw(st.booleans())
+
+        def place(value):
+            items = [*siblings[:at], value, *siblings[at:]]
+            return {f"s{i}": item for i, item in enumerate(items)} if as_dict else items
+
+        lazy, plain = place(lazy), place(plain)
+    return lazy, plain
+
+
 @pytest.fixture(scope="module")
 def expansion_500():
     """An expand report past one block in every format."""
@@ -320,6 +355,17 @@ class TestEmit:
         lazy, plain = _with_row_sources(value, data)
         assert emit(lazy, "json") == json.dumps(plain, indent=2) + "\n"
         assert emit(lazy, "json") == emit(plain, "json")  # Rows can be emitted again
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_json_writes_templated_rows(self, data):
+        # One to three expand results, each at a drawn depth in `results`.
+        pairs = [_nested(_expand_result(data), data) for _ in range(data.draw(st.integers(1, 3)))]
+        config, summary = {"command": "expand"}, {"specs": len(pairs)}
+        lazy = build_report("0", config, [pair[0] for pair in pairs], summary)
+        plain = build_report("0", config, [pair[1] for pair in pairs], summary)
+        assert emit(lazy, "json") == json.dumps(plain, indent=2) + "\n"
+        assert emit(lazy, "json") == emit(plain, "json")
 
     def test_a_string_like_the_stand_in_is_a_string(self):
         # An array with rows is first encoded as [""]; a report's own "" stays "".

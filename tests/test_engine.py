@@ -144,7 +144,7 @@ class TestThetaEnclosure:
     # Values of theta_n come from the enclosures verify prints (_analyze_term).
     def test_degree_ten_value(self):
         theta = verify_theorems(SPEC_50_10, 1).terms[0].theta
-        assert theta.width <= Fraction(1, 10 ** 6)
+        assert oracles.width(theta) <= Fraction(1, 10 ** 6)
         # theta_1 = 11.26893529...; endpoints within 1e-4 of the 4dp value
         target = Fraction("11.2689")
         assert abs(theta.lo - target) <= Fraction(1, 10 ** 4)
@@ -157,16 +157,16 @@ class TestThetaEnclosure:
         assert prev is None
         d, hn, hd, _ = leading_terms(SPEC_2_3, conv, prev)
         theta = _analyze_term(SPEC_2_3, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)[0]
-        assert theta.width <= Fraction(1, 10 ** 8)
+        assert oracles.width(theta) <= Fraction(1, 10 ** 8)
         # theta_0 = 1/(alpha - 1) = 3.84732210...
-        assert abs(theta.mid - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
+        assert abs(oracles.mid(theta) - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
 
     def test_width_shrinks_with_precision(self):
         conv, prev = expand(SPEC_2_3, 8).pair(6)
         widths = []
         for bits in (64, 128, 256, 512):
             iv = complete_quotient_interval(conv, prev, alpha_interval(SPEC_2_3, bits))
-            widths.append(iv.width)
+            widths.append(oracles.width(iv))
         assert all(w2 <= w1 / 2 for w1, w2 in zip(widths, widths[1:]))
 
     def test_fractional_part(self):
@@ -245,9 +245,9 @@ class TestExpansionInvariants:
                 assert lhs.intersects(rhs)
                 previous = widths.get(n)
                 if previous is not None:
-                    assert lhs.width <= previous[0] / 2
-                    assert rhs.width <= previous[1] / 2
-                widths[n] = (lhs.width, rhs.width)
+                    assert oracles.width(lhs) <= previous[0] / 2
+                    assert oracles.width(rhs) <= previous[1] / 2
+                widths[n] = (oracles.width(lhs), oracles.width(rhs))
 
     @given(
         k=st.integers(min_value=2, max_value=1000),
