@@ -7,9 +7,10 @@ splits as theta_n = H_n + R_n with the leading term
 
 and the remainder R_n = W_n - q_{n-1}/q_n, where W_n is the linearization
 error of the m-th power difference.  This module computes all of these
-exactly (rationals) or as certified enclosures (alpha-dependent reals),
-and measures every claimed bound, recording violations it can certify.
-Each index is worked once, on integers: `leading_terms` gives d_n, H_n and
+exactly (rationals) or as certified enclosures (alpha-dependent reals,
+from the integers (S, S+1, 2**bits) of alpha's enclosure), and measures
+every claimed bound, recording violations it can certify.  Each index
+is worked once, on integers: `leading_terms` gives d_n, H_n and
 A_n = H_n - q_{n-1}/q_n over one denominator, and `prediction` reads the
 floor formula against the b_{n+1} that `expand` certified.  |R_n| < 1 is
 proven at q_n >= Q(k, m) (`unit_threshold`) and decided by exact signs
@@ -41,7 +42,6 @@ from .engine import (
     Convergent,
     Expansion,
     Side,
-    _common_denominator,
     _prev_pq,
     _theta_corners,
     _theta_exceeds,
@@ -92,11 +92,11 @@ def unit_threshold(spec: RadicandSpec, bits: int) -> int:
     below alpha (W_n > 0) and c_n < q_n(q_n - q_{n-1}) above (W_n < 0),
     so c_n < q_n suffices once q_n >= 2.  |x_n - alpha| < 1/q_n**2
     (Khinchin) gives c_n < C(Q) = ((m-1)/2)(a_hi + Q**-2)**(m-2) /
-    (a_lo - Q**-2)**(m-1) for q_n >= Q, [a_lo, a_hi] alpha's enclosure at
-    bits; C falls as Q grows, so c_n < C(Q) <= Q <= q_n.
+    (a_lo - Q**-2)**(m-1) for q_n >= Q, [a_lo, a_hi] = [lo, hi]/den
+    alpha's enclosure at bits; C falls as Q grows, so c_n < C(Q) <= Q <= q_n.
     """
     m = spec.m
-    lo, hi, den = _common_denominator(alpha_interval(spec, bits))
+    lo, hi, den = alpha_interval(spec, bits)
     q = Q_MIN
     # C(Q) <= Q over [lo, hi]/den, times 2 (den Q**2)**(m-1)/Q > 0; lo >= den.
     while (m - 1) * den * q * (hi * q * q + den) ** (m - 2) > 2 * (lo * q * q - den) ** (m - 1):
@@ -129,20 +129,21 @@ def _correction_ends(
 
 
 def general_correction(
-    spec: RadicandSpec, conv: Convergent, alpha_iv: RationalInterval
+    spec: RadicandSpec, conv: Convergent, alpha_iv: tuple[int, int, int]
 ) -> RationalInterval:
     """Enclosure of the linearization error W_n on alpha_iv > 0, any degree m >= 2.
 
+    alpha_iv is (a, b, den) for [a, b]/den, as `alpha_interval` gives it.
     W_n = (q_n**(m-2)/d_n) * (sum_{j<m} x_n**j * alpha**(m-1-j) - m*x_n**(m-1)),
     so that R_n = W_n - q_{n-1}/q_n; the endpoints are `_correction_ends`'.
     """
     d, c = algebraic_distance(spec, conv), spec.m * conv.p ** (spec.m - 1)
-    lo, hi = _correction_ends(spec.m, conv, d, c, *_common_denominator(alpha_iv))
+    lo, hi = _correction_ends(spec.m, conv, d, c, *alpha_iv)
     return RationalInterval(Fraction(*lo), Fraction(*hi))
 
 
 def cubic_correction(
-    spec: RadicandSpec, conv: Convergent, alpha_iv: RationalInterval
+    spec: RadicandSpec, conv: Convergent, alpha_iv: tuple[int, int, int]
 ) -> RationalInterval:
     """Enclosure of the cubic correction V_n on alpha_iv > 0 (degree 3 only).
 
@@ -163,8 +164,8 @@ def exact_unit_remainder(
     of theta_n against a rational, two exact signs of linear forms in
     alpha.  theta_n is irrational, so it never equals H_n +- 1.
     """
-    return (_theta_exceeds(spec, conv, prev, Fraction(hn - hd, hd))
-            and not _theta_exceeds(spec, conv, prev, Fraction(hn + hd, hd)))
+    return (_theta_exceeds(spec, conv, prev, hn - hd, hd)
+            and not _theta_exceeds(spec, conv, prev, hn + hd, hd))
 
 
 class PredictionOutcome(NamedTuple):
@@ -344,7 +345,7 @@ def _analyze_term(
     sign_ok = (sign_linear_in_alpha(spec, -q, p) > 0) == above if m == 3 else None
 
     def attempt(bits: int):
-        ends = _common_denominator(alpha_interval(spec, bits))  # (S, S+1, 2**bits)
+        ends = alpha_interval(spec, bits)  # (S, S+1, 2**bits)
         corners = _theta_corners(conv, prev, *ends)
         if corners is None:
             return None

@@ -1,7 +1,8 @@
 """Certified regular continued fraction expansion of alpha = k**(1/m).
 
-Two steps.  `certify` runs integer Euclid on both endpoints of a binary
-enclosure of alpha and keeps the quotients on which they agree
+Two steps.  `certify` runs integer Euclid on both endpoints of alpha's
+binary enclosure [S, S+1]/2**bits, taken as the integers `alpha_interval`
+returns, and keeps the quotients on which they agree
 (precision-adaptive); the last term is re-checked by the exact order test
 `verify_quotient`.  It returns the partial quotients b_0..b_N and the bits,
 and holds no convergent beyond the few its last check reads.  `expand`
@@ -14,7 +15,6 @@ and `next_partial_quotient` stay public for the benchmark's tracer only.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -96,37 +96,32 @@ def _theta_corners(
     return (n_lo, d_hi if n_lo >= 0 else d_lo), (n_hi, d_lo if n_hi >= 0 else d_hi)
 
 
-def _common_denominator(iv: RationalInterval) -> tuple[int, int, int]:
-    """(a, b, den) with [a, b]/den = iv and den > 0."""
-    den = math.lcm(iv.lo.denominator, iv.hi.denominator)
-    return (iv.lo.numerator * (den // iv.lo.denominator),
-            iv.hi.numerator * (den // iv.hi.denominator), den)
-
-
 def complete_quotient_interval(
-    conv: Convergent, prev: Convergent | None, alpha_iv: RationalInterval
+    conv: Convergent, prev: Convergent | None, alpha_iv: tuple[int, int, int]
 ) -> RationalInterval:
     """Enclosure of theta_n = (p_{n-1} - q_{n-1}*alpha)/(q_n*alpha - p_n) on alpha_iv.
 
+    alpha_iv is (a, b, den) for [a, b]/den, as `alpha_interval` gives it.
     ZeroDivisionError when alpha_iv cannot separate the denominator from 0.
     """
-    corners = _theta_corners(conv, prev, *_common_denominator(alpha_iv))
+    corners = _theta_corners(conv, prev, *alpha_iv)
     if corners is None:
         raise ZeroDivisionError(f"q_n*alpha - p_n is not separated from 0 at n={conv.n}")
     return RationalInterval(Fraction(*corners[0]), Fraction(*corners[1]))
 
 
 def _theta_exceeds(
-    spec: RadicandSpec, conv: Convergent, prev: Convergent | None, t: int | Fraction
+    spec: RadicandSpec, conv: Convergent, prev: Convergent | None, a: int, b: int = 1
 ) -> bool:
-    """Exact decision theta_n > t for rational t = a/b using integer signs only.
+    """Exact decision theta_n > a/b, b > 0, using integer signs only.
 
-    b*(theta_n - t) has the sign of (b*p_{n-1} + a*p_n) - (b*q_{n-1} + a*q_n)*alpha
+    b*(theta_n - a/b) has the sign of (b*p_{n-1} + a*p_n) - (b*q_{n-1} + a*q_n)*alpha
     divided by q_n*alpha - p_n.  The first sign is one exact test; the
     second is the convergent's side (negative above alpha, positive below).
+    (a, b) need not be reduced: scaling both by g > 0 scales the linear
+    form by g and keeps its sign.
     """
     pp, qp = _prev_pq(prev)
-    a, b = t.numerator, t.denominator
     num_sign = sign_linear_in_alpha(spec, -(b * qp + a * conv.q), b * pp + a * conv.p)
     return (num_sign < 0) if conv.side is Side.ABOVE else (num_sign > 0)
 
@@ -152,18 +147,19 @@ def next_partial_quotient(spec: RadicandSpec, conv: Convergent, prev: Convergent
     return lo
 
 
-def _euclid_quotients(lo: Fraction, hi: Fraction, count: int) -> list[int] | None:
-    """Partial quotients b_0..b_count shared by every point of [lo, hi].
+def _euclid_quotients(lo: int, hi: int, den: int, count: int) -> list[int] | None:
+    """Partial quotients b_0..b_count shared by every point of [lo, hi]/den, den > 0.
 
     x -> 1/(x - b) is monotone on an interval that avoids b, so the Gauss
     map of an interval with exact rational endpoints is the Gauss map of
     each endpoint, and that is Euclid's algorithm on the endpoint's
-    numerator and denominator.  None once the two floors part, or when an
-    endpoint's remainder is zero before the last term (the enclosed
-    complete quotient may then be an integer).
+    numerator and denominator.  Those need not be reduced: Euclid on
+    (g*x, g*y) gives the quotients of (x, y) and remainders g times theirs.
+    None once the two floors part, or when an endpoint's remainder is
+    zero before the last term (the enclosed complete quotient may then be
+    an integer).
     """
-    x, y = lo.numerator, lo.denominator
-    u, w = hi.numerator, hi.denominator
+    x, y, u, w = lo, den, hi, den
     quotients: list[int] = []
     for _ in range(count):
         b, r = divmod(x, y)
@@ -195,8 +191,7 @@ def _side(n: int) -> Side:
 
 def _certify_at(spec: RadicandSpec, count: int, bits: int) -> Certificate | None:
     """The certified quotients at one precision; None if some floor is ambiguous."""
-    alpha = alpha_interval(spec, bits)
-    quotients = _euclid_quotients(alpha.lo, alpha.hi, count)
+    quotients = _euclid_quotients(*alpha_interval(spec, bits), count)
     if quotients is None:
         return None
     assert quotients[0] == int_nth_root(spec.k, spec.m)

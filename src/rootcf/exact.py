@@ -1,9 +1,10 @@
 """Exact integer/rational kernel for alpha = k**(1/m).
 
 No floats anywhere.  Order decisions against alpha are made by integer
-power comparisons.  Every alpha-dependent real a report shows is a
-`RationalInterval` built from the integer ends of [S, S+1]/2**bits,
-certified to contain the true value.
+power comparisons.  alpha is enclosed as the integers (S, S+1, 2**bits)
+of [S, S+1]/2**bits (`alpha_interval`), and every alpha-dependent real a
+report shows is a `RationalInterval` built from them, certified to
+contain the true value.
 """
 from __future__ import annotations
 
@@ -216,14 +217,15 @@ class RationalInterval:
 
 
 @functools.lru_cache(maxsize=32)
-def alpha_interval(spec: RadicandSpec, bits: int) -> RationalInterval:
-    """Binary enclosure [S, S+1]/2**bits of alpha, S = floor(alpha * 2**bits).
+def alpha_interval(spec: RadicandSpec, bits: int) -> tuple[int, int, int]:
+    """(S, S + 1, 2**bits): alpha lies in [S, S+1]/2**bits, S = floor(alpha * 2**bits).
 
-    Memoised: verify encloses every index of an expansion at one
-    precision, and would otherwise rebuild the same interval per index.
+    Every consumer works on these integers; none builds the reduced
+    endpoints.  Memoised: verify encloses every index of an expansion at
+    one precision, and would otherwise rebuild the same root per index.
     """
     scaled = int_nth_root(spec.k << (spec.m * bits), spec.m)
-    return RationalInterval(Fraction(scaled, 1 << bits), Fraction(scaled + 1, 1 << bits))
+    return scaled, scaled + 1, 1 << bits
 
 
 def refine(attempt: Callable[[int], T | None], start_bits: int, max_bits: int) -> T:

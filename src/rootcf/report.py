@@ -106,16 +106,14 @@ class Rows:
     called afresh for each pass, so a report that holds Rows can be
     emitted more than once.  Iterating Rows gives the items one by one, as
     the CSV and text emitters do; the JSON emitter writes whole batches.
-    `template`, where the items have one fixed shape, maps the items'
-    indent to a str.format template that writes one item as
-    json.dumps(indent=2) would, led by its newline; without it, each batch
-    goes through the standard library's encoder.
+    The items have one fixed shape: `template` maps their indent to a
+    str.format template that writes one item as json.dumps(indent=2)
+    would, led by its newline.
     """
 
     __slots__ = ("make", "template")
 
-    def __init__(self, make: Callable[[], Iterator[list]],
-                 template: Callable[[str], str] | None = None):
+    def __init__(self, make: Callable[[], Iterator[list]], template: Callable[[str], str]):
         self.make = make
         self.template = template
 
@@ -285,12 +283,11 @@ def _emit_json(report: dict):
     The encoder hands each Rows to `default`, which pulls its first
     non-empty batch (so its check runs first) and returns a stand-in: []
     for no rows, else [""].  The encoder's very next piece is then '[',
-    a newline, the item indent and '""'.  In its place go the batches:
-    for a Rows with a template, each row formatted by the template built
-    for that indent; otherwise each batch encoded whole by a plain encoder
-    and re-indented.  The encoder closes the array itself.  A report
-    string "" is never taken for a stand-in: only the piece right after a
-    `default` call is replaced.
+    a newline, the item indent and '""'.  In its place go the batches,
+    each row formatted by the Rows' template built for that indent.  The
+    encoder closes the array itself.  A report string "" is never taken
+    for a stand-in: only the piece right after a `default` call is
+    replaced.
     """
     pending = []
 
@@ -304,26 +301,18 @@ def _emit_json(report: dict):
         pending.append((value.template, itertools.chain([first], batches)))
         return [""]
 
-    plain = json.JSONEncoder(indent=2)
     for piece in json.JSONEncoder(indent=2, default=default).iterencode(report):
         if not pending:
             yield piece
             continue
         # piece is '[\n' + indent + '""', indent being the items'.
         template, batches = pending.pop()
-        indent = piece[2:-2]
-        row = template(indent).format_map if template else None
-        # A batch encoded alone has indent '', so every newline in it gains
-        # the array's; its own '[' and closing '\n]' are dropped.
-        newline = "\n" + indent[2:]
+        row = template(piece[2:-2]).format_map
         opening = "["
         for batch in batches:
             if batch:
                 yield opening
-                if row:
-                    yield ",".join(map(row, batch))
-                else:
-                    yield plain.encode(batch).replace("\n", newline)[1:-len(newline) - 1]
+                yield ",".join(map(row, batch))
                 opening = ","
     yield "\n"
 

@@ -297,7 +297,11 @@ def mid(enclosure) -> Fraction:
 
 
 def as_interval(value) -> Interval:
-    """An Interval, an enclosure with lo and hi ends, or a scalar as a point."""
+    """An Interval, an enclosure with lo and hi ends, the integers (lo, hi, den)
+    of [lo, hi]/den, or a scalar as a point."""
+    if isinstance(value, tuple):
+        lo, hi, den = value
+        return Interval(Fraction(lo, den), Fraction(hi, den))
     lo, hi = (value.lo, value.hi) if hasattr(value, "lo") else (value, value)
     return Interval(lo, hi)
 

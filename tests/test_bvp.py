@@ -251,7 +251,7 @@ class TestCubicCorrection:
         spec = validate_spec(k, 3)
         exp = expand(spec, 12)
         a_iv = alpha_interval(spec, 256)
-        cap = 2 / a_iv.hi + 1
+        cap = 2 / oracles.as_interval(a_iv).hi + 1
         for n in range(2, 12):
             conv, _ = exp.pair(n)
             v = cubic_correction(spec, conv, a_iv)
@@ -271,7 +271,7 @@ class TestGeneralCorrection:
         # linearization error to cancel: the enclosure must contain 0.
         spec = validate_spec(7, 4)
         a_iv = alpha_interval(spec, 64)
-        x = oracles.mid(a_iv)
+        x = oracles.mid(oracles.as_interval(a_iv))
         conv = Convergent(n=1, b=1, p=x.numerator, q=x.denominator, side=Side.ABOVE)
         total = general_correction(spec, conv, a_iv)
         assert total.lo <= 0 <= total.hi

@@ -21,7 +21,13 @@ from rootcf.cli import (
     run,
 )
 from rootcf.engine import Certificate, certify, expand
-from rootcf.digits import ROW_BATCH, decimal_string, justified_places, sci_string
+from rootcf.digits import (
+    ROW_BATCH,
+    convergent_row_json,
+    decimal_string,
+    justified_places,
+    sci_string,
+)
 from rootcf.exact import validate_spec
 from rootcf.report import (
     _EMITTERS,
@@ -240,17 +246,21 @@ json_values = st.recursive(
 )
 # Row source lengths: none, one, and either side of a convergent batch.
 ROW_LENGTHS = (0, 1, ROW_BATCH - 1, ROW_BATCH, ROW_BATCH + 1, 2 * ROW_BATCH + 1)
-row_items = st.integers() | st.text(max_size=3) | st.fixed_dictionaries(
-    {"n": st.integers(), "p": st.text(max_size=3), "side": st.sampled_from(["above", "below"])})
+# Convergent-shaped rows, their keys drawn in the order the template writes them.
+ROW_KEYS = ("n", "b", "p", "q", "side")
+row_items = st.tuples(
+    st.integers(), st.integers(), st.integers(0).map(str), st.integers(0).map(str),
+    st.sampled_from(["above", "below"]),
+).map(lambda values: dict(zip(ROW_KEYS, values)))
 
 
 def _with_row_sources(value, data):
     """(lazy, plain): value with some of its arrays, at any depth, made Rows.
 
-    Each chosen array keeps its items, or takes a drawn length from
+    Each chosen array takes convergent-shaped rows, written by
+    `convergent_row_json`, as many as it had items or a drawn length from
     ROW_LENGTHS, and is cut into batches of ROW_BATCH or at drawn points,
-    empty batches included.  The items of a Rows stay plain.  `plain` is
-    what `lazy` stands for.
+    empty batches included.  `plain` is what `lazy` stands for.
     """
     if isinstance(value, dict):
         pairs = {key: _with_row_sources(v, data) for key, v in value.items()}
@@ -260,17 +270,15 @@ def _with_row_sources(value, data):
     if not data.draw(st.booleans()):
         pairs = [_with_row_sources(v, data) for v in value]
         return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
-    items = list(value)
-    if data.draw(st.booleans()):
-        n = data.draw(st.sampled_from(ROW_LENGTHS))
-        items = data.draw(st.lists(row_items, min_size=n, max_size=n))
+    n = len(value) if data.draw(st.booleans()) else data.draw(st.sampled_from(ROW_LENGTHS))
+    items = data.draw(st.lists(row_items, min_size=n, max_size=n))
     if data.draw(st.booleans()):
         cuts = list(range(ROW_BATCH, len(items), ROW_BATCH))
     else:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=5)))
     bounds = [0, *cuts, len(items)]
     batches = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    return Rows(lambda: iter(batches)), items
+    return Rows(lambda: iter(batches), convergent_row_json), items
 
 
 def _expand_result(data):
@@ -369,8 +377,10 @@ class TestEmit:
 
     def test_a_string_like_the_stand_in_is_a_string(self):
         # An array with rows is first encoded as [""]; a report's own "" stays "".
-        lazy = {"a": "", "b": Rows(lambda: iter([[""], ["", {"": ""}]])), "c": [""], "": Rows(list)}
-        plain = {"a": "", "b": ["", "", {"": ""}], "c": [""], "": []}
+        rows = [dict(zip(ROW_KEYS, (n, n, "1", "2", "below"))) for n in range(3)]
+        lazy = {"a": "", "b": Rows(lambda: iter([rows[:1], rows[1:]]), convergent_row_json),
+                "c": [""], "": Rows(list, convergent_row_json)}
+        plain = {"a": "", "b": rows, "c": [""], "": []}
         assert emit(lazy, "json") == json.dumps(plain, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", FORMATS)

@@ -22,7 +22,7 @@ from rootcf.exact import (
 )
 
 from conftest import spec_or_reject
-from oracles import Interval, mid, nth_root_bisect, width
+from oracles import Interval, as_interval, mid, nth_root_bisect, width
 
 
 class TestIntNthRoot:
@@ -122,7 +122,7 @@ class TestAlphaEnclosure:
         assert nth_root_bisect(2 * 10 ** 9, 3) == 1259  # 1259**3 <= 2e9 < 1260**3
 
     def test_sqrt2_zero_digits(self):
-        assert alpha_interval(validate_spec(2, 2), 0) == RationalInterval(1, 2)
+        assert alpha_interval(validate_spec(2, 2), 0) == (1, 2, 1)
 
     @given(
         k=st.integers(min_value=2, max_value=500),
@@ -132,17 +132,16 @@ class TestAlphaEnclosure:
     @settings(max_examples=60)
     def test_soundness(self, k, m, bits):
         spec = spec_or_reject(k, m)
-        iv = alpha_interval(spec, bits)
-        scaled = iv.lo * 2 ** bits
-        assert scaled == nth_root_bisect(k << (m * bits), m)
+        scaled = nth_root_bisect(k << (m * bits), m)
+        assert alpha_interval(spec, bits) == (scaled, scaled + 1, 2 ** bits)
         assert scaled ** m <= k << (m * bits) < (scaled + 1) ** m
-        assert width(iv) == Fraction(1, 2 ** bits)
+        assert width(as_interval(alpha_interval(spec, bits))) == Fraction(1, 2 ** bits)
 
     def test_interval_contains_alpha(self):
         spec = validate_spec(2, 3)
-        iv = alpha_interval(spec, 50)
-        # alpha in [lo, hi] iff lo**3 <= 2 <= hi**3
-        assert iv.lo ** 3 <= 2 <= iv.hi ** 3
+        lo, hi, den = alpha_interval(spec, 50)
+        # alpha in [lo, hi]/den iff lo**3 <= 2*den**3 <= hi**3
+        assert lo ** 3 <= 2 * den ** 3 <= hi ** 3
 
 
 class TestSignLinearInAlpha:

@@ -13,7 +13,7 @@ import pytest
 from rootcf.bvp import scan, verify_theorems
 from rootcf.cli import UsageError, parse_args
 from rootcf.engine import expand
-from rootcf.exact import PerfectPowerError, alpha_interval, validate_spec
+from rootcf.exact import PerfectPowerError, validate_spec
 
 RECORDS = [
     "RadicandSpec", "RationalInterval",
@@ -32,7 +32,7 @@ def records():
     # 49 = 7**2 is skipped at m = 10; 50 keeps its n = 1 violation.
     grid = scan(range(49, 51), [10], 1)
     found = [
-        spec, alpha_interval(spec, 64), exp.terms[1], exp,
+        spec, report.terms[0].theta, exp.terms[1], exp,
         report.terms[0].prediction, report.violations[0], report.below_window,
         report.terms[0], report, grid.cells[0], grid.skipped[0], grid,
         parse_args(["scan", "--m", "3", "--k-range", "2..20", "--workers", "2"]),
