@@ -1,6 +1,10 @@
 """rootcf: exact continued fractions of integer m-th roots, with a
 Bombieri-van der Poorten decomposition analyzer and verification harness.
 
+A certified expansion is one record, `Expansion`: the partial quotients
+`expand` proves and the bits it needed.  It stores no convergent;
+`Expansion.convergents()` walks p_n/q_n from the quotients.
+
 The routes the tests check the package against (interval arithmetic, an
 exact-search expansion) live in tests/oracles.py.  The program never calls
 `complete_quotient_interval`, `next_partial_quotient`, `general_correction`,
@@ -21,11 +25,9 @@ from .exact import (
     validate_spec,
 )
 from .engine import (
-    Certificate,
     Convergent,
     Expansion,
     Side,
-    certify,
     complete_quotient_interval,
     expand,
     next_partial_quotient,

@@ -380,9 +380,10 @@ def verify_theorems(
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max.
 
-    Each index takes d_n, H_n and A_n once, as integers, from
-    `leading_terms`, and b_{n+1} from the certified expansion, whose
-    floors are proven and whose last term `expand` re-checks exactly.
+    The convergents are walked once, each with its neighbours.  Each
+    index takes d_n, H_n and A_n once, as integers, from `leading_terms`,
+    and b_{n+1} from the certified expansion, whose floors are proven and
+    whose last term `expand` re-checks exactly.
     |R_n| < 1 is proven where q_n >= Q(k, m) (`unit_threshold`, once per
     call) and decided exactly below Q (`exact_unit_remainder`).  The
     windows are checked exactly, the epsilon-range and below-side claims
@@ -419,7 +420,10 @@ def verify_theorems(
             b_next=b_next, distance=d, observed=observed, claimed=claimed,
         )
 
-    for prev, conv, following in zip(exp.terms, exp.terms[1:], exp.terms[2:]):
+    # Convergent n with its neighbours n - 1 and n + 1, for n = 1..n_max.
+    convergents = exp.convergents()
+    prev, conv = next(convergents), next(convergents)
+    for following in convergents:
         n, b_next = conv.n, following.b
         d, hn, hd, an = leading_terms(spec, conv, prev)
         outcome = prediction(conv, hn, hd, an, b_next)
@@ -484,6 +488,7 @@ def verify_theorems(
                     cubic_sign_ok=sign_ok,
                 )
             )
+        prev, conv = conv, following
 
     def stats(claim: str, checked_on_side: int, failures: list[ViolationRecord]) -> ClaimStats:
         return ClaimStats(

@@ -22,7 +22,7 @@ from .bvp import (
     scan,
     verify_theorems,
 )
-from .engine import certify, expand
+from .engine import expand
 from .exact import (
     DEFAULT_MAX_BITS,
     InvalidDegreeError,
@@ -205,7 +205,7 @@ def run(config: RunConfig) -> dict:
     if config.command == "expand":
         specs, skipped = _specs(config)
         for spec in specs:
-            results.append(certificate_payload(certify(spec, config.terms, max_bits=cap)))
+            results.append(certificate_payload(expand(spec, config.terms, max_bits=cap)))
         summary = {
             "specs": len(specs),
             "skipped_specs": len(skipped),
@@ -218,14 +218,17 @@ def run(config: RunConfig) -> dict:
         for spec in specs:
             exp = expand(spec, config.terms, max_bits=cap)
             predictions = []
-            for n in range(1, config.terms):
-                conv, prev = exp.pair(n)
+            # Convergent n with its neighbours n - 1 and n + 1, for n = 1..terms-1.
+            convergents = exp.convergents()
+            prev, conv = next(convergents), next(convergents)
+            for following in convergents:
                 d, hn, hd, an = leading_terms(spec, conv, prev)
-                outcome = prediction(conv, hn, hd, an, exp.terms[n + 1].b)
+                outcome = prediction(conv, hn, hd, an, following.b)
                 predictions.append((outcome, conv, d, hn, hd, an))
                 held += outcome.formula_held
                 total += 1
-            results.append(predict_payload(exp, predictions))
+                prev, conv = conv, following
+            results.append(predict_payload(exp, predictions, (conv.p, conv.q)))
         summary = {
             "specs": len(specs),
             "skipped_specs": len(skipped),

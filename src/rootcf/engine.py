@@ -1,20 +1,21 @@
 """Certified regular continued fraction expansion of alpha = k**(1/m).
 
-Two steps.  `certify` runs integer Euclid on both endpoints of alpha's
-binary enclosure [S, S+1]/2**bits, taken as the integers `alpha_interval`
+`expand` runs integer Euclid on both endpoints of alpha's binary
+enclosure [S, S+1]/2**bits, taken as the integers `alpha_interval`
 returns, and keeps the quotients on which they agree
 (precision-adaptive); the last term is re-checked by the exact order test
-`verify_quotient`.  It returns the partial quotients b_0..b_N and the bits,
-and holds no convergent beyond the few its last check reads.  `expand`
-then builds the `Convergent`s p_n/q_n from them, for `predict`, `verify`
-and library callers; a report of the quotients alone (the `expand`
-command) prints the convergents from `certify`'s quotients as it writes
-them.  The tests cross-certify both against an exact-search expansion and
-a fixed-precision one (tests/oracles.py).  `complete_quotient_interval`
-and `next_partial_quotient` stay public for the benchmark's tracer only.
+`verify_quotient`.  Its `Expansion` holds the partial quotients b_0..b_N
+and the bits, and no convergent: `Expansion.convergents()` walks the
+`Convergent`s p_n/q_n from the quotients for whoever reads them
+(`predict`, `verify`, library callers), and the `expand` command prints
+them as it writes them.  The tests cross-certify the expansion against an
+exact-search expansion and a fixed-precision one (tests/oracles.py).
+`complete_quotient_interval` and `next_partial_quotient` stay public for
+the benchmark's tracer only.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -55,20 +56,29 @@ def _prev_pq(prev: Convergent | None) -> tuple[int, int]:
     return (prev.p, prev.q) if prev is not None else (1, 0)
 
 
+def _side(n: int) -> Side:
+    # Convergents of an irrational number alternate about it, starting
+    # below with b_0 = floor(alpha): the side is the parity of n.
+    return Side.ABOVE if n % 2 else Side.BELOW
+
+
 class Expansion(NamedTuple):
-    """Partial quotients b_0..b_N of alpha with their convergents."""
+    """Certified partial quotients b_0..b_N of alpha, and the bits that certified them."""
 
     spec: RadicandSpec
-    terms: tuple[Convergent, ...]
+    partial_quotients: list[int]
     precision_bits: int
 
-    @property
-    def partial_quotients(self) -> list[int]:
-        return [t.b for t in self.terms]
+    def convergents(self) -> Iterator[Convergent]:
+        """Convergents n = 0..N: p_n = b_n*p_{n-1} + p_{n-2}, q_n likewise.
 
-    def pair(self, n: int) -> tuple[Convergent, Convergent | None]:
-        """(convergent n, convergent n-1); the latter is None at n = 0."""
-        return self.terms[n], self.terms[n - 1] if n >= 1 else None
+        Each side is the parity of n (even below, odd above), which holds
+        for every irrational alpha.
+        """
+        p, q, pp, qp = 1, 0, 0, 1
+        for n, b in enumerate(self.partial_quotients):
+            p, q, pp, qp = b * p + pp, b * q + qp, p, q
+            yield Convergent(n=n, b=b, p=p, q=q, side=_side(n))
 
 
 def _theta_corners(
@@ -175,21 +185,7 @@ def _euclid_quotients(lo: int, hi: int, den: int, count: int) -> list[int] | Non
     return quotients
 
 
-class Certificate(NamedTuple):
-    """Certified partial quotients b_0..b_N of alpha, without convergents."""
-
-    spec: RadicandSpec
-    partial_quotients: list[int]
-    precision_bits: int
-
-
-def _side(n: int) -> Side:
-    # Convergents of an irrational number alternate about it, starting
-    # below with b_0 = floor(alpha): the side is the parity of n.
-    return Side.ABOVE if n % 2 else Side.BELOW
-
-
-def _certify_at(spec: RadicandSpec, count: int, bits: int) -> Certificate | None:
+def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
     """The certified quotients at one precision; None if some floor is ambiguous."""
     quotients = _euclid_quotients(*alpha_interval(spec, bits), count)
     if quotients is None:
@@ -209,7 +205,7 @@ def _certify_at(spec: RadicandSpec, count: int, bits: int) -> Certificate | None
             raise InconsistentEnclosureError(
                 "endpoint Euclid expansion disagrees with the exact oracle on the last term"
             )
-    return Certificate(spec=spec, partial_quotients=quotients, precision_bits=bits)
+    return Expansion(spec=spec, partial_quotients=quotients, precision_bits=bits)
 
 
 def _first_useful_bits(count: int) -> int:
@@ -232,12 +228,12 @@ def _first_useful_bits(count: int) -> int:
     return bits
 
 
-def certify(
+def expand(
     spec: RadicandSpec,
     count: int,
     *,
     max_bits: int = DEFAULT_MAX_BITS,
-) -> Certificate:
+) -> Expansion:
     """Certified partial quotients b_0..b_count by integer Euclid on enclosure endpoints.
 
     alpha is enclosed in [s, s+1]/2**bits and Euclid runs on both
@@ -246,7 +242,8 @@ def certify(
     (`refine`), so every certified term is certain, not merely probable.
     The doubling starts at the first level that can succeed
     (`_first_useful_bits`).  The final term is re-certified by the exact
-    order test.
+    order test.  No convergent is kept: `Expansion.convergents()` walks
+    them from the quotients.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -254,26 +251,4 @@ def certify(
     if start_bits > max(max_bits, DEFAULT_START_BITS):
         # Every level up to the cap provably fails.
         raise PrecisionCeilingError(max_bits)
-    return refine(lambda bits: _certify_at(spec, count, bits), start_bits, max_bits)
-
-
-def expand(
-    spec: RadicandSpec,
-    count: int,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> Expansion:
-    """Certified expansion b_0..b_count with every convergent p_n/q_n.
-
-    The quotients come from `certify`; the convergents are built from them
-    by p_n = b_n*p_{n-1} + p_{n-2}, q_n likewise.  Each convergent's side
-    is taken from the parity of n (even below, odd above), which holds for
-    every irrational alpha.
-    """
-    cert = certify(spec, count, max_bits=max_bits)
-    terms: list[Convergent] = []
-    p, q, pp, qp = 1, 0, 0, 1
-    for n, b in enumerate(cert.partial_quotients):
-        p, q, pp, qp = b * p + pp, b * q + qp, p, q
-        terms.append(Convergent(n=n, b=b, p=p, q=q, side=_side(n)))
-    return Expansion(spec=spec, terms=tuple(terms), precision_bits=cert.precision_bits)
+    return refine(lambda bits: _expand_at(spec, count, bits), start_bits, max_bits)

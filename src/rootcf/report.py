@@ -23,7 +23,7 @@ from .digits import (
     justified_places,
     sci_string,
 )
-from .engine import Certificate, Expansion
+from .engine import Expansion
 from .exact import RationalInterval
 
 REPORT_SCHEMA = 1
@@ -121,7 +121,7 @@ class Rows:
         return itertools.chain.from_iterable(self.make())
 
 
-def certificate_payload(cert: Certificate) -> dict:
+def certificate_payload(exp: Expansion) -> dict:
     """`expand`'s payload from certified quotients alone.
 
     Its convergents are a row source: each batch of rows is built, checked
@@ -129,27 +129,20 @@ def certificate_payload(cert: Certificate) -> dict:
     expansion is held at once.  In JSON every row is written by one
     template (`digits.convergent_row_json`).
     """
-    quotients = cert.partial_quotients
+    quotients = exp.partial_quotients
     return {
-        "k": cert.spec.k,
-        "m": cert.spec.m,
-        "precision_bits": cert.precision_bits,
+        "k": exp.spec.k,
+        "m": exp.spec.m,
+        "precision_bits": exp.precision_bits,
         "partial_quotients": quotients,
         "convergents": Rows(lambda: convergent_digits(quotients), convergent_row_json),
     }
 
 
-def _convergent_batches(exp: Expansion) -> Iterator[list[dict]]:
-    """The convergent rows of an expansion in batches, checked against its own integers."""
-    last = exp.terms[-1]
-    return convergent_digits(exp.partial_quotients, (last.p, last.q))
-
-
 def expand_payload(exp: Expansion) -> dict:
-    """`expand`'s payload from a built Expansion: the convergents as a list of rows."""
-    cert = Certificate(exp.spec, exp.partial_quotients, exp.precision_bits)
-    rows = list(itertools.chain.from_iterable(_convergent_batches(exp)))
-    return {**certificate_payload(cert), "convergents": rows}
+    """`expand`'s payload with the convergents as a list of rows, all held at once."""
+    payload = certificate_payload(exp)
+    return {**payload, "convergents": list(payload["convergents"])}
 
 
 def outcome_json(outcome: PredictionOutcome) -> dict:
@@ -170,12 +163,14 @@ def prediction_json(outcome, p: str, q: str, distance: int, hn: int, hd: int, an
     }
 
 
-def predict_payload(exp: Expansion, predictions: list[tuple]) -> dict:
+def predict_payload(exp: Expansion, predictions: list[tuple], ends: tuple[int, int]) -> dict:
     """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index.
 
-    Of each convergent row only the digits (p, q) are kept.
+    Of each convergent row only the digits (p, q) are kept; they are
+    checked against ends, the integers (p_N, q_N) of the last convergent.
     """
-    digits = [(row["p"], row["q"]) for batch in _convergent_batches(exp) for row in batch]
+    rows = convergent_digits(exp.partial_quotients, ends)
+    digits = [(row["p"], row["q"]) for batch in rows for row in batch]
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,

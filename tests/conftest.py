@@ -36,6 +36,12 @@ class RecordingStream:
         return len(text)
 
 
+def pair(exp, n):
+    """(convergent n, convergent n-1) of an Expansion; the latter is None at n = 0."""
+    terms = tuple(exp.convergents())
+    return terms[n], terms[n - 1] if n >= 1 else None
+
+
 def leading_fractions(spec, conv, prev):
     """(d_n, H_n, A_n) from leading_terms' integers, the two rationals reduced."""
     d, hn, hd, an = leading_terms(spec, conv, prev)

@@ -31,7 +31,7 @@ from rootcf.exact import alpha_interval, validate_spec
 from rootcf.report import emit
 
 import oracles
-from conftest import SWEEP_N_MAX, leading_fractions, within
+from conftest import SWEEP_N_MAX, leading_fractions, pair, within
 
 
 def report_line(cid: str, ok: bool, detail: str):
@@ -45,7 +45,7 @@ def test_criterion_1_golden_degree_ten():
     t0 = time.perf_counter()
     spec = validate_spec(50, 10)
     exp = expand(spec, 3)
-    conv, prev = exp.pair(1)
+    conv, prev = pair(exp, 1)
 
     assert exp.partial_quotients == [1, 2, 11, 3]
     assert (conv.p, conv.q) == (3, 2)
@@ -184,7 +184,7 @@ def test_criterion_5_below_side_claim_discrepancy(cubic_sweep):
     assert failure is not None, "expected a measured below-window failure at n=2"
     assert failure.quantity == WINDOW_BELOW
     assert failure.b_next == 5
-    assert leading_fractions(report.spec, *report.expansion.pair(2))[1] == Fraction(25, 4)
+    assert leading_fractions(report.spec, *pair(report.expansion, 2))[1] == Fraction(25, 4)
     assert "25/4" in failure.claimed
     # measured, not asserted: it must NOT appear among certified violations
     assert not any(v.quantity == WINDOW_BELOW for v in report.violations)
@@ -214,7 +214,7 @@ def test_criterion_6_oracle_equivalence():
         if m == 2:
             period = {2: 2, 5: 4}[k]
             assert all(b == period for b in fast.partial_quotients[1:])
-            for t in fast.terms:
+            for t in fast.convergents():
                 assert abs(t.p * t.p - k * t.q * t.q) == 1
     report_line(
         "criterion-6",
@@ -228,7 +228,7 @@ def test_criterion_7_identity_suites(cubic_sweep):
     """Determinant, side alternation, the q^-2 identity, both cubic forms,
     exact signs, and the two remainder routes, across the whole sweep."""
     for k, report in cubic_sweep.items():
-        terms = report.expansion.terms
+        terms = tuple(report.expansion.convergents())
         for prev, cur in zip(terms, terms[1:]):
             assert abs(cur.p * prev.q - prev.p * cur.q) == 1
             assert cur.side is not prev.side
@@ -243,7 +243,7 @@ def test_criterion_7_identity_suites(cubic_sweep):
         spec = validate_spec(k, 3)
         exp = expand(spec, 10)
         for n in range(1, 10):
-            conv, prev = exp.pair(n)
+            conv, prev = pair(exp, n)
             _, h, _ = leading_fractions(spec, conv, prev)
             widths = []
             for bits in (128, 256):

@@ -49,7 +49,7 @@ from rootcf.exact import (
 )
 
 import oracles
-from conftest import leading_fractions, spec_or_reject, within
+from conftest import leading_fractions, pair, spec_or_reject, within
 
 SPEC_50_10 = validate_spec(50, 10)
 SPEC_2_3 = validate_spec(2, 3)
@@ -60,30 +60,30 @@ EXP_2 = expand(SPEC_2_3, 8)
 
 class TestExactQuantities:
     def test_distance_degree_ten(self):
-        conv, _ = EXP_50.pair(1)
+        conv, _ = pair(EXP_50, 1)
         assert algebraic_distance(SPEC_50_10, conv) == 7849  # |59049 - 51200|
 
     def test_distance_cbrt2(self):
-        conv0, _ = EXP_2.pair(0)
+        conv0, _ = pair(EXP_2, 0)
         assert algebraic_distance(SPEC_2_3, conv0) == 1
-        conv1, _ = EXP_2.pair(1)
+        conv1, _ = pair(EXP_2, 1)
         assert algebraic_distance(SPEC_2_3, conv1) == 10  # |64 - 54|
-        conv2, _ = EXP_2.pair(2)
+        conv2, _ = pair(EXP_2, 2)
         assert algebraic_distance(SPEC_2_3, conv2) == 3  # |125 - 128|
 
     def test_leading_degree_ten(self):
-        d, h, _ = leading_fractions(SPEC_50_10, *EXP_50.pair(1))
+        d, h, _ = leading_fractions(SPEC_50_10, *pair(EXP_50, 1))
         assert d == 7849
         assert h == Fraction(196830, 15698)
         assert abs(h - Fraction("12.5385")) <= Fraction(1, 10 ** 4)
 
     def test_leading_cbrt2(self):
-        assert leading_fractions(SPEC_2_3, *EXP_2.pair(0))[:2] == (1, 3)
-        assert leading_fractions(SPEC_2_3, *EXP_2.pair(1))[:2] == (10, Fraction(8, 5))
+        assert leading_fractions(SPEC_2_3, *pair(EXP_2, 0))[:2] == (1, 3)
+        assert leading_fractions(SPEC_2_3, *pair(EXP_2, 1))[:2] == (10, Fraction(8, 5))
 
     def test_shifted_leading(self):
-        assert leading_fractions(SPEC_2_3, *EXP_2.pair(1))[2] == Fraction(19, 15)
-        assert leading_fractions(SPEC_2_3, *EXP_2.pair(2)) == (3, Fraction(25, 4), Fraction(11, 2))
+        assert leading_fractions(SPEC_2_3, *pair(EXP_2, 1))[2] == Fraction(19, 15)
+        assert leading_fractions(SPEC_2_3, *pair(EXP_2, 2)) == (3, Fraction(25, 4), Fraction(11, 2))
 
 
 def analyzed(spec, conv, prev):
@@ -114,13 +114,13 @@ class TestRemainder:
         assert -1 < iv.lo and iv.hi < 0  # below side, still negative
 
     def test_certified_unit_check(self):
-        _, iv, inside = analyzed(SPEC_50_10, *EXP_50.pair(1))
+        _, iv, inside = analyzed(SPEC_50_10, *pair(EXP_50, 1))
         assert not inside and iv.hi < -1
-        _, iv2, inside2 = analyzed(SPEC_2_3, *EXP_2.pair(2))
+        _, iv2, inside2 = analyzed(SPEC_2_3, *pair(EXP_2, 2))
         assert inside2 and -1 < iv2.lo and iv2.hi < 1
 
     def test_two_routes_intersect_and_tighten(self):
-        conv, prev = EXP_2.pair(3)
+        conv, prev = pair(EXP_2, 3)
         _, h, _ = leading_fractions(SPEC_2_3, conv, prev)
         shift = Fraction(prev.q, conv.q)
         for bits in (96, 192):
@@ -141,7 +141,7 @@ class TestRemainder:
         spec = spec_or_reject(k, m)
         exp = expand(spec, 14)
         for n in range(1, 15):
-            conv, prev = exp.pair(n)
+            conv, prev = pair(exp, n)
             expected = oracles.unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
             assert analyzed(spec, conv, prev)[2] == expected
             _, hn, hd, _ = leading_terms(spec, conv, prev)
@@ -199,7 +199,7 @@ class TestUnitThreshold:
         q_unit = unit_threshold(spec, bits)
         assert q_unit == oracles.unit_threshold(k, m, bits)
         for t in report.terms:
-            conv, prev = report.expansion.pair(t.n)
+            conv, prev = pair(report.expansion, t.n)
             exact = exact_unit_remainder(spec, conv, prev, *leading_terms(spec, conv, prev)[1:3])
             assert t.remainder_in_unit == exact
             assert exact or t.q < q_unit
@@ -207,14 +207,14 @@ class TestUnitThreshold:
 
 class TestCubicCorrection:
     def test_above_positive(self):
-        conv, _ = EXP_2.pair(1)
+        conv, _ = pair(EXP_2, 1)
         iv = cubic_correction(SPEC_2_3, conv, alpha_interval(SPEC_2_3, 200))
         # (3/10)(32/9 - (4/3)a - a**2) = 0.08647793...
         assert within(iv, Fraction("0.0864779"), Fraction(1, 10 ** 5))
         assert iv.lo > 0
 
     def test_below_negative(self):
-        conv, _ = EXP_2.pair(2)
+        conv, _ = pair(EXP_2, 2)
         iv = cubic_correction(SPEC_2_3, conv, alpha_interval(SPEC_2_3, 200))
         # closed form (2x + a)/(q**2 (x**2 + xa + a**2)) = 0.04973648..., sign flipped
         assert within(iv, Fraction("-0.0497365"), Fraction(1, 10 ** 5))
@@ -223,14 +223,14 @@ class TestCubicCorrection:
     def test_sign_matches_integer_sign(self):
         a_iv = alpha_interval(SPEC_2_3, 300)
         for n in range(1, 9):
-            conv, _ = EXP_2.pair(n)
+            conv, _ = pair(EXP_2, n)
             iv = cubic_correction(SPEC_2_3, conv, a_iv)
             integer_sign = 1 if conv.p ** 3 > 2 * conv.q ** 3 else -1
             assert (iv.lo > 0) == (integer_sign > 0)
             assert (iv.hi < 0) == (integer_sign < 0)
 
     def test_wrong_degree(self):
-        conv, _ = EXP_50.pair(1)
+        conv, _ = pair(EXP_50, 1)
         with pytest.raises(WrongDegreeError):
             cubic_correction(SPEC_50_10, conv, alpha_interval(SPEC_50_10, 64))
 
@@ -239,7 +239,7 @@ class TestCubicCorrection:
         # its defining form.
         a_iv = alpha_interval(SPEC_2_3, 200)
         for n in range(1, 8):
-            conv, _ = EXP_2.pair(n)
+            conv, _ = pair(EXP_2, n)
             v = oracles.as_interval(cubic_correction(SPEC_2_3, conv, a_iv))
             assert v == -oracles.as_interval(general_correction(SPEC_2_3, conv, a_iv))
             assert v == oracles.cubic_correction(2, conv.p, conv.q, oracles.as_interval(a_iv))
@@ -253,7 +253,7 @@ class TestCubicCorrection:
         a_iv = alpha_interval(spec, 256)
         cap = 2 / oracles.as_interval(a_iv).hi + 1
         for n in range(2, 12):
-            conv, _ = exp.pair(n)
+            conv, _ = pair(exp, n)
             v = cubic_correction(spec, conv, a_iv)
             scaled_magnitude = (v.hi if v.lo > 0 else -v.lo) * conv.q ** 2
             assert scaled_magnitude < cap
@@ -261,7 +261,7 @@ class TestCubicCorrection:
 
 class TestGeneralCorrection:
     def test_degree_ten_value(self):
-        conv, _ = EXP_50.pair(1)
+        conv, _ = pair(EXP_50, 1)
         iv = general_correction(SPEC_50_10, conv, alpha_interval(SPEC_50_10, 128))
         # W_1 = R_1 + q_0/q_1 = -1.26960464... + 1/2 = -0.76960464...
         assert within(iv, Fraction("-0.7696046"), Fraction(1, 10 ** 5))
@@ -282,7 +282,7 @@ class TestGeneralCorrection:
         exp = expand(spec, 6)
         a_iv = alpha_interval(spec, 128)
         for n in range(1, 6):
-            conv, _ = exp.pair(n)
+            conv, _ = pair(exp, n)
             iv = general_correction(spec, conv, a_iv)
             if conv.side is Side.ABOVE:
                 assert iv.hi < 0
@@ -292,13 +292,13 @@ class TestGeneralCorrection:
 
 class TestPredictNext:
     def test_cbrt2_first(self):
-        conv, prev = EXP_2.pair(1)
+        conv, prev = pair(EXP_2, 1)
         out = predict_next(SPEC_2_3, conv, prev)
         assert (out.candidate, out.epsilon, out.predicted, out.actual) == (1, 0, 1, 1)
         assert out.formula_held and out.window_held
 
     def test_degree_ten_failure(self):
-        conv, prev = EXP_50.pair(1)
+        conv, prev = pair(EXP_50, 1)
         out = predict_next(SPEC_50_10, conv, prev)
         assert out.candidate == 12
         assert out.actual == 11
@@ -306,7 +306,7 @@ class TestPredictNext:
         assert out.predicted == 12
 
     def test_cbrt2_below_side(self):
-        conv, prev = EXP_2.pair(2)
+        conv, prev = pair(EXP_2, 2)
         out = predict_next(SPEC_2_3, conv, prev)
         assert (out.candidate, out.epsilon, out.predicted, out.actual) == (5, 0, 5, 5)
         assert out.formula_held
@@ -315,7 +315,7 @@ class TestPredictNext:
         # k = 3, n = 1: A_1 = 4 exactly but b_2 = 3; the two-candidate
         # window {floor(A), floor(A)+1} misses from above.
         spec = validate_spec(3, 3)
-        conv, prev = expand(spec, 2).pair(1)
+        conv, prev = pair(expand(spec, 2), 1)
         assert leading_fractions(spec, conv, prev)[2] == 4
         out = predict_next(spec, conv, prev)
         assert out.candidate == 4 and out.actual == 3
@@ -325,11 +325,11 @@ class TestPredictNext:
     def test_invariants_across_expansion(self):
         exp = expand(SPEC_2_3, 15)
         for n in range(1, 15):
-            conv, prev = exp.pair(n)
+            conv, prev = pair(exp, n)
             out = predict_next(SPEC_2_3, conv, prev)
             assert out.predicted == out.candidate + out.epsilon
             assert out.formula_held == (out.predicted == out.actual)
-            assert out.actual == exp.terms[n + 1].b
+            assert out.actual == exp.partial_quotients[n + 1]
 
 
 def in_window(side, h, b):
@@ -379,19 +379,19 @@ class TestOneRoute:
         # reaches H_n on the above side.
         spec = spec_or_reject(k, m)
         exp = expand(spec, n + 1)
-        conv, prev = exp.pair(n)
+        conv, prev = pair(exp, n)
         d, hn, hd, an = leading_terms(spec, conv, prev)
         h = Fraction(hn, hd)
         assert d == algebraic_distance(spec, conv)
         assert h == Fraction(m * conv.p ** (m - 1), d * conv.q)
         assert Fraction(an, hd) == h - Fraction(prev.q, conv.q)
-        outcome = prediction(conv, hn, hd, an, exp.terms[n + 1].b)
+        outcome = prediction(conv, hn, hd, an, exp.partial_quotients[n + 1])
         assert outcome == predict_next(spec, conv, prev) == searched_prediction(spec, conv, prev)
         for b in range(math.floor(h) - 3, math.floor(h) + 4):
             assert prediction(conv, hn, hd, an, b).window_held == in_window(conv.side, h, b)
         report = verify_theorems(spec, n, keep_terms=True)
         for t in report.terms:
-            assert t.prediction == predict_next(spec, *exp.pair(t.n))
+            assert t.prediction == predict_next(spec, *pair(exp, t.n))
 
 
 class TestVerifyTheorems:
@@ -483,7 +483,7 @@ class TestVerifyTheorems:
         alpha = oracles.alpha_enclosure(k, m, 256)
         for t in full.terms:
             assert t.universal_identity_ok
-            qp = full.expansion.terms[t.n - 1].q
+            qp = pair(full.expansion, t.n)[1].q
             want = oracles.floor_prediction(k, m, t.p, t.q, qp, t.side.value, t.b_next)
             got = {**t._asdict(), **t.prediction._asdict()}
             assert {key: got[key] for key in want} == want
@@ -529,7 +529,7 @@ class TestAnalyzeTerm:
         # `start` bits (None starts at the expansion's bits, as verify does).
         spec = spec_or_reject(k, m)
         exp = expand(spec, n + 1)
-        conv, prev = exp.pair(n)
+        conv, prev = pair(exp, n)
         bits = start or exp.precision_bits
         d, hn, hd, _ = leading_terms(spec, conv, prev)
         theta, r, in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, DEFAULT_MAX_BITS)[:3]

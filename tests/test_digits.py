@@ -26,7 +26,7 @@ from rootcf.digits import (
 )
 from rootcf.engine import Convergent, Side, expand
 from rootcf.exact import RationalInterval, validate_spec
-from rootcf.report import emit, enclosure_json, expand_payload
+from rootcf.report import emit, enclosure_json, predict_payload
 
 import oracles
 from conftest import RecordingStream, spec_or_reject
@@ -131,7 +131,7 @@ class TestConvergentDigits:
         assert 1 <= len(batches[-1]) <= ROW_BATCH
         assert list(itertools.chain.from_iterable(batches)) == [
             {"n": t.n, "b": t.b, "p": str(t.p), "q": str(t.q), "side": t.side.value}
-            for t in exp.terms
+            for t in exp.convergents()
         ]
 
     def test_huge_partial_quotients_past_the_str_limit(self):
@@ -148,9 +148,9 @@ class TestConvergentDigits:
         with pytest.raises(ArithmeticError):
             rows_of([t.b for t in terms], (terms[-1].p, terms[-1].q))
         exp = expand(validate_spec(2, 3), 4)
-        bad = exp._replace(terms=exp.terms[:-1] + (exp.terms[-1]._replace(q=exp.terms[-1].q - 1),))
+        *_, last = exp.convergents()
         with pytest.raises(ArithmeticError):
-            expand_payload(bad)
+            predict_payload(exp, [], (last.p, last.q - 1))
 
     @pytest.mark.parametrize("n", [0, ROW_BATCH - 1, ROW_BATCH, 1500])
     def test_a_faulty_digit_stops_its_batch(self, monkeypatch, n):

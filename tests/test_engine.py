@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
-    _certify_at,
+    _expand_at,
     _first_useful_bits,
-    certify,
     complete_quotient_interval,
     expand,
     next_partial_quotient,
@@ -23,7 +22,7 @@ from rootcf.exact import (
 )
 
 import oracles
-from conftest import spec_or_reject
+from conftest import pair, spec_or_reject
 
 
 SPEC_50_10 = validate_spec(50, 10)
@@ -42,7 +41,7 @@ class TestExpand:
     def test_sqrt2_periodic(self):
         exp = expand(SPEC_2_2, 4)
         assert exp.partial_quotients == [1, 2, 2, 2, 2]
-        for t in exp.terms:
+        for t in exp.convergents():
             assert abs(t.p * t.p - 2 * t.q * t.q) == 1  # Pell identity
 
     def test_endpoint_on_the_floor_retries(self):
@@ -81,18 +80,16 @@ class TestExpand:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 300), st.integers(2, 12), st.integers(0, 700))
     def test_skipped_levels_fail_and_bits_are_unchanged(self, k, m, count):
-        # certify starts at _first_useful_bits: every level below it fails,
+        # expand starts at _first_useful_bits: every level below it fails,
         # and starting at 64 instead gives the same quotients and bits.
         spec = spec_or_reject(k, m)
         start = _first_useful_bits(count)
         bits = 64
         while bits < start:
-            assert _certify_at(spec, count, bits) is None
+            assert _expand_at(spec, count, bits) is None
             bits *= 2
-        from_64 = refine(lambda bits: _certify_at(spec, count, bits), 64, DEFAULT_MAX_BITS)
-        assert certify(spec, count) == from_64
-        exp = expand(spec, count)
-        assert (exp.partial_quotients, exp.precision_bits) == from_64[1:]
+        from_64 = refine(lambda bits: _expand_at(spec, count, bits), 64, DEFAULT_MAX_BITS)
+        assert expand(spec, count) == from_64
 
     def test_first_useful_bits(self):
         # 2**B must exceed F_{N+1}*F_{N+2}: at N = 46 that product has 64
@@ -109,7 +106,7 @@ class TestExpand:
 
     def test_convergent_values(self):
         exp = expand(SPEC_50_10, 3)
-        pq = [(t.p, t.q) for t in exp.terms]
+        pq = [(t.p, t.q) for t in exp.convergents()]
         assert pq == oracles.convergents_from_terms([1, 2, 11, 3])
         assert pq[1] == (3, 2)
 
@@ -121,18 +118,18 @@ class TestExpand:
 class TestConvergentStep:
     # expand's convergents against the oracles' recurrence and side test.
     def test_seed_step(self):
-        conv = expand(SPEC_2_3, 0).terms[0]
+        conv, _ = pair(expand(SPEC_2_3, 0), 0)
         assert oracles.convergents_from_terms([1]) == [(1, 1)]
         assert (conv.n, conv.p, conv.q) == (0, 1, 1)
         assert conv.side.value == oracles.convergent_side(2, 3, 1, 1) == "below"
 
     def test_cbrt2_second(self):
-        conv = expand(SPEC_2_3, 1).terms[1]
+        conv, _ = pair(expand(SPEC_2_3, 1), 1)
         assert oracles.convergents_from_terms([1, 3])[1] == (conv.p, conv.q) == (4, 3)
         assert conv.side.value == oracles.convergent_side(2, 3, 4, 3) == "above"
 
     def test_degree_ten_second(self):
-        conv = expand(SPEC_50_10, 1).terms[1]
+        conv, _ = pair(expand(SPEC_50_10, 1), 1)
         assert oracles.convergents_from_terms([1, 2])[1] == (conv.p, conv.q) == (3, 2)
 
     def test_rejects_zero_quotient(self):
@@ -153,7 +150,7 @@ class TestThetaEnclosure:
             assert abs(end - Fraction("11.26893529")) <= Fraction(1, 10 ** 6)
 
     def test_cbrt2_first_quotient(self):
-        conv, prev = expand(SPEC_2_3, 1).pair(0)
+        conv, prev = pair(expand(SPEC_2_3, 1), 0)
         assert prev is None
         d, hn, hd, _ = leading_terms(SPEC_2_3, conv, prev)
         theta = _analyze_term(SPEC_2_3, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)[0]
@@ -162,7 +159,7 @@ class TestThetaEnclosure:
         assert abs(oracles.mid(theta) - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
 
     def test_width_shrinks_with_precision(self):
-        conv, prev = expand(SPEC_2_3, 8).pair(6)
+        conv, prev = pair(expand(SPEC_2_3, 8), 6)
         widths = []
         for bits in (64, 128, 256, 512):
             iv = complete_quotient_interval(conv, prev, alpha_interval(SPEC_2_3, bits))
@@ -178,15 +175,15 @@ class TestThetaEnclosure:
 
 class TestVerifyQuotient:
     def test_degree_ten_eleven(self):
-        conv, prev = expand(SPEC_50_10, 2).pair(1)
+        conv, prev = pair(expand(SPEC_50_10, 2), 1)
         assert verify_quotient(SPEC_50_10, conv, prev, 11)
 
     def test_degree_ten_twelve_rejected(self):
-        conv, prev = expand(SPEC_50_10, 2).pair(1)
+        conv, prev = pair(expand(SPEC_50_10, 2), 1)
         assert not verify_quotient(SPEC_50_10, conv, prev, 12)
 
     def test_cbrt2(self):
-        conv, prev = expand(SPEC_2_3, 2).pair(1)
+        conv, prev = pair(expand(SPEC_2_3, 2), 1)
         assert verify_quotient(SPEC_2_3, conv, prev, 1)
         assert not verify_quotient(SPEC_2_3, conv, prev, 2)
         assert not verify_quotient(SPEC_2_3, conv, prev, 0)
@@ -194,8 +191,8 @@ class TestVerifyQuotient:
     def test_next_partial_quotient_search(self):
         exp = expand(SPEC_50_10, 8)
         for n in range(8):
-            conv, prev = exp.pair(n)
-            assert next_partial_quotient(SPEC_50_10, conv, prev) == exp.terms[n + 1].b
+            conv, prev = pair(exp, n)
+            assert next_partial_quotient(SPEC_50_10, conv, prev) == exp.partial_quotients[n + 1]
 
 
 class TestOracleEquivalence:
@@ -210,20 +207,20 @@ class TestExpansionInvariants:
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_determinant(self, k, m):
-        terms = expand(validate_spec(k, m), 20).terms
+        terms = tuple(expand(validate_spec(k, m), 20).convergents())
         for prev, cur in zip(terms, terms[1:]):
             assert abs(cur.p * prev.q - prev.p * cur.q) == 1
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_sides_alternate(self, k, m):
-        terms = expand(validate_spec(k, m), 20).terms
+        terms = tuple(expand(validate_spec(k, m), 20).convergents())
         for prev, cur in zip(terms, terms[1:]):
             assert cur.side is not prev.side
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_quotients_positive(self, k, m):
         exp = expand(validate_spec(k, m), 20)
-        assert all(t.b >= 1 for t in exp.terms)
+        assert all(t.b >= 1 for t in exp.convergents())
 
     @pytest.mark.parametrize("k,m", SPECS)
     def test_universal_identity(self, k, m):
@@ -237,7 +234,7 @@ class TestExpansionInvariants:
             a_iv = alpha_interval(spec, bits)
             alpha = oracles.as_interval(a_iv)
             for n in range(1, 12):
-                conv, prev = exp.pair(n)
+                conv, prev = pair(exp, n)
                 lhs = oracles.as_interval(complete_quotient_interval(conv, prev, a_iv)) + Fraction(prev.q, conv.q)
                 x = Fraction(conv.p, conv.q)
                 gap = (x - alpha) if conv.side.value == "above" else (alpha - x)
@@ -258,9 +255,9 @@ class TestExpansionInvariants:
     def test_random_specs_certified(self, k, m, count):
         spec = spec_or_reject(k, m)
         exp = expand(spec, count)
-        assert all(t.b >= 1 for t in exp.terms[1:])
+        assert all(b >= 1 for b in exp.partial_quotients[1:])
         # Sides come from the parity of n; the exact power test must agree.
-        assert all(t.side.value == oracles.convergent_side(k, m, t.p, t.q) for t in exp.terms)
+        assert all(t.side.value == oracles.convergent_side(k, m, t.p, t.q) for t in exp.convergents())
         # The test-side endpoint oracle, run at 64 bits and doubled, first
         # answers at exactly the precision expand stopped at, with the same
         # quotients.

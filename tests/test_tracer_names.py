@@ -35,3 +35,20 @@ def test_probe_matches_signature(qualname, probe):
     assert len(params) > position
     assert params[position].name == keyword
     assert params[position].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_cli_expand_calls_through_the_name_the_tracer_patches(monkeypatch):
+    # The tracer counts `engine.expand` by replacing every binding of it,
+    # `rootcf.cli.expand` among them; the `expand` command must call that.
+    import rootcf.cli as cli
+
+    specs = []
+    original = cli.expand
+
+    def spy(spec, *args, **kwargs):
+        specs.append((spec.k, spec.m))
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "expand", spy)
+    cli.run(cli.parse_args(["expand", "--k-range", "6..9", "--m", "3", "--terms", "5"]))
+    assert specs == [(6, 3), (7, 3), (9, 3)]  # 8 is a cube, skipped
