@@ -196,6 +196,8 @@ def run(config: RunConfig) -> dict:
 
     An `expand` report holds only the certified partial quotients: its
     convergents are `report.Rows`, built, checked and written by `emit`.
+    `verify`'s items and `predict`'s predictions are `report.Rows` too,
+    over verdicts and predictions all decided here, before any write.
     Raises IncompleteReport, carrying the report, when scan cells hit the
     precision cap.
     """

@@ -5,14 +5,17 @@ denominators: its midpoint truncated to the places its width justifies,
 and the width in two-digit scientific notation.  A convergent's digits
 come from an exact decimal recurrence over the certified partial
 quotients, checked against the integers batch by batch.  No digit is
-printed that these kernels did not certify.
+printed that these kernels did not certify.  The templates that write a
+report's rows in JSON (`row_json`) are here too, beside the digits.
 """
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from fractions import Fraction
 
 from .engine import Side
+from .exact import RationalInterval
 
 
 def _decimal_exponent(num: int, den: int) -> tuple[int, int]:
@@ -71,6 +74,30 @@ def justified_places(num: int, den: int) -> int:
     return -e if num * power == den else -e - 1
 
 
+def enclosure_json(iv: RationalInterval) -> dict:
+    """An enclosure's certified digits, worked out on its endpoints' integers.
+
+    Over the common denominator ld*hd, left unreduced, the width is
+    (hn*ld - ln*hd)/(ld*hd) and the midpoint (hn*ld + ln*hd)/(2*ld*hd);
+    only the endpoints are printed, and they are already reduced.
+    """
+    ln, ld = iv.lo.numerator, iv.lo.denominator
+    hn, hd = iv.hi.numerator, iv.hi.denominator
+    hi_num, lo_num, den = hn * ld, ln * hd, ld * hd
+    width = hi_num - lo_num
+    return {
+        "decimal": decimal_string(hi_num + lo_num, 2 * den, justified_places(width, den)),
+        "width": sci_string(width, den),
+        "lo": str(iv.lo),
+        "hi": str(iv.hi),
+    }
+
+
+def exact_json(x: Fraction) -> dict:
+    digits = decimal_string(x.numerator, x.denominator, 12)
+    return {"rational": str(x), "decimal": digits, "width": "0"}
+
+
 # A prime that the decimal convergents are checked against, modulo it.
 _CHECK_PRIME = (1 << 61) - 1
 # Convergent rows per batch: each batch is checked before it is passed on.
@@ -123,17 +150,52 @@ def convergent_digits(
         yield _checked(batch, p, q, (ip, iq))
 
 
-_ROW_JSON = ('"n": {n},', '"b": {b},', '"p": "{p}",', '"q": "{q}",', '"side": "{side}"')
+# JSON literals of a flag: json.dumps writes True, False and None so.
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def convergent_row_json(indent: str) -> str:
-    """The str.format template of one convergent row, a JSON array item at `indent`.
+def _object_json(obj: dict, indent: str, ref: str, flags: list[str] | None) -> str:
+    """The str.format template of an object shaped like `obj` at `indent`, from its "{".
 
-    json.dumps(rows, indent=2) writes each row {n, b, p, q, side} exactly
-    so: n and b by int.__repr__, which format() of an int equals, and p, q
-    and side as strings that need no escaping (decimal digits, 'above' or
-    'below').  A row starts with its newline; a batch is its rows joined by
-    commas.
+    A value is the keyword argument of its key, or its item in the one
+    `ref` names.  A flag (True, False or None), at the top level only, is
+    the next positional argument, its key appended to `flags`.
     """
     inner = "\n" + indent + "  "
-    return "\n" + indent + "{{" + inner + inner.join(_ROW_JSON) + "\n" + indent + "}}"
+    members = []
+    for key, value in obj.items():
+        field = f"{ref}[{key}]" if ref else key
+        if isinstance(value, dict):
+            slot = _object_json(value, indent + "  ", field, None)
+        elif flags is not None and (value is None or isinstance(value, bool)):
+            slot = "{%d}" % len(flags)
+            flags.append(key)
+        elif isinstance(value, str):
+            slot = '"{' + field + '}"'
+        elif type(value) is int:
+            slot = "{" + field + "}"
+        else:
+            raise TypeError(f"no JSON row template for {key!r}: {value!r}")
+        members.append(f'"{key}": {slot}')
+    return "{{" + inner + ("," + inner).join(members) + "\n" + indent + "}}"
+
+
+def row_json(first: dict, indent: str) -> Callable[[dict], str]:
+    """The writer of rows shaped like `first`, each a JSON array item at `indent`.
+
+    Every row must have the first row's keys, in its order, each holding
+    the same kind of value: an int, a string, a flag (True, False or
+    None), or a dict of ints and strings.  The keys are identifiers.  The
+    writer writes a row, led by its newline, exactly as
+    json.dumps(rows, indent=2) would: an int by int.__repr__, which
+    format() of an int equals, a flag as true, false or null, and a
+    string verbatim.  So every string must need no escaping, as decimal
+    digits, a/b rationals, scientific widths and 'above' or 'below' do.
+    A batch is its rows joined by commas.
+    """
+    flags: list[str] = []
+    template = "\n" + indent + _object_json(first, indent, "", flags)
+    if not flags:
+        return template.format_map
+    fmt, literal = template.format, _JSON_LITERALS.__getitem__
+    return lambda row: fmt(*map(literal, map(row.__getitem__, flags)), **row)

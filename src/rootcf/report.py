@@ -16,13 +16,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
-from .digits import (
-    convergent_digits,
-    convergent_row_json,
-    decimal_string,
-    justified_places,
-    sci_string,
-)
+from .digits import convergent_digits, enclosure_json, exact_json, row_json
 from .engine import Expansion
 from .exact import RationalInterval
 
@@ -43,30 +37,6 @@ THETA_INDEX_NOTE = (
     "the same quantity is sometimes labeled theta[n+1] (1-based tail labeling), "
     "so both indices are listed per item"
 )
-
-
-def enclosure_json(iv: RationalInterval) -> dict:
-    """An enclosure's certified digits, worked out on its endpoints' integers.
-
-    Over the common denominator ld*hd, left unreduced, the width is
-    (hn*ld - ln*hd)/(ld*hd) and the midpoint (hn*ld + ln*hd)/(2*ld*hd);
-    only the endpoints are printed, and they are already reduced.
-    """
-    ln, ld = iv.lo.numerator, iv.lo.denominator
-    hn, hd = iv.hi.numerator, iv.hi.denominator
-    hi_num, lo_num, den = hn * ld, ln * hd, ld * hd
-    width = hi_num - lo_num
-    return {
-        "decimal": decimal_string(hi_num + lo_num, 2 * den, justified_places(width, den)),
-        "width": sci_string(width, den),
-        "lo": str(iv.lo),
-        "hi": str(iv.hi),
-    }
-
-
-def exact_json(x: Fraction) -> dict:
-    digits = decimal_string(x.numerator, x.denominator, 12)
-    return {"rational": str(x), "decimal": digits, "width": "0"}
 
 
 def _observed_json(observed):
@@ -106,19 +76,43 @@ class Rows:
     called afresh for each pass, so a report that holds Rows can be
     emitted more than once.  Iterating Rows gives the items one by one, as
     the CSV and text emitters do; the JSON emitter writes whole batches.
-    The items have one fixed shape: `template` maps their indent to a
-    str.format template that writes one item as json.dumps(indent=2)
-    would, led by its newline.
+    The items have one fixed shape, the first item's, and in JSON each is
+    written by one template built from it (`digits.row_json`).  Indexing
+    Rows makes every item once and holds them: from then on each pass
+    yields those same items, so a change made to one through an index
+    shows in the next emit.
     """
 
-    __slots__ = ("make", "template")
+    __slots__ = ("make", "held")
 
-    def __init__(self, make: Callable[[], Iterator[list]], template: Callable[[str], str]):
+    def __init__(self, make: Callable[[], Iterator[list]]):
         self.make = make
-        self.template = template
+        self.held = None
 
     def __iter__(self) -> Iterator:
         return itertools.chain.from_iterable(self.make())
+
+    def __getitem__(self, index):
+        if self.held is None:
+            held = self.held = list(self)
+            self.make = lambda: iter([held])
+        return self.held[index]
+
+
+# Items per batch of a verify or predict row source.  A batch is built when
+# the emitter reaches it and dropped once written: 16 items of cbrt(2) at
+# 200 terms are up to 100 KB of JSON.
+ITEM_BATCH = 16
+
+
+def _built_rows(build: Callable, records) -> Rows:
+    """Rows of build(record) for each of the records, ITEM_BATCH items a batch."""
+
+    def make():
+        for start in range(0, len(records), ITEM_BATCH):
+            yield [build(record) for record in records[start:start + ITEM_BATCH]]
+
+    return Rows(make)
 
 
 def certificate_payload(exp: Expansion) -> dict:
@@ -126,8 +120,7 @@ def certificate_payload(exp: Expansion) -> dict:
 
     Its convergents are a row source: each batch of rows is built, checked
     and written as the emitter reaches it, so no convergent of the whole
-    expansion is held at once.  In JSON every row is written by one
-    template (`digits.convergent_row_json`).
+    expansion is held at once.
     """
     quotients = exp.partial_quotients
     return {
@@ -135,7 +128,7 @@ def certificate_payload(exp: Expansion) -> dict:
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": quotients,
-        "convergents": Rows(lambda: convergent_digits(quotients), convergent_row_json),
+        "convergents": Rows(lambda: convergent_digits(quotients)),
     }
 
 
@@ -167,7 +160,10 @@ def predict_payload(exp: Expansion, predictions: list[tuple], ends: tuple[int, i
     """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index.
 
     Of each convergent row only the digits (p, q) are kept; they are
-    checked against ends, the integers (p_N, q_N) of the last convergent.
+    checked against ends, the integers (p_N, q_N) of the last convergent,
+    here, before anything is written.  The predictions are a row source:
+    their items are built a batch at a time as the emitter reaches them,
+    and in JSON each is written by one template.
     """
     rows = convergent_digits(exp.partial_quotients, ends)
     digits = [(row["p"], row["q"]) for batch in rows for row in batch]
@@ -176,40 +172,47 @@ def predict_payload(exp: Expansion, predictions: list[tuple], ends: tuple[int, i
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
-        "predictions": [
-            prediction_json(outcome, *digits[conv.n], *rest) for outcome, conv, *rest in predictions
-        ],
+        "predictions": _built_rows(
+            lambda row: prediction_json(row[0], *digits[row[1].n], *row[2:]), predictions
+        ),
+    }
+
+
+def check_json(t) -> dict:
+    """The report item of one checked index (a `bvp.TermCheck`)."""
+    return {
+        "n": t.n,
+        "theta_index_alt": t.n + 1,
+        "side": t.side.value,
+        "b_next": t.b_next,
+        "p": str(t.p),
+        "q": str(t.q),
+        "d": str(t.distance),
+        "q_at_least_2": t.q_at_least_2,
+        "leading": exact_json(t.leading),
+        "shifted_leading": exact_json(t.shifted_leading),
+        "theta": enclosure_json(t.theta),
+        "remainder": enclosure_json(t.remainder),
+        "remainder_in_unit": t.remainder_in_unit,
+        **outcome_json(t.prediction),
+        "window_above_ok": t.window_above_ok,
+        "below_window_ok": t.below_window_ok,
+        "above_epsilon_ok": t.above_epsilon_ok,
+        "below_epsilon_ok": t.below_epsilon_ok,
+        "general_window_ok": t.general_window_ok,
+        "universal_identity_ok": t.universal_identity_ok,
+        "cubic_sign_ok": t.cubic_sign_ok,
     }
 
 
 def verify_payload(report: TheoremReport) -> dict:
-    items = []
-    for t in report.terms:
-        items.append(
-            {
-                "n": t.n,
-                "theta_index_alt": t.n + 1,
-                "side": t.side.value,
-                "b_next": t.b_next,
-                "p": str(t.p),
-                "q": str(t.q),
-                "d": str(t.distance),
-                "q_at_least_2": t.q_at_least_2,
-                "leading": exact_json(t.leading),
-                "shifted_leading": exact_json(t.shifted_leading),
-                "theta": enclosure_json(t.theta),
-                "remainder": enclosure_json(t.remainder),
-                "remainder_in_unit": t.remainder_in_unit,
-                **outcome_json(t.prediction),
-                "window_above_ok": t.window_above_ok,
-                "below_window_ok": t.below_window_ok,
-                "above_epsilon_ok": t.above_epsilon_ok,
-                "below_epsilon_ok": t.below_epsilon_ok,
-                "general_window_ok": t.general_window_ok,
-                "universal_identity_ok": t.universal_identity_ok,
-                "cubic_sign_ok": t.cubic_sign_ok,
-            }
-        )
+    """`verify`'s payload from a report whose every verdict is already decided.
+
+    Only the formatting of the items is left: they are a row source,
+    built from `report.terms` a batch at a time as the emitter reaches
+    them, and in JSON each is written by one template.  Violations and
+    claim failures are lists.
+    """
     return {
         "k": report.spec.k,
         "m": report.spec.m,
@@ -220,7 +223,7 @@ def verify_payload(report: TheoremReport) -> dict:
         "note": THETA_INDEX_NOTE,
         "checked": list(report.checked),
         "skipped": list(report.skipped),
-        "items": items,
+        "items": _built_rows(check_json, report.terms),
         "violations": [violation_json(v) for v in report.violations],
         "claims": {
             "above_epsilon": claim_json(report.above_epsilon),
@@ -279,10 +282,10 @@ def _emit_json(report: dict):
     non-empty batch (so its check runs first) and returns a stand-in: []
     for no rows, else [""].  The encoder's very next piece is then '[',
     a newline, the item indent and '""'.  In its place go the batches,
-    each row formatted by the Rows' template built for that indent.  The
-    encoder closes the array itself.  A report string "" is never taken
-    for a stand-in: only the piece right after a `default` call is
-    replaced.
+    each row written by one template built from the first row for that
+    indent.  The encoder closes the array itself.  A report string "" is
+    never taken for a stand-in: only the piece right after a `default`
+    call is replaced.
     """
     pending = []
 
@@ -293,7 +296,7 @@ def _emit_json(report: dict):
         first = next((batch for batch in batches if batch), None)
         if first is None:
             return []
-        pending.append((value.template, itertools.chain([first], batches)))
+        pending.append((first[0], itertools.chain([first], batches)))
         return [""]
 
     for piece in json.JSONEncoder(indent=2, default=default).iterencode(report):
@@ -301,8 +304,8 @@ def _emit_json(report: dict):
             yield piece
             continue
         # piece is '[\n' + indent + '""', indent being the items'.
-        template, batches = pending.pop()
-        row = template(piece[2:-2]).format_map
+        first_row, batches = pending.pop()
+        row = row_json(first_row, piece[2:-2])
         opening = "["
         for batch in batches:
             if batch:
@@ -455,9 +458,11 @@ def emit(report: dict, fmt: str, out: TextIO | None = None) -> str | None:
     report stands for the array of its items.  A `Rows` is a row source:
     its rows are built, checked and serialized batch by batch as the
     emitter reaches them, so an `expand` report never holds its
-    convergents whole.  With `out`, the report is written there as it is
-    serialized, in blocks of about BLOCK_CHARS characters, and None is
-    returned; without it, the whole report is returned as one string.
+    convergents whole, nor a `verify` or `predict` report its items.  In
+    JSON every row is written by a template, not by the encoder.
+    With `out`, the report is written there as it is serialized, in
+    blocks of about BLOCK_CHARS characters, and None is returned; without
+    it, the whole report is returned as one string.
     """
     if fmt not in _EMITTERS:
         raise ValueError(f"unknown format: {fmt}")

@@ -22,9 +22,15 @@ Three `expand` rows run past one 64 KiB output block, so they pin the
 seams between streamed blocks: 300 terms of 50^(1/10) in json, and 500
 terms of cbrt(2) in csv and in text.  Two rows pin deep convergent
 digits, printed by the decimal recurrence: `expand` of cbrt(2) to 2,000
-terms and `predict` to 1,000, both in csv.  The capped `expand` writes
-nothing; the capped `scan` writes its cells, the capped ones as skipped
-rows, before it exits 3.
+terms and `predict` to 1,000, both in csv.  Three JSON rows pin the
+templates that write `verify`'s items and `predict`'s predictions: 12
+terms of 11^(1/7), whose `remainder_bound` violation prints an
+enclosure as `observed` and whose below-side items print `null` flags;
+`verify` over k = 7..9 to 70 terms, two results around the skipped
+cube 8 whose items cross batch edges of 16 and 64 rows; and `predict`
+of cbrt(2) to 70 terms.  The capped `expand` writes nothing; the capped
+`scan` writes its cells, the capped ones as skipped rows, before it
+exits 3.
 """
 import hashlib
 
@@ -89,6 +95,12 @@ GOLDEN = [
      "fd1ea16697dd2337e88b5acd649f151c04e939c1c292dfbc5a39c009d4214bf4"),
     ("predict --k 2 --m 3 --terms 1000 --format csv", 0, 2916819,
      "76f6052a94bdad74aac2fa5d6b5e1de46fe0557984bdad68fc66c6112d99f986"),
+    ("verify --k 11 --m 7 --terms 12 --format json", 0, 28310,
+     "1659a4c2396dc153aa1bd580bed48d7e9b4b3337da8db52edb55a2b6eb56498a"),
+    ("verify --k-range 7..9 --m 3 --terms 70 --format json", 0, 385041,
+     "3236155d052a97df93462f11f9d8d77de01a952fb74f315b6e19f4ab04209329"),
+    ("predict --k 2 --m 3 --terms 70 --format json", 0, 53920,
+     "45fd510970eb86e8eebf823fb1c4401693f7ba1f8a690d3bc5bcf2a4758d93fe"),
     ("expand --k 2 --m 3 --terms 60 --precision-cap 64", 3, 0, EMPTY_SHA256),
     ("scan --m 3 --k-range 2..6 --terms 50 --precision-cap 64 --format csv", 3, 671,
      "f20547dbaadba9ee81480ad30b95317ab80676e29a80258f15ed9bb7cc969c6f"),
