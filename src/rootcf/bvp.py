@@ -10,7 +10,8 @@ error of the m-th power difference.  This module computes all of these
 exactly (rationals) or as certified enclosures (alpha-dependent reals,
 from the integers (S, S+1, 2**bits) of alpha's enclosure), and measures
 every claimed bound, recording violations it can certify.  Each index
-is worked once, on integers: `leading_terms` gives d_n, H_n and
+is worked once, on integers, by the one walk `verify` and `predict`
+share (`index_walk`): `leading_terms` gives d_n, H_n and
 A_n = H_n - q_{n-1}/q_n over one denominator, and `prediction` reads the
 floor formula against the b_{n+1} that `expand` certified.  |R_n| < 1 is
 proven at q_n >= Q(k, m) (`unit_threshold`) and decided by exact signs
@@ -23,6 +24,7 @@ satisfies V_n = -W_n and sgn(V_n) = sgn(x_n - alpha).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -208,6 +210,21 @@ def prediction(conv: Convergent, hn: int, hd: int, an: int, actual: int) -> Pred
     )
 
 
+def index_walk(spec: RadicandSpec, exp: Expansion) -> Iterator[tuple]:
+    """(prev, conv, d_n, hn, hd, an, outcome) for each index n = 1..N-1 of exp.
+
+    The one walk of the indices: convergent n with its neighbour n - 1,
+    `leading_terms`' integers, and the floor formula read against
+    b_{n+1} = floor(theta_n), the next certified quotient.
+    """
+    convergents = exp.convergents()
+    prev, conv = next(convergents, None), next(convergents, None)
+    for following in convergents:
+        d, hn, hd, an = leading_terms(spec, conv, prev)
+        yield prev, conv, d, hn, hd, an, prediction(conv, hn, hd, an, following.b)
+        prev, conv = conv, following
+
+
 def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) -> PredictionOutcome:
     """`prediction` with b_{n+1} found by exact search from A_n alone.
 
@@ -380,10 +397,11 @@ def verify_theorems(
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max.
 
-    The convergents are walked once, each with its neighbours.  Each
-    index takes d_n, H_n and A_n once, as integers, from `leading_terms`,
-    and b_{n+1} from the certified expansion, whose floors are proven and
-    whose last term `expand` re-checks exactly.
+    The indices are walked once, by `index_walk`, as `predict` walks
+    them: each takes d_n, H_n and A_n once, as integers, from
+    `leading_terms`, and b_{n+1} from the certified expansion, whose
+    floors are proven and whose last term `expand` re-checks exactly.
+    Every verdict is decided here, before any report is written.
     |R_n| < 1 is proven where q_n >= Q(k, m) (`unit_threshold`, once per
     call) and decided exactly below Q (`exact_unit_remainder`).  The
     windows are checked exactly, the epsilon-range and below-side claims
@@ -420,13 +438,8 @@ def verify_theorems(
             b_next=b_next, distance=d, observed=observed, claimed=claimed,
         )
 
-    # Convergent n with its neighbours n - 1 and n + 1, for n = 1..n_max.
-    convergents = exp.convergents()
-    prev, conv = next(convergents), next(convergents)
-    for following in convergents:
-        n, b_next = conv.n, following.b
-        d, hn, hd, an = leading_terms(spec, conv, prev)
-        outcome = prediction(conv, hn, hd, an, b_next)
+    for prev, conv, d, hn, hd, an, outcome in index_walk(spec, exp):
+        n, b_next = conv.n, outcome.actual
         q_ok = conv.q >= Q_MIN
         # Proven at q_n >= Q; a scan never reads the verdict at q_n < Q_MIN.
         in_unit = (conv.q >= q_unit or not (keep_terms or q_ok)
@@ -488,7 +501,6 @@ def verify_theorems(
                     cubic_sign_ok=sign_ok,
                 )
             )
-        prev, conv = conv, following
 
     def stats(claim: str, checked_on_side: int, failures: list[ViolationRecord]) -> ClaimStats:
         return ClaimStats(

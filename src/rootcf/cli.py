@@ -17,8 +17,7 @@ from . import __version__
 from .bvp import (
     ScanReport,
     SkippedCell,
-    leading_terms,
-    prediction,
+    index_walk,
     scan,
     verify_theorems,
 )
@@ -197,7 +196,9 @@ def run(config: RunConfig) -> dict:
     An `expand` report holds only the certified partial quotients: its
     convergents are `report.Rows`, built, checked and written by `emit`.
     `verify`'s items and `predict`'s predictions are `report.Rows` too,
-    over verdicts and predictions all decided here, before any write.
+    over verdicts and predictions all decided here, before any write:
+    both walk the indices by `bvp.index_walk`, and `predict`'s digits are
+    made and checked block by block as `emit` reaches them.
     Raises IncompleteReport, carrying the report, when scan cells hit the
     precision cap.
     """
@@ -215,22 +216,13 @@ def run(config: RunConfig) -> dict:
         }
     elif config.command == "predict":
         specs, skipped = _specs(config)
-        held = 0
-        total = 0
+        held = total = 0
         for spec in specs:
             exp = expand(spec, config.terms, max_bits=cap)
-            predictions = []
-            # Convergent n with its neighbours n - 1 and n + 1, for n = 1..terms-1.
-            convergents = exp.convergents()
-            prev, conv = next(convergents), next(convergents)
-            for following in convergents:
-                d, hn, hd, an = leading_terms(spec, conv, prev)
-                outcome = prediction(conv, hn, hd, an, following.b)
-                predictions.append((outcome, conv, d, hn, hd, an))
-                held += outcome.formula_held
-                total += 1
-                prev, conv = conv, following
-            results.append(predict_payload(exp, predictions, (conv.p, conv.q)))
+            steps = list(index_walk(spec, exp))
+            held += sum(step[-1].formula_held for step in steps)
+            total += len(steps)
+            results.append(predict_payload(exp, steps))
         summary = {
             "specs": len(specs),
             "skipped_specs": len(skipped),

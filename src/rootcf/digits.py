@@ -3,9 +3,9 @@
 An enclosure's digits come from its endpoints' numerators and
 denominators: its midpoint truncated to the places its width justifies,
 and the width in two-digit scientific notation.  A convergent's digits
-come from an exact decimal recurrence over the certified partial
-quotients, checked against the integers batch by batch.  No digit is
-printed that these kernels did not certify.  The templates that write a
+come from an exact decimal recurrence over the walked convergents'
+partial quotients, checked against their integers block by block.  No
+digit is printed that these kernels did not certify.  The templates that write a
 report's rows in JSON (`row_json`) are here too, beside the digits.
 """
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import decimal
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 
-from .engine import Side
+from .engine import Convergent
 from .exact import RationalInterval
 
 
@@ -100,7 +101,7 @@ def exact_json(x: Fraction) -> dict:
 
 # A prime that the decimal convergents are checked against, modulo it.
 _CHECK_PRIME = (1 << 61) - 1
-# Convergent rows per batch: each batch is checked before it is passed on.
+# Convergent rows per block: each block is checked before any of its rows is passed on.
 ROW_BATCH = 64
 # Every operation on it is exact, so it never sets a flag: it is shared read-only.
 _DIGITS = decimal.Context(
@@ -108,46 +109,33 @@ _DIGITS = decimal.Context(
 )
 
 
-def _checked(batch: list[dict], p: decimal.Decimal, q: decimal.Decimal, residues) -> list[dict]:
-    """The batch, once its last p_n, q_n equal the integer residues modulo the prime."""
-    prime = decimal.Decimal(_CHECK_PRIME)
-    if (int(_DIGITS.remainder(p, prime)), int(_DIGITS.remainder(q, prime))) != residues:
-        raise ArithmeticError(f"decimal convergent {batch[-1]['n']} disagrees with the integers")
-    return batch
-
-
-def convergent_digits(
-    quotients: Iterable[int], ends: tuple[int, int] | None = None
-) -> Iterator[list[dict]]:
-    """Rows {n, b, p, q, side} of the convergents of [b_0; b_1, ...], in batches.
+def convergent_digits(convergents: Iterable[Convergent]) -> Iterator[dict]:
+    """Rows {n, b, p, q, side} of the convergents n = 0, 1, ... walked from b_0.
 
     str(int) takes time quadratic in the digits on CPython 3.11, which
     makes printing every convergent of an expansion cubic in its length.
-    Here p_n = b_n*p_{n-1} + p_{n-2} and q_n likewise are rebuilt as
-    integer Decimals, with every inexact or rounded operation trapped, and
-    a Decimal prints its base-10 digits as they stand.  The same recurrence
-    runs on the integers modulo a prime beside it.  Before each batch of
-    up to ROW_BATCH rows is yielded, its last p_n and q_n are checked
-    against those residues, so no unchecked digit is passed on.  `ends`,
-    the integers (p_N, q_N) when the caller holds them, are checked too
-    before the last batch.  The side is the parity of n (even below).
+    Here p_n = b_n*p_{n-1} + p_{n-2} and q_n likewise are rebuilt from the
+    convergents' partial quotients as integer Decimals, with every inexact
+    or rounded operation trapped, and a Decimal prints its base-10 digits
+    as they stand.  The rows are made ROW_BATCH at a time, and before any
+    row of a block is passed on, the block's last decimal p_n and q_n are
+    checked against that convergent's integers modulo a prime, so no digit
+    is passed on that disagrees with the integers it prints.
     """
-    fma, sides = _DIGITS.fma, (Side.BELOW.value, Side.ABOVE.value)
+    fma, prime = _DIGITS.fma, decimal.Decimal(_CHECK_PRIME)
     p, q, pp, qp = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1)
-    ip, iq, ipp, iqp = 1, 0, 0, 1  # the same, modulo the prime
-    batch: list[dict] = []
-    for n, b in enumerate(quotients):
-        if len(batch) == ROW_BATCH:
-            yield _checked(batch, p, q, (ip, iq))
-            batch = []
-        db = decimal.Decimal(b)
-        p, q, pp, qp = fma(db, p, pp), fma(db, q, qp), p, q
-        ip, iq, ipp, iqp = (b * ip + ipp) % _CHECK_PRIME, (b * iq + iqp) % _CHECK_PRIME, ip, iq
-        batch.append({"n": n, "b": b, "p": str(p), "q": str(q), "side": sides[n % 2]})
-    if ends is not None and (ends[0] % _CHECK_PRIME, ends[1] % _CHECK_PRIME) != (ip, iq):
-        raise ArithmeticError("the last convergent disagrees with its partial quotients")
-    if batch:
-        yield _checked(batch, p, q, (ip, iq))
+    convergents = iter(convergents)
+    while block := list(islice(convergents, ROW_BATCH)):
+        rows = []
+        for conv in block:
+            db = decimal.Decimal(conv.b)
+            p, q, pp, qp = fma(db, p, pp), fma(db, q, qp), p, q
+            rows.append({"n": conv.n, "b": conv.b, "p": str(p), "q": str(q),
+                         "side": conv.side.value})
+        residues = (int(_DIGITS.remainder(p, prime)), int(_DIGITS.remainder(q, prime)))
+        if residues != (conv.p % _CHECK_PRIME, conv.q % _CHECK_PRIME):
+            raise ArithmeticError(f"decimal convergent {conv.n} disagrees with the integers")
+        yield from rows
 
 
 # JSON literals of a flag: json.dumps writes True, False and None so.

@@ -9,10 +9,10 @@ worked out in `rootcf.digits`.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 from typing import TextIO
 
 from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
@@ -72,10 +72,8 @@ def claim_json(stats) -> dict:
 class Rows:
     """A JSON array whose items are made while the report is written.
 
-    `make()` returns an iterator over batches (lists) of the items.  It is
-    called afresh for each pass, so a report that holds Rows can be
-    emitted more than once.  Iterating Rows gives the items one by one, as
-    the CSV and text emitters do; the JSON emitter writes whole batches.
+    `make()` returns an iterator over the items.  It is called afresh for
+    each pass, so a report that holds Rows can be emitted more than once.
     The items have one fixed shape, the first item's, and in JSON each is
     written by one template built from it (`digits.row_json`).  Indexing
     Rows makes every item once and holds them: from then on each pass
@@ -85,50 +83,38 @@ class Rows:
 
     __slots__ = ("make", "held")
 
-    def __init__(self, make: Callable[[], Iterator[list]]):
+    def __init__(self, make: Callable[[], Iterator]):
         self.make = make
         self.held = None
 
     def __iter__(self) -> Iterator:
-        return itertools.chain.from_iterable(self.make())
+        return self.make()
 
     def __getitem__(self, index):
         if self.held is None:
-            held = self.held = list(self)
-            self.make = lambda: iter([held])
+            self.held = list(self.make())
+            self.make = self.held.__iter__
         return self.held[index]
 
 
-# Items per batch of a verify or predict row source.  A batch is built when
-# the emitter reaches it and dropped once written: 16 items of cbrt(2) at
-# 200 terms are up to 100 KB of JSON.
+# Rows per piece the JSON emitter writes of a row source: 16 items of
+# cbrt(2) at 200 terms are up to 100 KB of JSON.
 ITEM_BATCH = 16
-
-
-def _built_rows(build: Callable, records) -> Rows:
-    """Rows of build(record) for each of the records, ITEM_BATCH items a batch."""
-
-    def make():
-        for start in range(0, len(records), ITEM_BATCH):
-            yield [build(record) for record in records[start:start + ITEM_BATCH]]
-
-    return Rows(make)
 
 
 def certificate_payload(exp: Expansion) -> dict:
     """`expand`'s payload from certified quotients alone.
 
-    Its convergents are a row source: each batch of rows is built, checked
+    Its convergents are a row source: each block of rows is built, checked
     and written as the emitter reaches it, so no convergent of the whole
     expansion is held at once.
     """
-    quotients = exp.partial_quotients
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
-        "partial_quotients": quotients,
-        "convergents": Rows(lambda: convergent_digits(quotients)),
+        "partial_quotients": exp.partial_quotients,
+        "convergents": Rows(lambda: convergent_digits(exp.convergents())),
     }
 
 
@@ -143,12 +129,14 @@ def outcome_json(outcome: PredictionOutcome) -> dict:
     return dict(zip(outcome._fields[2:], outcome[2:]))
 
 
-def prediction_json(outcome, p: str, q: str, distance: int, hn: int, hd: int, an: int) -> dict:
+def prediction_json(digits: dict, step: tuple) -> dict:
+    """The item of one index: its convergent's digits row and its `bvp.index_walk` step."""
+    _, _, distance, hn, hd, an, outcome = step
     return {
         "n": outcome.n,
         "side": outcome.side.value,
-        "p": p,
-        "q": q,
+        "p": digits["p"],
+        "q": digits["q"],
         "d": str(distance),
         "leading": exact_json(Fraction(hn, hd)),
         "shifted_leading": exact_json(Fraction(an, hd)),
@@ -156,25 +144,23 @@ def prediction_json(outcome, p: str, q: str, distance: int, hn: int, hd: int, an
     }
 
 
-def predict_payload(exp: Expansion, predictions: list[tuple], ends: tuple[int, int]) -> dict:
-    """predictions: (outcome, convergent, d_n, hn, hd, an) rows, one per index.
+def predict_payload(exp: Expansion, steps: list[tuple]) -> dict:
+    """`predict`'s payload from the steps of `bvp.index_walk`, n = 1..N-1, all decided.
 
-    Of each convergent row only the digits (p, q) are kept; they are
-    checked against ends, the integers (p_N, q_N) of the last convergent,
-    here, before anything is written.  The predictions are a row source:
-    their items are built a batch at a time as the emitter reaches them,
-    and in JSON each is written by one template.
+    The predictions are a row source: each item joins a step with its
+    convergent's digits, made and checked a block at a time against the
+    walked integers as the emitter reaches them, and in JSON each is
+    written by one template.
     """
-    rows = convergent_digits(exp.partial_quotients, ends)
-    digits = [(row["p"], row["q"]) for batch in rows for row in batch]
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
         "precision_bits": exp.precision_bits,
         "partial_quotients": exp.partial_quotients,
-        "predictions": _built_rows(
-            lambda row: prediction_json(row[0], *digits[row[1].n], *row[2:]), predictions
-        ),
+        # The digits rows start at n = 0, the steps at n = 1.
+        "predictions": Rows(lambda: map(
+            prediction_json, islice(convergent_digits(exp.convergents()), 1, None), steps
+        )),
     }
 
 
@@ -209,9 +195,9 @@ def verify_payload(report: TheoremReport) -> dict:
     """`verify`'s payload from a report whose every verdict is already decided.
 
     Only the formatting of the items is left: they are a row source,
-    built from `report.terms` a batch at a time as the emitter reaches
-    them, and in JSON each is written by one template.  Violations and
-    claim failures are lists.
+    each built from its `report.terms` entry as the emitter reaches it,
+    and in JSON each is written by one template.  Violations and claim
+    failures are lists.
     """
     return {
         "k": report.spec.k,
@@ -223,7 +209,7 @@ def verify_payload(report: TheoremReport) -> dict:
         "note": THETA_INDEX_NOTE,
         "checked": list(report.checked),
         "skipped": list(report.skipped),
-        "items": _built_rows(check_json, report.terms),
+        "items": Rows(lambda: map(check_json, report.terms)),
         "violations": [violation_json(v) for v in report.violations],
         "claims": {
             "above_epsilon": claim_json(report.above_epsilon),
@@ -278,25 +264,25 @@ BLOCK_CHARS = 1 << 16
 def _emit_json(report: dict):
     """json.dumps(report, indent=2) plus a newline, piece by piece, Rows as arrays.
 
-    The encoder hands each Rows to `default`, which pulls its first
-    non-empty batch (so its check runs first) and returns a stand-in: []
-    for no rows, else [""].  The encoder's very next piece is then '[',
-    a newline, the item indent and '""'.  In its place go the batches,
-    each row written by one template built from the first row for that
-    indent.  The encoder closes the array itself.  A report string "" is
-    never taken for a stand-in: only the piece right after a `default`
-    call is replaced.
+    The encoder hands each Rows to `default`, which pulls its first row
+    (so the check of the row's block runs first) and returns a stand-in:
+    [] for no rows, else [""].  The encoder's very next piece is then
+    '[', a newline, the item indent and '""'.  In its place go the rows,
+    ITEM_BATCH to a piece, each written by one template built from the
+    first row for that indent.  The encoder closes the array itself.  A
+    report string "" is never taken for a stand-in: only the piece right
+    after a `default` call is replaced.
     """
     pending = []
 
     def default(value):
         if not isinstance(value, Rows):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        batches = value.make()
-        first = next((batch for batch in batches if batch), None)
+        rows = value.make()
+        first = next(rows, None)
         if first is None:
             return []
-        pending.append((first[0], itertools.chain([first], batches)))
+        pending.append((first, rows))
         return [""]
 
     for piece in json.JSONEncoder(indent=2, default=default).iterencode(report):
@@ -304,14 +290,11 @@ def _emit_json(report: dict):
             yield piece
             continue
         # piece is '[\n' + indent + '""', indent being the items'.
-        first_row, batches = pending.pop()
-        row = row_json(first_row, piece[2:-2])
-        opening = "["
-        for batch in batches:
-            if batch:
-                yield opening
-                yield ",".join(map(row, batch))
-                opening = ","
+        first, rows = pending.pop()
+        row = row_json(first, piece[2:-2])
+        yield "[" + row(first)
+        while batch := list(islice(rows, ITEM_BATCH)):
+            yield "," + ",".join(map(row, batch))
     yield "\n"
 
 
@@ -456,10 +439,10 @@ def emit(report: dict, fmt: str, out: TextIO | None = None) -> str | None:
     JSON is the standard library's encoder, the same bytes as
     json.dumps(report, indent=2) plus a newline, where each `Rows` in the
     report stands for the array of its items.  A `Rows` is a row source:
-    its rows are built, checked and serialized batch by batch as the
-    emitter reaches them, so an `expand` report never holds its
-    convergents whole, nor a `verify` or `predict` report its items.  In
-    JSON every row is written by a template, not by the encoder.
+    its rows are built, checked and serialized as the emitter reaches
+    them, so an `expand` report never holds its convergents whole, nor a
+    `verify` or `predict` report its items or digits.  In JSON every row
+    is written by a template, not by the encoder, ITEM_BATCH rows a piece.
     With `out`, the report is written there as it is serialized, in
     blocks of about BLOCK_CHARS characters, and None is returned; without
     it, the whole report is returned as one string.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootcf.bvp import index_walk, leading_terms, predict_next
 from rootcf.cli import (
     EXIT_OK,
     EXIT_PERFECT_POWER,
@@ -84,6 +85,13 @@ class TestParseArgs:
             parse_args(["expand", "--k", "2", "--m", "3", "--precision-cap", "32"])
 
 
+# The keys of a predict row, every one of them also a key of a verify item.
+PREDICTION_KEYS = [
+    "n", "side", "p", "q", "d", "leading", "shifted_leading",
+    "candidate", "epsilon", "predicted", "actual", "formula_held", "window_held",
+]
+
+
 class TestRun:
     def test_expand_golden(self):
         report = run(parse_args(["expand", "--k", "50", "--m", "10", "--terms", "3"]))
@@ -110,6 +118,33 @@ class TestRun:
         assert preds[0]["candidate"] == 4 and preds[0]["actual"] == 3
         assert not preds[0]["formula_held"]
         assert report["summary"]["formula_missed"] >= 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 200), st.integers(2, 8), st.integers(1, 40))
+    def test_predict_rows_are_verify_items(self, k, m, terms):
+        # verify and predict walk the indices by one walk: n = 1..N-1, each
+        # read against the certified b_{n+1}.  predict's rows are verify's
+        # items, less the keys only verify has.
+        spec = spec_or_reject(k, m)
+        exp = expand(spec, terms + 1)
+        steps = list(index_walk(spec, exp))
+        walked = list(exp.convergents())
+        assert [conv for _, conv, *_ in steps] == walked[1:-1]
+        assert [prev for prev, *_ in steps] == walked[:-2]
+        assert [step[-1].actual for step in steps] == exp.partial_quotients[2:]
+        for prev, conv, d, hn, hd, an, outcome in steps:
+            assert (d, hn, hd, an) == leading_terms(spec, conv, prev)
+            assert outcome == predict_next(spec, conv, prev)
+        km = ["--k", str(k), "--m", str(m), "--format", "json"]
+        predict, verify = (
+            json.loads(emit(run(parse_args([command, *km, "--terms", str(n)])), "json"))
+            for command, n in (("predict", terms + 1), ("verify", terms))
+        )
+        rows, items = predict["results"][0]["predictions"], verify["results"][0]["items"]
+        assert len(rows) == len(items) == terms
+        for row, item in zip(rows, items):
+            assert list(row) == PREDICTION_KEYS
+            assert row == {key: item[key] for key in PREDICTION_KEYS}
 
 
 class TestMain:
@@ -244,8 +279,12 @@ json_values = st.recursive(
                                         children, max_size=4)),
     max_leaves=40,
 )
-# Row source lengths: none, one, and either side of a convergent batch.
-ROW_LENGTHS = (0, 1, ROW_BATCH - 1, ROW_BATCH, ROW_BATCH + 1, 2 * ROW_BATCH + 1)
+# Row source lengths: none, one, and either side of a written piece (the
+# first row, then ITEM_BATCH rows a piece) and of a checked convergent block.
+ROW_LENGTHS = (
+    0, 1, ITEM_BATCH, ITEM_BATCH + 1, ITEM_BATCH + 2,
+    ROW_BATCH - 1, ROW_BATCH, ROW_BATCH + 1, 2 * ROW_BATCH + 1,
+)
 # Convergent-shaped rows, their keys drawn in the order the template writes them.
 # The digit strings are bounded: unbounded ones make a failure slow to shrink.
 ROW_KEYS = ("n", "b", "p", "q", "side")
@@ -261,8 +300,7 @@ def _with_row_sources(value, data):
 
     Each chosen array takes convergent-shaped rows, written by their
     template, as many as it had items or a drawn length from
-    ROW_LENGTHS, and is cut into batches of ROW_BATCH or at drawn points,
-    empty batches included.  `plain` is what `lazy` stands for.
+    ROW_LENGTHS.  `plain` is what `lazy` stands for.
     """
     if isinstance(value, dict):
         pairs = {key: _with_row_sources(v, data) for key, v in value.items()}
@@ -274,13 +312,7 @@ def _with_row_sources(value, data):
         return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
     n = len(value) if data.draw(st.booleans()) else data.draw(st.sampled_from(ROW_LENGTHS))
     items = data.draw(st.lists(row_items, min_size=n, max_size=n))
-    if data.draw(st.booleans()):
-        cuts = list(range(ROW_BATCH, len(items), ROW_BATCH))
-    else:
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=5)))
-    bounds = [0, *cuts, len(items)]
-    batches = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    return Rows(lambda: iter(batches)), items
+    return Rows(items.__iter__), items
 
 
 def _expand_result(data):
@@ -302,8 +334,9 @@ def _expand_result(data):
 
 # verify's and predict's row sources, by command.
 ITEM_ROWS = {"verify": "items", "predict": "predictions"}
-# Their lengths: one, and either side of one and of two item batches.
-ITEM_LENGTHS = (1, ITEM_BATCH - 1, ITEM_BATCH, ITEM_BATCH + 1, 2 * ITEM_BATCH + 1)
+# Their lengths: one, and either side of the first and of the second
+# written piece (the first row, then ITEM_BATCH rows a piece).
+ITEM_LENGTHS = (1, ITEM_BATCH - 1, ITEM_BATCH, ITEM_BATCH + 1, ITEM_BATCH + 2, 2 * ITEM_BATCH + 1)
 
 
 def _item_result(data):
@@ -418,7 +451,7 @@ class TestEmit:
     def test_a_string_like_the_stand_in_is_a_string(self):
         # An array with rows is first encoded as [""]; a report's own "" stays "".
         rows = [dict(zip(ROW_KEYS, (n, n, "1", "2", "below"))) for n in range(3)]
-        lazy = {"a": "", "b": Rows(lambda: iter([rows[:1], rows[1:]])), "c": [""], "": Rows(list)}
+        lazy = {"a": "", "b": Rows(rows.__iter__), "c": [""], "": Rows(lambda: iter(()))}
         plain = {"a": "", "b": rows, "c": [""], "": []}
         assert emit(lazy, "json") == json.dumps(plain, indent=2) + "\n"
 
@@ -426,7 +459,7 @@ class TestEmit:
     def test_a_row_no_template_can_write_is_refused(self, value):
         # A float prints by float.__repr__, a list by the encoder, and a nested flag has no slot.
         with pytest.raises(TypeError):
-            emit({"rows": Rows(lambda: iter([[{"n": 1, "x": value}]]))}, "json")
+            emit({"rows": Rows(lambda: iter([{"n": 1, "x": value}]))}, "json")
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_streams_in_blocks(self, expansion_500, fmt):
@@ -478,6 +511,21 @@ class TestEmit:
             finally:
                 tracemalloc.stop()
         assert peak < 1.8 * (1 << 20)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_predict_end_to_end_stays_small(self, fmt):
+        # The whole run, predictions included: 2.27 to 2.47 MiB when every
+        # convergent's digits were made before the first write, 1.69 to
+        # 1.95 MiB with the digits made block by block as they are written.
+        argv = ["predict", "--k", "2", "--m", "3", "--terms", "1000", "--format", fmt]
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                emit(run(parse_args(argv)), fmt, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.1 * (1 << 20)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_repeat_runs_byte_identical(self, fmt):

@@ -24,7 +24,8 @@ from rootcf.digits import (
     justified_places,
     sci_string,
 )
-from rootcf.engine import Convergent, Side, expand
+from rootcf.bvp import index_walk
+from rootcf.engine import Convergent, Expansion, Side, expand
 from rootcf.exact import RationalInterval, validate_spec
 from rootcf.report import emit, enclosure_json, predict_payload
 
@@ -102,10 +103,6 @@ def synthetic_terms(quotients: list[int]) -> tuple[Convergent, ...]:
     )
 
 
-def rows_of(quotients, ends=None) -> list[dict]:
-    return list(itertools.chain.from_iterable(convergent_digits(quotients, ends)))
-
-
 class _FaultyContext(decimal.Context):
     """The digits' exact context, with p_n off by one at one index n."""
 
@@ -126,41 +123,42 @@ class TestConvergentDigits:
     @given(st.integers(2, 200), st.integers(2, 12), st.integers(0, 300))
     def test_matches_str_of_the_integers(self, k, m, count):
         exp = expand(spec_or_reject(k, m), count)
-        batches = list(convergent_digits(exp.partial_quotients))
-        assert [len(b) for b in batches[:-1]] == [ROW_BATCH] * (len(batches) - 1)
-        assert 1 <= len(batches[-1]) <= ROW_BATCH
-        assert list(itertools.chain.from_iterable(batches)) == [
+        assert list(convergent_digits(exp.convergents())) == [
             {"n": t.n, "b": t.b, "p": str(t.p), "q": str(t.q), "side": t.side.value}
             for t in exp.convergents()
         ]
 
     def test_huge_partial_quotients_past_the_str_limit(self):
-        quotients = [3] + [10 ** 450 + 7 * n for n in range(1, 12)]
-        terms = synthetic_terms(quotients)
+        terms = synthetic_terms([3] + [10 ** 450 + 7 * n for n in range(1, 12)])
         with unlimited_int_digits():
             expected = [(str(t.p), str(t.q)) for t in terms]
         assert len(expected[-1][0]) > 4300
-        assert [(r["p"], r["q"]) for r in rows_of(quotients)] == expected
+        assert [(r["p"], r["q"]) for r in convergent_digits(terms)] == expected
 
-    def test_a_last_convergent_that_disagrees_is_refused(self):
+    def test_a_last_convergent_that_disagrees_is_refused(self, monkeypatch):
         terms = list(synthetic_terms([1, 2, 3, 4, 5]))
         terms[-1] = terms[-1]._replace(p=terms[-1].p + 1)
         with pytest.raises(ArithmeticError):
-            rows_of([t.b for t in terms], (terms[-1].p, terms[-1].q))
-        exp = expand(validate_spec(2, 3), 4)
-        *_, last = exp.convergents()
+            list(convergent_digits(terms))
+        # predict's digits are checked against the convergents its expansion walks.
+        spec = validate_spec(2, 3)
+        exp = expand(spec, 4)
+        payload = predict_payload(exp, list(index_walk(spec, exp)))
+        *walked, last = exp.convergents()
+        faulty = [*walked, last._replace(q=last.q - 1)]
+        monkeypatch.setattr(Expansion, "convergents", lambda self: iter(faulty))
         with pytest.raises(ArithmeticError):
-            predict_payload(exp, [], (last.p, last.q - 1))
+            emit(payload, "json")
 
     @pytest.mark.parametrize("n", [0, ROW_BATCH - 1, ROW_BATCH, 1500])
     def test_a_faulty_digit_stops_its_batch(self, monkeypatch, n):
-        quotients = expand(validate_spec(2, 3), 2000).partial_quotients
+        exp = expand(validate_spec(2, 3), 2000)
         monkeypatch.setattr(digits, "_DIGITS", _FaultyContext(n))
-        batches = convergent_digits(quotients)
-        for _ in range(n // ROW_BATCH):  # the batches before the fault pass
-            next(batches)
+        rows = convergent_digits(exp.convergents())
+        start = n // ROW_BATCH * ROW_BATCH  # the fault's block starts here
+        assert [row["n"] for row in itertools.islice(rows, start)] == list(range(start))
         with pytest.raises(ArithmeticError):
-            next(batches)
+            next(rows)
 
     @pytest.mark.parametrize("fmt, row", [("json", '"n": 1472,'), ("csv", "\nterm,2,3,1472,"),
                                           ("text", "\n  n=1472 ")])
