@@ -35,6 +35,7 @@ from .exact import (
     RadicandSpec,
     RationalInterval,
     WrongDegreeError,
+    _less,
     alpha_interval,
     refine,
     sign_linear_in_alpha,
@@ -108,10 +109,10 @@ def unit_threshold(spec: RadicandSpec, bits: int) -> int:
 
 def _power_sum(u: int, v: int, m: int) -> int:
     """sum_{j<m} u**(m-1-j) * v**j, by Horner's rule in u."""
-    total, vj = 0, 1
-    for _ in range(m):
-        total = total * u + vj
+    total = vj = 1
+    for _ in range(m - 1):
         vj *= v
+        total = total * u + vj
     return total
 
 
@@ -141,7 +142,7 @@ def general_correction(
     """
     d, c = algebraic_distance(spec, conv), spec.m * conv.p ** (spec.m - 1)
     lo, hi = _correction_ends(spec.m, conv, d, c, *alpha_iv)
-    return RationalInterval(Fraction(*lo), Fraction(*hi))
+    return RationalInterval.from_ends(lo, hi)
 
 
 def cubic_correction(
@@ -319,11 +320,6 @@ class TheoremReport(NamedTuple):
     terms: tuple[TermCheck, ...]
 
 
-def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """a < b for rationals given as (numerator, positive denominator)."""
-    return a[0] * b[1] < b[0] * a[1]
-
-
 def _analyze_term(
     spec: RadicandSpec,
     conv: Convergent,
@@ -375,8 +371,7 @@ def _analyze_term(
         in_unit = -r_lo[1] < r_lo[0] and r_hi[0] < r_hi[1]
         if not (in_unit or r_hi[0] < -r_hi[1] or r_lo[0] > r_lo[1]):
             return None
-        theta_iv = RationalInterval(Fraction(*corners[0]), Fraction(*corners[1]))
-        return theta_iv, RationalInterval(Fraction(*r_lo), Fraction(*r_hi)), in_unit
+        return RationalInterval.from_ends(*corners), RationalInterval.from_ends(r_lo, r_hi), in_unit
 
     return (*refine(attempt, start_bits, max_bits), universal_ok, sign_ok)
 

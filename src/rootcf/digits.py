@@ -11,6 +11,7 @@ report's rows in JSON (`row_json`) are here too, beside the digits.
 from __future__ import annotations
 
 import decimal
+import math
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
@@ -75,22 +76,40 @@ def justified_places(num: int, den: int) -> int:
     return -e if num * power == den else -e - 1
 
 
+def fraction_string(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, by a gcd of the odd parts alone.
+
+    gcd(a*2**i, b*2**j) = 2**min(i, j) * gcd(a, b) for odd a, b: an end
+    over q_n*d_n*2**(B(m-1)) runs its gcd against the odd part of q_n*d_n.
+    """
+    if num == 0:
+        return "0"
+    i, j = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    g = math.gcd(num >> i, den >> j) << min(i, j)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def enclosure_json(iv: RationalInterval) -> dict:
     """An enclosure's certified digits, worked out on its endpoints' integers.
 
-    Over the common denominator ld*hd, left unreduced, the width is
-    (hn*ld - ln*hd)/(ld*hd) and the midpoint (hn*ld + ln*hd)/(2*ld*hd);
-    only the endpoints are printed, and they are already reduced.
+    Over a common denominator den, left unreduced, the width is
+    (hi_num - lo_num)/den and the midpoint (hi_num + lo_num)/(2*den).
+    den is the ends' shared denominator when they have one, else their
+    product.  Only the endpoints are printed, reduced.
     """
-    ln, ld = iv.lo.numerator, iv.lo.denominator
-    hn, hd = iv.hi.numerator, iv.hi.denominator
-    hi_num, lo_num, den = hn * ld, ln * hd, ld * hd
+    (ln, ld), (hn, hd) = iv.ends
+    if ld == hd:
+        hi_num, lo_num, den = hn, ln, ld
+    else:
+        hi_num, lo_num, den = hn * ld, ln * hd, ld * hd
     width = hi_num - lo_num
     return {
         "decimal": decimal_string(hi_num + lo_num, 2 * den, justified_places(width, den)),
         "width": sci_string(width, den),
-        "lo": str(iv.lo),
-        "hi": str(iv.hi),
+        "lo": fraction_string(ln, ld),
+        "hi": fraction_string(hn, hd),
     }
 
 

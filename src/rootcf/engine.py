@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import (
@@ -118,7 +117,7 @@ def complete_quotient_interval(
     corners = _theta_corners(conv, prev, *alpha_iv)
     if corners is None:
         raise ZeroDivisionError(f"q_n*alpha - p_n is not separated from 0 at n={conv.n}")
-    return RationalInterval(Fraction(*corners[0]), Fraction(*corners[1]))
+    return RationalInterval.from_ends(*corners)
 
 
 def _theta_exceeds(

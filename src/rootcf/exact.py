@@ -177,20 +177,42 @@ def sign_linear_in_alpha(spec: RadicandSpec, u: int, v: int) -> int:
 class RationalInterval:
     """Interval [lo, hi] with exact rational endpoints, as a report shows it.
 
+    Each end is kept as its maker gave it, a numerator over a positive
+    denominator, unreduced (`ends`): a report prints the ends reduced
+    (`digits.fraction_string`), so reducing them here as well would run
+    every gcd twice.  `lo` and `hi` are the reduced `Fraction`s.
     Immutable, and not a tuple: intervals have no total order to sort by.
     It has no arithmetic; the tests' oracles hold interval arithmetic.
     """
 
-    __slots__ = ("lo", "hi")
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("ends",)
+    ends: tuple[tuple[int, int], tuple[int, int]]
 
     def __init__(self, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "ends", ((lo.numerator, lo.denominator),
+                                          (hi.numerator, hi.denominator)))
+
+    @classmethod
+    def from_ends(cls, lo: tuple[int, int], hi: tuple[int, int]) -> RationalInterval:
+        """[lo, hi] from its ends as (numerator, denominator), kept unreduced."""
+        if lo[1] <= 0 or hi[1] <= 0:
+            raise ValueError(f"denominators must be positive: lo={lo}, hi={hi}")
+        if _less(hi, lo):
+            raise ValueError(f"empty interval: lo={Fraction(*lo)} > hi={Fraction(*hi)}")
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "ends", (lo, hi))
+        return iv
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self.ends[0])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self.ends[1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -204,7 +226,7 @@ class RationalInterval:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        return all(a * y == x * b for (a, b), (x, y) in zip(self.ends, other.ends))
 
     def __hash__(self):
         return hash((self.lo, self.hi))
@@ -214,6 +236,16 @@ class RationalInterval:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for rationals given as (numerator, positive denominator).
+
+    Over one denominator the numerators alone decide.
+    """
+    if a[1] == b[1]:
+        return a[0] < b[0]
+    return a[0] * b[1] < b[0] * a[1]
 
 
 @functools.lru_cache(maxsize=32)

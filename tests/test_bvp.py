@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rootcf.bvp import (
     CLAIM_BELOW_WINDOW,
     _analyze_term,
+    _power_sum,
     _scan_cell,
     EPSILON_RANGE,
     REMAINDER_BOUND,
@@ -288,6 +289,11 @@ class TestGeneralCorrection:
                 assert iv.hi < 0
             else:
                 assert iv.lo > 0
+
+    def test_power_sum_is_the_sum_of_monomials(self):
+        for m in range(2, 13):
+            for u, v in ((3, 5), (-7, 2), (0, 4), (6, 0), (1 << 70, -(3 ** 40))):
+                assert _power_sum(u, v, m) == sum(u ** (m - 1 - j) * v ** j for j in range(m))
 
 
 class TestPredictNext:

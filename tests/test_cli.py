@@ -261,6 +261,19 @@ class TestMain:
         assert payload["summary"]["cells"] == 3
         assert payload["summary"]["skipped_cells"] == 8
 
+    def test_scan_violation_enclosures_agree_across_workers(self, capsys):
+        # A serial scan prints each violation's enclosure from the kernel's
+        # unreduced ends; from a pool it arrives pickled, reduced.
+        argv = ["scan", "--m", "11", "--k-range", "170..180", "--terms", "10", "--format", "json"]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == EXIT_OK
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0]["results"] == outputs[1]["results"]
+        assert outputs[0]["summary"] == outputs[1]["summary"]
+        violations = outputs[0]["results"][0]["violations"]
+        assert violations and all("lo" in v["observed"] for v in violations)
+
     def test_capped_scan_out_file(self, tmp_path, capsys):
         path = tmp_path / "scan.csv"
         assert main(["scan", "--m", "3", "--k-range", "2..12", "--terms", "18",

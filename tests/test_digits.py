@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcf import digits
@@ -24,7 +24,7 @@ from rootcf.digits import (
     justified_places,
     sci_string,
 )
-from rootcf.bvp import index_walk
+from rootcf.bvp import index_walk, verify_theorems
 from rootcf.engine import Convergent, Expansion, Side, expand
 from rootcf.exact import RationalInterval, validate_spec
 from rootcf.report import emit, enclosure_json, predict_payload
@@ -93,6 +93,26 @@ class TestEnclosureKernels:
         lo = Fraction(ln, ld)
         hi = lo + Fraction(wn, wd)
         assert enclosure_json(RationalInterval(lo, hi)) == oracles.enclosure_digits(lo, hi)
+
+    @given(numerators, denominators, st.integers(0, 200), st.integers(0, 200))
+    @example(0, 7, 0, 0)
+    @example(-6, 1, 0, 0)
+    @example(5, 1, 90, 0)
+    @example(3, 1, 0, 120)
+    @example(-12, 40, 50, 30)
+    def test_fraction_string_matches_fraction(self, num, den, i, j):
+        # Powers of two on the numerator, the denominator or both.
+        num, den = num << i, den << j
+        assert digits.fraction_string(num, den) == str(Fraction(num, den))
+
+    @pytest.mark.parametrize("k, m, n_max", [(2, 3, 60), (50, 10, 20)])
+    def test_kernel_ends_print_as_reduced_ends(self, k, m, n_max):
+        # R_n's ends share the W_n route's denominator, theta_n's do not:
+        # the shared-denominator path against the product path.
+        terms = verify_theorems(validate_spec(k, m), n_max).terms
+        assert all(t.remainder.ends[0][1] == t.remainder.ends[1][1] for t in terms)
+        for iv in [t.theta for t in terms] + [t.remainder for t in terms]:
+            assert enclosure_json(iv) == enclosure_json(RationalInterval(iv.lo, iv.hi))
 
 
 def synthetic_terms(quotients: list[int]) -> tuple[Convergent, ...]:

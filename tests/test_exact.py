@@ -221,6 +221,25 @@ class TestRationalInterval:
             with pytest.raises(ValueError):
                 cls(2, 1)
 
+    def test_integer_ends_are_kept_unreduced(self):
+        box = RationalInterval.from_ends((-2, 4), (6, 4))
+        assert box.ends == ((-2, 4), (6, 4))
+        assert (box.lo, box.hi) == (Fraction(-1, 2), Fraction(3, 2))
+        same = RationalInterval(Fraction(-1, 2), Fraction(3, 2))
+        assert box == same and hash(box) == hash(same) and repr(box) == repr(same)
+        assert str(box) == str(same) == "[-1/2, 3/2]"
+        copy = pickle.loads(pickle.dumps(box))
+        assert copy == box and copy.ends == ((-1, 2), (3, 2))
+        assert RationalInterval.from_ends((1, 3), (1, 3)) == RationalInterval(Fraction(1, 3), Fraction(1, 3))
+
+    def test_integer_ends_are_validated(self):
+        for lo, hi in (((1, 0), (2, 1)), ((1, 2), (3, -4)), ((1, -2), (3, 4))):
+            with pytest.raises(ValueError, match="denominators must be positive"):
+                RationalInterval.from_ends(lo, hi)
+        for lo, hi in (((3, 4), (1, 4)), ((2, 3), (3, 5))):
+            with pytest.raises(ValueError, match="empty interval"):
+                RationalInterval.from_ends(lo, hi)
+
     def test_membership_and_width(self):
         box = iv(1, 2)
         assert Fraction(3, 2) in box
