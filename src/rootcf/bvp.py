@@ -25,9 +25,9 @@ satisfies V_n = -W_n and sgn(V_n) = sgn(x_n - alpha).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from typing import NamedTuple
 
+from .digits import fraction_string
 from .exact import (
     DEFAULT_MAX_BITS,
     InconsistentEnclosureError,
@@ -154,8 +154,8 @@ def cubic_correction(
     """
     if spec.m != 3:
         raise WrongDegreeError(f"cubic correction needs m = 3, got m = {spec.m}")
-    w = general_correction(spec, conv, alpha_iv)
-    return RationalInterval(-w.hi, -w.lo)
+    (ln, ld), (hn, hd) = general_correction(spec, conv, alpha_iv).ends
+    return RationalInterval.from_ends((-hn, hd), (-ln, ld))
 
 
 def exact_unit_remainder(
@@ -281,8 +281,8 @@ class TermCheck(NamedTuple):
     p: int
     q: int
     distance: int
-    leading: Fraction
-    shifted_leading: Fraction
+    leading: tuple[int, int]
+    shifted_leading: tuple[int, int]
     theta: RationalInterval
     remainder: RationalInterval
     remainder_in_unit: bool
@@ -468,17 +468,21 @@ def verify_theorems(
             if above:
                 if spec.m == 3 and not window_above:
                     violations.append(record(
-                        WINDOW_ABOVE, b_next, f"{CLAIM_ABOVE_WINDOW} with H_n = {Fraction(hn, hd)}"))
+                        WINDOW_ABOVE, b_next,
+                        f"{CLAIM_ABOVE_WINDOW} with H_n = {fraction_string(hn, hd)}"))
                 if not above_eps:
                     above_eps_failures.append(record(
-                        EPSILON_RANGE, true_eps, f"{CLAIM_ABOVE_EPSILON}; A_n = {Fraction(an, hd)}"))
+                        EPSILON_RANGE, true_eps,
+                        f"{CLAIM_ABOVE_EPSILON}; A_n = {fraction_string(an, hd)}"))
             else:
                 if not below_window:
                     below_window_failures.append(record(
-                        WINDOW_BELOW, b_next, f"{CLAIM_BELOW_WINDOW} with H_n = {Fraction(hn, hd)}"))
+                        WINDOW_BELOW, b_next,
+                        f"{CLAIM_BELOW_WINDOW} with H_n = {fraction_string(hn, hd)}"))
                 if not below_eps:
                     below_eps_failures.append(record(
-                        EPSILON_RANGE, true_eps, f"{CLAIM_BELOW_EPSILON}; A_n = {Fraction(an, hd)}"))
+                        EPSILON_RANGE, true_eps,
+                        f"{CLAIM_BELOW_EPSILON}; A_n = {fraction_string(an, hd)}"))
         else:
             skipped.append(n)
 
@@ -486,8 +490,7 @@ def verify_theorems(
             term_checks.append(
                 TermCheck(
                     n=n, b_next=b_next, side=conv.side, p=conv.p, q=conv.q,
-                    distance=d, leading=Fraction(hn, hd),
-                    shifted_leading=Fraction(an, hd),
+                    distance=d, leading=(hn, hd), shifted_leading=(an, hd),
                     theta=theta_iv, remainder=r_iv, remainder_in_unit=in_unit,
                     prediction=outcome, q_at_least_2=q_ok,
                     window_above_ok=window_above, below_window_ok=below_window,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import decimal
 import math
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from itertools import islice
 
 from .engine import Convergent
@@ -113,9 +112,10 @@ def enclosure_json(iv: RationalInterval) -> dict:
     }
 
 
-def exact_json(x: Fraction) -> dict:
-    digits = decimal_string(x.numerator, x.denominator, 12)
-    return {"rational": str(x), "decimal": digits, "width": "0"}
+def exact_json(num: int, den: int) -> dict:
+    """An exact rational num/den (den > 0, unreduced), printed reduced and to 12 places."""
+    return {"rational": fraction_string(num, den), "decimal": decimal_string(num, den, 12),
+            "width": "0"}
 
 
 # A prime that the decimal convergents are checked against, modulo it.

@@ -15,6 +15,7 @@ the benchmark's tracer only.
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
@@ -192,17 +193,9 @@ def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
         return None
     assert quotients[0] == int_nth_root(spec.k, spec.m)
     if count >= 1:
-        # b_N = floor(theta_{N-1}) reads convergents N-1 and N-2 only.  A
-        # bare integer loop finds them in half the time a walk of
-        # `Expansion.convergents()` takes.
-        p, q, pp, qp = 1, 0, 0, 1
-        for b in quotients[:-1]:
-            p, q, pp, qp = b * p + pp, b * q + qp, p, q
-        conv = Convergent(n=count - 1, b=quotients[-2], p=p, q=q, side=_SIDES[(count - 1) & 1])
-        prev = (
-            Convergent(n=count - 2, b=quotients[-3], p=pp, q=qp, side=_SIDES[(count - 2) & 1])
-            if count >= 2 else None
-        )
+        # b_N = floor(theta_{N-1}) reads convergents N-1 and N-2 only.
+        last = deque(Expansion(spec, quotients[:-1], bits).convergents(), 2)
+        conv, prev = last.pop(), last.pop() if last else None
         if not verify_quotient(spec, conv, prev, quotients[-1]):
             raise InconsistentEnclosureError(
                 "endpoint Euclid expansion disagrees with the exact oracle on the last term"

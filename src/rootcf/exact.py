@@ -180,7 +180,8 @@ class RationalInterval:
     Each end is kept as its maker gave it, a numerator over a positive
     denominator, unreduced (`ends`): a report prints the ends reduced
     (`digits.fraction_string`), so reducing them here as well would run
-    every gcd twice.  `lo` and `hi` are the reduced `Fraction`s.
+    every gcd twice.  A pickled interval keeps its ends unreduced.  `lo`
+    and `hi`, the reduced `Fraction`s, are for library callers only.
     Immutable, and not a tuple: intervals have no total order to sort by.
     It has no arithmetic; the tests' oracles hold interval arithmetic.
     """
@@ -221,7 +222,7 @@ class RationalInterval:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), (self.lo, self.hi)
+        return type(self).from_ends, self.ends
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

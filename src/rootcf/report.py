@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from itertools import islice
 from typing import TextIO
 
@@ -138,8 +137,8 @@ def prediction_json(digits: dict, step: tuple) -> dict:
         "p": digits["p"],
         "q": digits["q"],
         "d": str(distance),
-        "leading": exact_json(Fraction(hn, hd)),
-        "shifted_leading": exact_json(Fraction(an, hd)),
+        "leading": exact_json(hn, hd),
+        "shifted_leading": exact_json(an, hd),
         **outcome_json(outcome),
     }
 
@@ -175,8 +174,8 @@ def check_json(t) -> dict:
         "q": str(t.q),
         "d": str(t.distance),
         "q_at_least_2": t.q_at_least_2,
-        "leading": exact_json(t.leading),
-        "shifted_leading": exact_json(t.shifted_leading),
+        "leading": exact_json(*t.leading),
+        "shifted_leading": exact_json(*t.shifted_leading),
         "theta": enclosure_json(t.theta),
         "remainder": enclosure_json(t.remainder),
         "remainder_in_unit": t.remainder_in_unit,

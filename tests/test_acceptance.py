@@ -115,7 +115,7 @@ def test_criterion_3_above_side_window(cubic_sweep):
         for t in report.terms:
             if t.q_at_least_2 and t.side is Side.ABOVE:
                 checked += 1
-                if not (t.leading - 2 < t.b_next <= t.leading):
+                if not (Fraction(*t.leading) - 2 < t.b_next <= Fraction(*t.leading)):
                     bad.append((k, t.n))
     report_line(
         "criterion-3",
@@ -147,7 +147,7 @@ def test_criterion_4_above_side_epsilon_range(cubic_sweep):
                 offset = out.actual - out.candidate
                 if offset not in (-1, 0):
                     out_of_range.append((k, t.n, offset))
-                if t.shifted_leading.denominator == 1:
+                if Fraction(*t.shifted_leading).denominator == 1:
                     assert offset == -1, f"integer A_n with offset {offset} at k={k}, n={t.n}"
                 if offset == -1:
                     own.add((k, t.n))

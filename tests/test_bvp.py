@@ -491,7 +491,8 @@ class TestVerifyTheorems:
             assert t.universal_identity_ok
             qp = pair(full.expansion, t.n)[1].q
             want = oracles.floor_prediction(k, m, t.p, t.q, qp, t.side.value, t.b_next)
-            got = {**t._asdict(), **t.prediction._asdict()}
+            got = {**t._asdict(), **t.prediction._asdict(), "leading": Fraction(*t.leading),
+                   "shifted_leading": Fraction(*t.shifted_leading)}
             assert {key: got[key] for key in want} == want
             if m == 3:
                 v_iv = oracles.cubic_correction(k, t.p, t.q, alpha)

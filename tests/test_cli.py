@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootcf.bvp import index_walk, leading_terms, predict_next
+from rootcf.bvp import index_walk, leading_terms, predict_next, scan
 from rootcf.cli import (
     EXIT_OK,
     EXIT_PERFECT_POWER,
@@ -263,7 +263,7 @@ class TestMain:
 
     def test_scan_violation_enclosures_agree_across_workers(self, capsys):
         # A serial scan prints each violation's enclosure from the kernel's
-        # unreduced ends; from a pool it arrives pickled, reduced.
+        # unreduced ends; from a pool it arrives pickled, its ends unchanged.
         argv = ["scan", "--m", "11", "--k-range", "170..180", "--terms", "10", "--format", "json"]
         outputs = []
         for workers in ("1", "2"):
@@ -273,6 +273,9 @@ class TestMain:
         assert outputs[0]["summary"] == outputs[1]["summary"]
         violations = outputs[0]["results"][0]["violations"]
         assert violations and all("lo" in v["observed"] for v in violations)
+        serial, pooled = (scan(range(170, 181), [11], 10, workers=w).violations for w in (1, 2))
+        assert pooled == serial
+        assert [v.observed.ends for v in pooled] == [v.observed.ends for v in serial]
 
     def test_capped_scan_out_file(self, tmp_path, capsys):
         path = tmp_path / "scan.csv"
@@ -283,6 +286,34 @@ class TestMain:
         assert captured.err == "rootcf: precision refinement exceeded the 64-bit cap\n"
         rows = path.read_text().splitlines()
         assert [r.split(",")[1] for r in rows if r.startswith("cell,")] == ["2", "4", "7"]
+
+    def test_no_command_builds_a_fraction(self, monkeypatch, capsys):
+        # Every exact rational a report prints, H_n, A_n and enclosure ends,
+        # in rows and in failure texts, is printed from the kernel's integer
+        # pairs.  The argv print a violation enclosure, an epsilon failure,
+        # a below-side window failure, A_n <= 0 and scans; scan's cells all
+        # run in this process (one worker), where the patch holds.
+        argvs = [
+            "verify --k 11 --m 7 --terms 12 --format text",
+            "verify --k 50 --m 4 --terms 6 --format text",
+            "verify --k-range 7..9 --m 3 --terms 3 --format json",
+            "predict --k-range 2..30 --m-range 3..6 --terms 8 --format csv",
+            "scan --m-range 2..7 --k-range 2..25 --terms 10 --format json",
+            "scan --m 11 --k-range 170..180 --terms 10 --format text",
+            "verify --k 2 --m 3 --terms 40 --format csv",
+            "expand --k 2 --m 3 --terms 50 --format csv",
+        ]
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError(f"Fraction{args} built")
+
+        def runs():
+            return [(main(argv.split()), capsys.readouterr().out) for argv in argvs]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", refuse)
+            patched = runs()
+        assert patched == runs()
 
 
 json_values = st.recursive(

@@ -100,10 +100,14 @@ class TestEnclosureKernels:
     @example(5, 1, 90, 0)
     @example(3, 1, 0, 120)
     @example(-12, 40, 50, 30)
+    @example(-12, 3, 2, 2)
     def test_fraction_string_matches_fraction(self, num, den, i, j):
         # Powers of two on the numerator, the denominator or both.
         num, den = num << i, den << j
         assert digits.fraction_string(num, den) == str(Fraction(num, den))
+        x = Fraction(num, den)
+        assert digits.exact_json(num, den) == {
+            "rational": str(x), "decimal": oracles.decimal_string(x, 12), "width": "0"}
 
     @pytest.mark.parametrize("k, m, n_max", [(2, 3, 60), (50, 10, 20)])
     def test_kernel_ends_print_as_reduced_ends(self, k, m, n_max):
