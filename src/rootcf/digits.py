@@ -10,7 +10,6 @@ report's rows in JSON (`row_json`) are here too, beside the digits.
 """
 from __future__ import annotations
 
-import decimal
 import math
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
@@ -122,10 +121,21 @@ def exact_json(num: int, den: int) -> dict:
 _CHECK_PRIME = (1 << 61) - 1
 # Convergent rows per block: each block is checked before any of its rows is passed on.
 ROW_BATCH = 64
-# Every operation on it is exact, so it never sets a flag: it is shared read-only.
-_DIGITS = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
-)
+# The exact decimal context, built on first use (`_digits_context`): only
+# convergent rows need `decimal`.  Every operation on it is exact, so it
+# never sets a flag: it is shared read-only.
+_DIGITS = None
+
+
+def _digits_context():
+    global _DIGITS
+    if _DIGITS is None:
+        import decimal
+
+        _DIGITS = decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+        )
+    return _DIGITS
 
 
 def convergent_digits(convergents: Iterable[Convergent]) -> Iterator[dict]:
@@ -141,17 +151,20 @@ def convergent_digits(convergents: Iterable[Convergent]) -> Iterator[dict]:
     checked against that convergent's integers modulo a prime, so no digit
     is passed on that disagrees with the integers it prints.
     """
-    fma, prime = _DIGITS.fma, decimal.Decimal(_CHECK_PRIME)
-    p, q, pp, qp = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1)
+    from decimal import Decimal
+
+    context = _digits_context()
+    fma, prime = context.fma, Decimal(_CHECK_PRIME)
+    p, q, pp, qp = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
     convergents = iter(convergents)
     while block := list(islice(convergents, ROW_BATCH)):
         rows = []
         for conv in block:
-            db = decimal.Decimal(conv.b)
+            db = Decimal(conv.b)
             p, q, pp, qp = fma(db, p, pp), fma(db, q, qp), p, q
             rows.append({"n": conv.n, "b": conv.b, "p": str(p), "q": str(q),
                          "side": conv.side.value})
-        residues = (int(_DIGITS.remainder(p, prime)), int(_DIGITS.remainder(q, prime)))
+        residues = (int(context.remainder(p, prime)), int(context.remainder(q, prime)))
         if residues != (conv.p % _CHECK_PRIME, conv.q % _CHECK_PRIME):
             raise ArithmeticError(f"decimal convergent {conv.n} disagrees with the integers")
         yield from rows

@@ -1,21 +1,23 @@
 """Certified regular continued fraction expansion of alpha = k**(1/m).
 
-`expand` runs integer Euclid on both endpoints of alpha's binary
-enclosure [S, S+1]/2**bits, taken as the integers `alpha_interval`
-returns, and keeps the quotients on which they agree
-(precision-adaptive); the last term is re-checked by the exact order test
+`expand` climbs a ladder of precisions.  At each rung it runs one
+integer Euclid pass on the lower end of alpha's binary enclosure
+[S, S+1]/2**bits, taken as the integers `alpha_interval` returns, and
+reads the upper end's remainders from the lower end's and the tracked
+convergents; it keeps the quotients on which both ends agree.  A rung
+that stops short hands its certified prefix to the next, which resumes
+where it stopped, and the last term is re-checked by the exact order test
 `verify_quotient`.  Its `Expansion` holds the partial quotients b_0..b_N
 and the bits, and no convergent: `Expansion.convergents()` walks the
 `Convergent`s p_n/q_n from the quotients for whoever reads them
 (`predict`, `verify`, library callers), and the `expand` command prints
 them as it writes them.  The tests cross-certify the expansion against an
-exact-search expansion and a fixed-precision one (tests/oracles.py).
-`complete_quotient_interval` and `next_partial_quotient` stay public for
-the benchmark's tracer only.
+exact-search expansion, a fixed-precision one and the two-chain Euclid
+route (tests/oracles.py).  `complete_quotient_interval` and
+`next_partial_quotient` stay public for the benchmark's tracer only.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
@@ -158,44 +160,84 @@ def next_partial_quotient(spec: RadicandSpec, conv: Convergent, prev: Convergent
     return lo
 
 
-def _euclid_quotients(lo: int, hi: int, den: int, count: int) -> list[int] | None:
-    """Partial quotients b_0..b_count shared by every point of [lo, hi]/den, den > 0.
+class _Prefix:
+    """Quotients b_0..b_{j-1} certified so far, and the convergents j-1 and j-2.
 
-    x -> 1/(x - b) is monotone on an interval that avoids b, so the Gauss
-    map of an interval with exact rational endpoints is the Gauss map of
-    each endpoint, and that is Euclid's algorithm on the endpoint's
-    numerator and denominator.  Those need not be reduced: Euclid on
-    (g*x, g*y) gives the quotients of (x, y) and remainders g times theirs.
-    None once the two floors part, or when an endpoint's remainder is
-    zero before the last term (the enclosed complete quotient may then be
-    an integer).
+    Enclosures [S, S+1]/2**B nest as B grows, and every point of one
+    shares the certified quotients, so a try at more bits resumes at step
+    j instead of redoing the prefix.  Before any step the convergents are
+    the seeds (p_{-1}, q_{-1}) = (1, 0) and (p_{-2}, q_{-2}) = (0, 1).
     """
-    x, y, u, w = lo, den, hi, den
-    quotients: list[int] = []
-    for _ in range(count):
+
+    __slots__ = ("quotients", "p", "q", "pp", "qp")
+
+    def __init__(self):
+        self.quotients: list[int] = []
+        self.p, self.q, self.pp, self.qp = 1, 0, 0, 1
+
+    def advance(self, s: int, den: int, count: int) -> bool:
+        """Extend the prefix toward b_0..b_count, shared by every point of [s, s+1]/den.
+
+        x -> 1/(x - b) is monotone on an interval that avoids b, so the
+        Gauss map of an interval with exact rational endpoints is the
+        Gauss map of each endpoint: Euclid on its numerator and
+        denominator.  Euclid runs on (s, den) alone.  Step n divides
+        x_n = (-1)**n (q_{n-2}*s - p_{n-2}*den) by
+        y_n = -(-1)**n (q_{n-1}*s - p_{n-1}*den), and the s + 1 end's pair
+        is (x_n, y_n) + (-1)**n (q_{n-2}, -q_{n-1}).  So that end has the
+        same floor b_n exactly when its remainder r_n + (-1)**n q_n lies in
+        [0, y_n - (-1)**n q_{n-1}).  Before the last term both remainders
+        must be nonzero, or the enclosed complete quotient may be an
+        integer.  True once the prefix holds b_0..b_count, with
+        convergents count-1 and count-2; False where the floors part or a
+        remainder is zero, the prefix then holding the steps before.
+        """
+        quotients = self.quotients
+        p, q, pp, qp = self.p, self.q, self.pp, self.qp
+        sign = -1 if len(quotients) & 1 else 1  # (-1)**n at step n
+        x, y = sign * (qp * s - pp * den), sign * (p * den - q * s)
+        for _ in range(len(quotients), count):
+            b, r = divmod(x, y)
+            qn = b * q + qp
+            if r == 0 or not 0 < r + sign * qn < y - sign * q:
+                break
+            quotients.append(b)
+            p, q, pp, qp = b * p + pp, qn, p, q
+            x, y, sign = y, r, -sign
+        self.p, self.q, self.pp, self.qp = p, q, pp, qp
+        if len(quotients) < count:
+            return False
         b, r = divmod(x, y)
-        c, s = divmod(u, w)
-        if b != c or r == 0 or s == 0:
-            return None
+        if not 0 <= r + sign * (b * q + qp) < y - sign * q:
+            return False
         quotients.append(b)
-        x, y, u, w = y, r, w, s
-    b = x // y
-    if u // w != b:
-        return None
-    quotients.append(b)
-    return quotients
+        return True
 
 
-def _expand_at(spec: RadicandSpec, count: int, bits: int) -> Expansion | None:
-    """The certified quotients at one precision; None if some floor is ambiguous."""
-    quotients = _euclid_quotients(*alpha_interval(spec, bits), count)
-    if quotients is None:
+def _expand_at(
+    spec: RadicandSpec, count: int, bits: int, prefix: _Prefix | None = None
+) -> Expansion | None:
+    """The certified quotients at one precision; None if some floor is ambiguous.
+
+    `prefix`, certified at fewer bits, is resumed where it stopped, and is
+    left holding what this try certified; by default the try starts
+    afresh.  On success the Expansion takes the prefix's list.  The last
+    term, b_N = floor(theta_{N-1}), is re-checked by the exact order test
+    on the prefix's convergents N-1 and N-2, with no walk of the others.
+    """
+    if prefix is None:
+        prefix = _Prefix()
+    s, _, den = alpha_interval(spec, bits)
+    if not prefix.advance(s, den, count):
         return None
+    quotients = prefix.quotients
     assert quotients[0] == int_nth_root(spec.k, spec.m)
     if count >= 1:
-        # b_N = floor(theta_{N-1}) reads convergents N-1 and N-2 only.
-        last = deque(Expansion(spec, quotients[:-1], bits).convergents(), 2)
-        conv, prev = last.pop(), last.pop() if last else None
+        n = count - 1
+        conv = Convergent(n, quotients[n], prefix.p, prefix.q, _SIDES[n & 1])
+        prev = None
+        if n:
+            prev = Convergent(n - 1, quotients[n - 1], prefix.pp, prefix.qp, _SIDES[(n - 1) & 1])
         if not verify_quotient(spec, conv, prev, quotients[-1]):
             raise InconsistentEnclosureError(
                 "endpoint Euclid expansion disagrees with the exact oracle on the last term"
@@ -231,14 +273,16 @@ def expand(
 ) -> Expansion:
     """Certified partial quotients b_0..b_count by integer Euclid on enclosure endpoints.
 
-    alpha is enclosed in [s, s+1]/2**bits and Euclid runs on both
-    endpoints; a term is kept only where their floors agree.  When some
-    floor is ambiguous the whole prefix is recomputed at doubled precision
-    (`refine`), so every certified term is certain, not merely probable.
-    The doubling starts at the first level that can succeed
-    (`_first_useful_bits`).  The final term is re-certified by the exact
-    order test.  No convergent is kept: `Expansion.convergents()` walks
-    them from the quotients.
+    alpha is enclosed in [s, s+1]/2**bits, and one Euclid pass per try
+    certifies the terms on which both endpoints' floors agree.  When some
+    floor is ambiguous the try is repeated at doubled precision
+    (`refine`), resuming after the terms already certified: the finer
+    enclosure nests in the coarser, so they stand, and the result is that
+    of a fresh try at the finer level.  So every certified term is
+    certain, not merely probable.  The doubling starts at the first level
+    that can succeed (`_first_useful_bits`).  The final term is
+    re-certified by the exact order test.  No convergent is kept:
+    `Expansion.convergents()` walks them from the quotients.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -246,4 +290,5 @@ def expand(
     if start_bits > max(max_bits, DEFAULT_START_BITS):
         # Every level up to the cap provably fails.
         raise PrecisionCeilingError(max_bits)
-    return refine(lambda bits: _expand_at(spec, count, bits), start_bits, max_bits)
+    prefix = _Prefix()
+    return refine(lambda bits: _expand_at(spec, count, bits, prefix), start_bits, max_bits)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import Callable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 T = TypeVar("T")
 
@@ -56,8 +58,8 @@ def int_nth_root(x: int, m: int) -> int:
     """Integer m-th root: the unique r >= 0 with r**m <= x < (r+1)**m.
 
     Newton's method on integers from an over-estimate seeded by the root
-    of x's top bits, with a final exact adjustment; total for all x >= 0,
-    m >= 1.
+    of x's top bits, stopping at the first step at or below the root, with
+    an exact confirmation; total for all x >= 0, m >= 1.
     """
     if x < 0:
         raise ValueError("x must be non-negative")
@@ -82,16 +84,14 @@ def _nth_root(x: int, m: int) -> int:
     else:
         # 2**ceil(bits/m) >= x**(1/m).
         r = 1 << -(-x.bit_length() // m)
-    # From above, the iteration decreases monotonically to the root.
-    while True:
-        s = ((m - 1) * r + x // r ** (m - 1)) // m
-        if s >= r:
-            break
-        r = s
-    while r ** m > x:
-        r -= 1
-    while (r + 1) ** m <= x:
-        r += 1
+    # A step r - ceil((r**m - x) / (m*r**(m-1))) from above stays above
+    # x**(1/m) - 1 (r**m is convex), so it never passes the floor, and the
+    # first r with r**m <= x is the root.
+    while (excess := (power := r ** (m - 1)) * r - x) > 0:
+        r -= -(-excess // (m * power))
+    # (r + 1)**m >= r**m + m*r**(m-1) confirms most roots without a power.
+    if -excess >= m * power and (r + 1) ** m <= x:
+        raise ArithmeticError(f"integer {m}-th root of a {x.bit_length()}-bit x failed its exact check")
     return r
 
 
@@ -181,7 +181,9 @@ class RationalInterval:
     denominator, unreduced (`ends`): a report prints the ends reduced
     (`digits.fraction_string`), so reducing them here as well would run
     every gcd twice.  A pickled interval keeps its ends unreduced.  `lo`
-    and `hi`, the reduced `Fraction`s, are for library callers only.
+    and `hi`, the reduced `Fraction`s, are for library callers only: they
+    and the two-rational constructor import `fractions`, which no command
+    loads.
     Immutable, and not a tuple: intervals have no total order to sort by.
     It has no arithmetic; the tests' oracles hold interval arithmetic.
     """
@@ -190,7 +192,7 @@ class RationalInterval:
     ends: tuple[tuple[int, int], tuple[int, int]]
 
     def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _fraction(lo), _fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
         object.__setattr__(self, "ends", ((lo.numerator, lo.denominator),
@@ -202,18 +204,18 @@ class RationalInterval:
         if lo[1] <= 0 or hi[1] <= 0:
             raise ValueError(f"denominators must be positive: lo={lo}, hi={hi}")
         if _less(hi, lo):
-            raise ValueError(f"empty interval: lo={Fraction(*lo)} > hi={Fraction(*hi)}")
+            raise ValueError(f"empty interval: lo={_fraction(*lo)} > hi={_fraction(*hi)}")
         iv = object.__new__(cls)
         object.__setattr__(iv, "ends", (lo, hi))
         return iv
 
     @property
     def lo(self) -> Fraction:
-        return Fraction(*self.ends[0])
+        return _fraction(*self.ends[0])
 
     @property
     def hi(self) -> Fraction:
-        return Fraction(*self.ends[1])
+        return _fraction(*self.ends[1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -239,6 +241,13 @@ class RationalInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), importing `fractions` (and with it `decimal`) on first use."""
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
 def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """a < b for rationals given as (numerator, positive denominator).
 
@@ -254,8 +263,10 @@ def alpha_interval(spec: RadicandSpec, bits: int) -> tuple[int, int, int]:
     """(S, S + 1, 2**bits): alpha lies in [S, S+1]/2**bits, S = floor(alpha * 2**bits).
 
     Every consumer works on these integers; none builds the reduced
-    endpoints.  Memoised: verify encloses every index of an expansion at
-    one precision, and would otherwise rebuild the same root per index.
+    endpoints.  S is `int_nth_root(k << m*bits, m)`, whose Newton start
+    is the root at about half the bits, shifted up.  Memoised: verify
+    encloses every index of an expansion at one precision, and would
+    otherwise rebuild the same root per index.
     """
     scaled = int_nth_root(spec.k << (spec.m * bits), spec.m)
     return scaled, scaled + 1, 1 << bits

@@ -9,7 +9,6 @@ worked out in `rootcf.digits`.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from typing import TextIO
@@ -272,6 +271,8 @@ def _emit_json(report: dict):
     report string "" is never taken for a stand-in: only the piece right
     after a `default` call is replaced.
     """
+    import json
+
     pending = []
 
     def default(value):
@@ -416,6 +417,8 @@ def _text_rows(command: str, result: dict) -> list[tuple[str, list[dict]]]:
 
 
 def _emit_text(report: dict):
+    import json
+
     cfg = report["config"]
     yield (
         f"rootcf {report['tool']['version']} -- {cfg['command']}\n"

@@ -58,6 +58,49 @@ def convergents_from_terms(terms: list[int]) -> list[tuple[int, int]]:
     return list(zip(ps[2:], qs[2:]))
 
 
+def euclid_quotients(lo: int, hi: int, den: int, count: int) -> list[int] | None:
+    """Partial quotients b_0..b_count shared by every point of [lo, hi]/den, den > 0.
+
+    The reference for the package's one-pass Euclid: Euclid's algorithm
+    runs on each endpoint's numerator and denominator, a divmod chain
+    apiece, and a term is kept where both floors agree.  None once the
+    floors part, or when an endpoint's remainder is zero before the last
+    term (the enclosed complete quotient may then be an integer).
+    """
+    x, y, u, w = lo, den, hi, den
+    quotients: list[int] = []
+    for _ in range(count):
+        b, r = divmod(x, y)
+        c, s = divmod(u, w)
+        if b != c or r == 0 or s == 0:
+            return None
+        quotients.append(b)
+        x, y, u, w = y, r, w, s
+    b = x // y
+    if u // w != b:
+        return None
+    quotients.append(b)
+    return quotients
+
+
+def sqrt_cf(k: int, count: int) -> tuple[list[int], list[int]]:
+    """b_0..b_count of sqrt(k), k not a square, by the classical periodic algorithm.
+
+    Also returns d_1..d_{count+1}, the algorithm's denominators, for the
+    Pell-type identity p_n**2 - k*q_n**2 = (-1)**(n+1) * d_{n+1}.
+    """
+    a0 = nth_root_bisect(k, 2)
+    a, mn, d = a0, 0, 1
+    terms, dens = [a0], []
+    for _ in range(count + 1):
+        mn = d * a - mn
+        d = (k - mn * mn) // d
+        a = (a0 + mn) // d
+        terms.append(a)
+        dens.append(d)
+    return terms[:-1], dens
+
+
 def sign_u_alpha_plus_v(k: int, m: int, u: int, v: int) -> int:
     """Sign of u*k**(1/m) + v: u*alpha and -v compared through their m-th powers."""
     if u == 0:

@@ -44,6 +44,8 @@ from fractions import Fraction
 
 from conftest import RecordingStream, spec_or_reject
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 class TestParseArgs:
     def test_scan_range(self):
@@ -202,6 +204,30 @@ class TestMain:
         code = f"import sys, rootcf.cli; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
         assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv,loaded", [
+        ("--version", []),
+        ("scan --m 3 --k-range 2..30 --terms 50 --format csv", []),
+        ("verify --k 2 --m 3 --terms 20 --format json", ["json"]),
+        ("expand --k 2 --m 3 --terms 20 --format json", ["decimal", "json"]),
+    ], ids=["version", "scan-csv", "verify-json", "expand-json"])
+    def test_command_loads_only_the_stdlib_modules_it_runs(self, argv, loaded):
+        # fractions (which imports decimal), decimal and json are loaded
+        # where they are used: the library's Fraction accessors, convergent
+        # digits, and JSON or text reports.  Each run pays only for its own.
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['rootcf', *{argv.split()!r}]\n"
+            "try:\n"
+            "    runpy.run_module('rootcf', run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    status = done.code\n"
+            "names = ('fractions', 'decimal', 'json')\n"
+            "print(status, sorted(name for name in names if name in sys.modules), file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.stderr == f"0 {loaded!r}\n"
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_reader_closing_stdout_early(self, unbuffered):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
     _expand_at,
     _first_useful_bits,
+    _Prefix,
     complete_quotient_interval,
     expand,
     next_partial_quotient,
@@ -113,6 +114,80 @@ class TestExpand:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             expand(SPEC_2_3, -1)
+
+
+class TestEuclidPass:
+    """The one Euclid pass against the reference two-chain route (tests/oracles.py)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 10 ** 5),
+        m=st.integers(2, 12),
+        count=st.integers(0, 300),
+        bits=st.integers(64, 4096),
+    )
+    # At 64 bits with no step past the last term: S/2**64 = 2**64 exactly,
+    # a zero remainder, which is no ambiguity there; (S+1)/2**64 = 2**64,
+    # floors that part at step 0; and an upper end whose complete
+    # quotient at step 1 is exactly 2 (more in the test below).
+    @example(k=2 ** 128 + 1, m=2, count=0, bits=64)
+    @example(k=2 ** 128 - 1, m=2, count=0, bits=64)
+    @example(k=2 ** 124 + 2 ** 62, m=2, count=1, bits=64)
+    def test_matches_two_chains(self, k, m, count, bits):
+        spec = spec_or_reject(k, m)
+        s, s1, den = alpha_interval(spec, bits)
+        prefix = _Prefix()
+        done = prefix.advance(s, den, count)
+        assert (prefix.quotients if done else None) == oracles.euclid_quotients(s, s1, den, count)
+        # Beside the quotients b_0..b_{j-1} (j <= count) that every later
+        # step reads, the prefix holds convergents j-1 and j-2.
+        j = min(len(prefix.quotients), count)
+        seeds = [(0, 1), (1, 0)]
+        assert (seeds + oracles.convergents_from_terms(prefix.quotients[:j]))[-2:] == [
+            (prefix.pp, prefix.qp), (prefix.p, prefix.q)]
+        if not done and j:
+            # A failed pass keeps exactly the quotients certified before its failing step.
+            assert oracles.euclid_quotients(s, s1, den, j - 1) == prefix.quotients
+
+    @pytest.mark.parametrize("k,held", [
+        (2 ** 128 + 1, []),             # the lower end's remainder is zero at step 0
+        (2 ** 128 - 1, []),             # the floors part at step 0
+        # alpha = 2**62 + 1/2 - 2**-65 + ...: the upper end's complete
+        # quotient at step 1 is exactly 2, the lower end's just above it.
+        (2 ** 124 + 2 ** 62, [2 ** 62]),
+    ])
+    def test_a_pass_stops_at_the_step_that_fails(self, k, held):
+        s, s1, den = alpha_interval(validate_spec(k, 2), 64)
+        prefix = _Prefix()
+        assert not prefix.advance(s, den, 3)
+        assert prefix.quotients == held
+        assert oracles.euclid_quotients(s, s1, den, 3) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 10 ** 4), m=st.integers(2, 12), count=st.integers(0, 700))
+    @example(k=2, m=3, count=2000)
+    def test_resumed_expansion_equals_a_fresh_one(self, k, m, count):
+        # One prefix carried up through every level that fails, from 64
+        # bits, gives what a fresh try at the first level that answers gives.
+        spec = spec_or_reject(k, m)
+        prefix, bits = _Prefix(), 64
+        while (resumed := _expand_at(spec, count, bits, prefix)) is None:
+            assert _expand_at(spec, count, bits) is None
+            bits *= 2
+        assert resumed == _expand_at(spec, count, bits) == expand(spec, count)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 10 ** 5), count=st.integers(0, 300))
+    @example(k=2 ** 128 + 1, count=3)
+    def test_quadratic_matches_pell(self, k, count):
+        # m = 2: the classical periodic algorithm gives the same quotients,
+        # and p_n**2 - k*q_n**2 = (-1)**(n+1) * d_{n+1} at every index.
+        spec = spec_or_reject(k, 2)
+        exp = expand(spec, count)
+        terms, dens = oracles.sqrt_cf(k, count)
+        assert exp.partial_quotients == terms
+        for t in exp.convergents():
+            assert t.p * t.p - k * t.q * t.q == (-1) ** (t.n + 1) * dens[t.n]
 
 
 class TestConvergentStep:

@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcf.exact import (
@@ -136,6 +136,27 @@ class TestAlphaEnclosure:
         assert alpha_interval(spec, bits) == (scaled, scaled + 1, 2 ** bits)
         assert scaled ** m <= k << (m * bits) < (scaled + 1) ** m
         assert width(as_interval(alpha_interval(spec, bits))) == Fraction(1, 2 ** bits)
+
+    @given(
+        k=st.integers(min_value=2, max_value=10 ** 5),
+        m=st.integers(min_value=2, max_value=12),
+        bits=st.integers(min_value=1, max_value=5000),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(k=2, m=3, bits=1)
+    @example(k=2, m=3, bits=64)
+    @example(k=2, m=3, bits=65)
+    @example(k=50, m=10, bits=129)
+    @example(k=99999, m=12, bits=4097)
+    @example(k=3, m=2, bits=5000)
+    def test_wide_enclosures_are_exact_floors(self, k, m, bits):
+        # Far past test_soundness's 100 bits, where int_nth_root's Newton
+        # start is the root at about half the bits shifted up, and at every
+        # B, powers of two or not: S is the floor by the exact power test.
+        alpha_interval.cache_clear()
+        scaled, upper, den = alpha_interval(spec_or_reject(k, m), bits)
+        assert (upper, den) == (scaled + 1, 1 << bits)
+        assert scaled ** m <= k << (m * bits) < upper ** m
 
     def test_interval_contains_alpha(self):
         spec = validate_spec(2, 3)
