@@ -4,9 +4,11 @@
 integer Euclid pass on the lower end of alpha's binary enclosure
 [S, S+1]/2**bits, taken as the integers `alpha_interval` returns, and
 reads the upper end's remainders from the lower end's and the tracked
-convergents; it keeps the quotients on which both ends agree.  A rung
-that stops short hands its certified prefix to the next, which resumes
-where it stopped, and the last term is re-checked by the exact order test
+convergents; it keeps the quotients on which both ends agree.  The
+ladder starts at 64 bits, and a rung that stops short hands its certified
+prefix to the next, which resumes where it stopped; a count too large
+for every rung under the cap is refused by an O(1) bound before any rung.
+Once a rung answers, the last term is re-checked by the exact order test
 `verify_quotient`.  Its `Expansion` holds the partial quotients b_0..b_N
 and the bits, and no convergent: `Expansion.convergents()` walks the
 `Convergent`s p_n/q_n from the quotients for whoever reads them
@@ -214,22 +216,39 @@ class _Prefix:
         return True
 
 
-def _expand_at(
-    spec: RadicandSpec, count: int, bits: int, prefix: _Prefix | None = None
-) -> Expansion | None:
-    """The certified quotients at one precision; None if some floor is ambiguous.
+def expand(
+    spec: RadicandSpec,
+    count: int,
+    *,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> Expansion:
+    """Certified partial quotients b_0..b_count by integer Euclid on enclosure endpoints.
 
-    `prefix`, certified at fewer bits, is resumed where it stopped, and is
-    left holding what this try certified; by default the try starts
-    afresh.  On success the Expansion takes the prefix's list.  The last
-    term, b_N = floor(theta_{N-1}), is re-checked by the exact order test
-    on the prefix's convergents N-1 and N-2, with no walk of the others.
+    alpha is enclosed in [s, s+1]/2**bits, and one Euclid pass per try
+    certifies the terms on which both endpoints' floors agree.  Tries run
+    at 64 bits and then at doubled precision (`refine`), each resuming
+    one `_Prefix` after the terms already certified: the finer enclosure
+    nests in the coarser, so they stand, and the result is that of a
+    fresh try at the finer level.  So every certified term is certain,
+    not merely probable.  The final term is re-certified by the exact
+    order test on the prefix's convergents N-1 and N-2.  No convergent is
+    kept: `Expansion.convergents()` walks them from the quotients.
     """
-    if prefix is None:
-        prefix = _Prefix()
-    s, _, den = alpha_interval(spec, bits)
-    if not prefix.advance(s, den, count):
-        return None
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    # The reals that share b_0..b_N fill an interval of length
+    # 1/(q_N*(q_N + q_{N-1})), and q_n >= F_{n+1} (Fibonacci), so a try at
+    # B bits needs 2**B > F_{N+1}*F_{N+2} >= phi**(2N-1); 0.694 < log2(phi).
+    # A count too large for every level up to the cap fails without a try.
+    if (2 * count - 1) * 694 // 1000 >= max(max_bits, DEFAULT_START_BITS):
+        raise PrecisionCeilingError(max_bits)
+    prefix = _Prefix()
+
+    def attempt(bits: int) -> int | None:
+        s, _, den = alpha_interval(spec, bits)
+        return bits if prefix.advance(s, den, count) else None
+
+    bits = refine(attempt, DEFAULT_START_BITS, max_bits)
     quotients = prefix.quotients
     assert quotients[0] == int_nth_root(spec.k, spec.m)
     if count >= 1:
@@ -243,52 +262,3 @@ def _expand_at(
                 "endpoint Euclid expansion disagrees with the exact oracle on the last term"
             )
     return Expansion(spec=spec, partial_quotients=quotients, precision_bits=bits)
-
-
-def _first_useful_bits(count: int) -> int:
-    """The least level 64*2**j at which expanding to b_count can succeed.
-
-    The reals that share b_0..b_N with N = count fill a half-open interval
-    between p_N/q_N and (p_N + p_{N-1})/(q_N + q_{N-1}), of length
-    1/(q_N*(q_N + q_{N-1})).  Both ends of [S, S+1]/2**B must lie in it, so
-    a try at B bits needs 2**B > q_N*(q_N + q_{N-1}) >= F_{N+1}*F_{N+2},
-    since q_n >= F_{n+1} (Fibonacci, F_1 = F_2 = 1).  Every lower level
-    fails, so starting here gives the same precision as starting at 64.
-    """
-    f, g = 1, 1  # F_{n+1}, F_{n+2} at n = 0
-    for _ in range(count):
-        f, g = g, f + g
-    least = (f * g).bit_length()  # 2**B > f*g exactly when B >= least
-    bits = DEFAULT_START_BITS
-    while bits < least:
-        bits *= 2
-    return bits
-
-
-def expand(
-    spec: RadicandSpec,
-    count: int,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> Expansion:
-    """Certified partial quotients b_0..b_count by integer Euclid on enclosure endpoints.
-
-    alpha is enclosed in [s, s+1]/2**bits, and one Euclid pass per try
-    certifies the terms on which both endpoints' floors agree.  When some
-    floor is ambiguous the try is repeated at doubled precision
-    (`refine`), resuming after the terms already certified: the finer
-    enclosure nests in the coarser, so they stand, and the result is that
-    of a fresh try at the finer level.  So every certified term is
-    certain, not merely probable.  The doubling starts at the first level
-    that can succeed (`_first_useful_bits`).  The final term is
-    re-certified by the exact order test.  No convergent is kept:
-    `Expansion.convergents()` walks them from the quotients.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    start_bits = _first_useful_bits(count)
-    if start_bits > max(max_bits, DEFAULT_START_BITS):
-        # Every level up to the cap provably fails.
-        raise PrecisionCeilingError(max_bits)
-    prefix = _Prefix()
-    return refine(lambda bits: _expand_at(spec, count, bits, prefix), start_bits, max_bits)

@@ -1,13 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rootcf import engine
 from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
 from rootcf.engine import (
-    _expand_at,
-    _first_useful_bits,
     _Prefix,
     complete_quotient_interval,
     expand,
@@ -18,7 +18,6 @@ from rootcf.exact import (
     DEFAULT_MAX_BITS,
     PrecisionCeilingError,
     alpha_interval,
-    refine,
     validate_spec,
 )
 
@@ -29,6 +28,32 @@ from conftest import pair, spec_or_reject
 SPEC_50_10 = validate_spec(50, 10)
 SPEC_2_3 = validate_spec(2, 3)
 SPEC_2_2 = validate_spec(2, 2)
+
+
+def _lower_end(spec, bits):
+    """(S, 2**bits): alpha's enclosure [S, S+1]/2**bits as `_Prefix.advance` reads it."""
+    s, _, den = alpha_interval(spec, bits)
+    return s, den
+
+
+def _cap_before_any_try(count, **cap):
+    """The cap of the PrecisionCeilingError that expand raises before its
+    first try at `count` terms, or None if a try begins."""
+
+    class TryRan(Exception):
+        pass
+
+    def no_try(spec, bits):
+        raise TryRan
+
+    with mock.patch.object(engine, "alpha_interval", no_try):
+        try:
+            expand(SPEC_2_3, count, **cap)
+        except TryRan:
+            return None
+        except PrecisionCeilingError as exc:
+            return exc.bits
+    raise AssertionError("expand answered without a try")
 
 
 class TestExpand:
@@ -80,30 +105,56 @@ class TestExpand:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 300), st.integers(2, 12), st.integers(0, 700))
-    def test_skipped_levels_fail_and_bits_are_unchanged(self, k, m, count):
-        # expand starts at _first_useful_bits: every level below it fails,
-        # and starting at 64 instead gives the same quotients and bits.
+    @example(2, 3, 2000)
+    def test_bits_are_the_least_level_a_fresh_pass_certifies(self, k, m, count):
+        # expand climbs from 64 bits, resuming its prefix; it answers at the
+        # first level where a fresh pass certifies b_0..b_count, and a cap
+        # below that level is reached without an answer.
         spec = spec_or_reject(k, m)
-        start = _first_useful_bits(count)
         bits = 64
-        while bits < start:
-            assert _expand_at(spec, count, bits) is None
+        while not _Prefix().advance(*_lower_end(spec, bits), count):
             bits *= 2
-        from_64 = refine(lambda bits: _expand_at(spec, count, bits), 64, DEFAULT_MAX_BITS)
-        assert expand(spec, count) == from_64
+        assert expand(spec, count).precision_bits == bits
+        if bits > 64:
+            with pytest.raises(PrecisionCeilingError):
+                expand(spec, count, max_bits=bits // 2)
 
-    def test_first_useful_bits(self):
-        # 2**B must exceed F_{N+1}*F_{N+2}: at N = 46 that product has 64
-        # bits, at N = 47 it has 65, and at N = 2,000 it has 2,777.
-        counts = (0, 1, 46, 47, 50, 2000)
-        assert [_first_useful_bits(n) for n in counts] == [64, 64, 64, 128, 128, 4096]
-
-    def test_precision_ceiling_below_the_first_useful_level(self):
-        # Every level up to a 2,048-bit cap fails at 2,000 terms, so the cap
-        # is reported without a try, as it was after trying them all.
+    def test_precision_ceiling_below_the_needed_level(self):
+        # cbrt(2) needs 4,096 bits at 700 terms and 8,192 at 2,000.  At 700
+        # terms the tries at 64..2,048 bits all fail; at 2,000 the count
+        # bound (over 2,048 bits needed) refuses it before any try.  Both
+        # report the 2,048-bit cap.
+        assert _cap_before_any_try(2000, max_bits=2048) == 2048
+        assert _cap_before_any_try(700, max_bits=2048) is None
         with pytest.raises(PrecisionCeilingError) as caught:
-            expand(SPEC_2_3, 2000, max_bits=2048)
+            expand(SPEC_2_3, 700, max_bits=2048)
         assert caught.value.bits == 2048
+
+    def test_count_bound_refuses_only_what_no_level_certifies(self):
+        # The reals that share b_0..b_N fill an interval of length
+        # 1/(q_N*(q_N + q_{N-1})) <= 1/(F_{N+1}*F_{N+2}), since q_n >= F_{n+1}
+        # (Fibonacci, F_1 = F_2 = 1): a try at B bits needs 2**B to exceed
+        # that product.  The O(1) bound in expand grows with N, so it lets
+        # every N up to 12,000 through at the least level 64*2**j that the
+        # product allows (a higher cap only lets more through) if it lets
+        # the largest N at each level through.
+        largest = {}  # level -> the largest N that the product allows there
+        f, g = 1, 1  # F_{n+1}, F_{n+2} at n = 0
+        for count in range(12_001):
+            least = (f * g).bit_length()  # 2**B > f*g exactly when B >= least
+            level = 64
+            while level < least:
+                level *= 2
+            largest[level] = count
+            f, g = g, f + g
+        assert len(largest) == 10  # 64 .. 32,768 bits
+        for level, count in largest.items():
+            assert _cap_before_any_try(count, max_bits=level) is None, (count, level)
+        # A cap below 64 bits still gets the first try, at 64.
+        assert _cap_before_any_try(largest[64], max_bits=1) is None
+
+    def test_a_huge_count_is_refused_without_a_try(self):
+        assert _cap_before_any_try(10 ** 6) == 2 ** 20
 
     def test_convergent_values(self):
         exp = expand(SPEC_50_10, 3)
@@ -167,14 +218,22 @@ class TestEuclidPass:
     @given(k=st.integers(2, 10 ** 4), m=st.integers(2, 12), count=st.integers(0, 700))
     @example(k=2, m=3, count=2000)
     def test_resumed_expansion_equals_a_fresh_one(self, k, m, count):
-        # One prefix carried up through every level that fails, from 64
-        # bits, gives what a fresh try at the first level that answers gives.
+        # One prefix carried up from 64 bits through every level that
+        # fails holds, at each level, what a fresh pass there holds.
         spec = spec_or_reject(k, m)
-        prefix, bits = _Prefix(), 64
-        while (resumed := _expand_at(spec, count, bits, prefix)) is None:
-            assert _expand_at(spec, count, bits) is None
+        resumed, bits = _Prefix(), 64
+        while True:
+            s, den = _lower_end(spec, bits)
+            fresh = _Prefix()
+            done = resumed.advance(s, den, count)
+            assert done == fresh.advance(s, den, count)
+            assert resumed.quotients == fresh.quotients
+            assert (resumed.p, resumed.q, resumed.pp, resumed.qp) == (
+                fresh.p, fresh.q, fresh.pp, fresh.qp)
+            if done:
+                break
             bits *= 2
-        assert resumed == _expand_at(spec, count, bits) == expand(spec, count)
+        assert expand(spec, count) == (spec, resumed.quotients, bits)
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(2, 10 ** 5), count=st.integers(0, 300))
