@@ -15,7 +15,8 @@ share (`index_walk`): `leading_terms` gives d_n, H_n and
 A_n = H_n - q_{n-1}/q_n over one denominator, and `prediction` reads the
 floor formula against the b_{n+1} that `expand` certified.  |R_n| < 1 is
 proven at q_n >= Q(k, m) (`unit_threshold`) and decided by exact signs
-below it (`exact_unit_remainder`).  `predict_next`, `general_correction`
+below it (`exact_unit_remainder`).  Each measured claim is one row of
+`MEASURED_CLAIMS`.  `predict_next`, `general_correction`
 and `cubic_correction` stay public for the benchmark's tracer only.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
@@ -60,9 +61,6 @@ WINDOW_BELOW = "window_below"
 EPSILON_RANGE = "epsilon_range"
 
 CLAIM_ABOVE_WINDOW = "above side: H_n - 2 < b_{n+1} <= H_n"
-CLAIM_ABOVE_EPSILON = "above side: b_{n+1} = floor(A_n) + eps with eps in {0, 1}"
-CLAIM_BELOW_WINDOW = "below side: H_n <= b_{n+1} < H_n + 2"
-CLAIM_BELOW_EPSILON = "below side: b_{n+1} = floor(A_n) + eps with eps in {-1, 0}"
 # Least q_n at which a stated bound is measured; q_0 = 1 sits outside them all.
 Q_MIN = 2
 CLAIM_REMAINDER = f"|R_n| < 1 for q_n >= {Q_MIN}"
@@ -297,13 +295,29 @@ class TermCheck(NamedTuple):
     cubic_sign_ok: bool | None
 
 
+# The measured claims, in report order: tallied, never asserted.  Each row
+# is (TheoremReport field, TermCheck flag deciding it, None off its side,
+# violation kind, text, whether a failure shows H_n and b_{n+1} rather
+# than A_n and eps = b_{n+1} - floor(A_n)).  Plain tuples: one more
+# NamedTuple class raised the peak RSS of a start-up by 0.13 MB (Python 3.11).
+MEASURED_CLAIMS = (
+    ("above_epsilon", "above_epsilon_ok", EPSILON_RANGE,
+     "above side: b_{n+1} = floor(A_n) + eps with eps in {0, 1}", False),
+    ("below_window", "below_window_ok", WINDOW_BELOW,
+     "below side: H_n <= b_{n+1} < H_n + 2", True),
+    ("below_epsilon", "below_epsilon_ok", EPSILON_RANGE,
+     "below side: b_{n+1} = floor(A_n) + eps with eps in {-1, 0}", False),
+)
+# The TermCheck flags a walk step decides: window_above_ok to general_window_ok.
+_STEP_FLAGS = TermCheck._fields[-7:-2]
+
+
 class TheoremReport(NamedTuple):
     """Outcome of sweeping every stated bound over one expansion.
 
     violations holds certified failures of the unconditional claims
-    (remainder bound; for cubics also the above-side window).  The
-    epsilon-range and below-side claims are measured into ClaimStats,
-    failures included, without being asserted.
+    (remainder bound; for cubics also the above-side window), and each
+    of MEASURED_CLAIMS has a ClaimStats field, failures included.
     """
 
     spec: RadicandSpec
@@ -329,18 +343,8 @@ def _analyze_term(
     hd: int,
     start_bits: int,
     max_bits: int,
-) -> tuple[RationalInterval, RationalInterval, bool, bool, bool | None]:
-    """(theta, remainder, in_unit, universal_identity_ok, cubic_sign_ok) certified.
-
-    d and H_n = hn/hd are as `leading_terms` gives them.
-
-    The two flags are exact integer tests.  The universal identity
-    theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly when
-    q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1 above,
-    +1 below), since the left side is that determinant over
-    q_n*(q_n*alpha - p_n).  For cubics
-    V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha) with 2x_n + alpha > 0, so
-    sgn(V_n) = sgn(x_n - alpha) is one exact sign.
+) -> tuple[RationalInterval, RationalInterval, bool]:
+    """(theta, remainder, in_unit) certified, for d and H_n = hn/hd of `leading_terms`.
 
     Only the enclosures a report prints, theta_n and R_n, are built, and
     from the integers of alpha's enclosure [S, S+1]/2**bits: theta_n by
@@ -350,12 +354,8 @@ def _analyze_term(
     enclosures are refined until R_n decides |R_n| < 1 on its own, and
     the caller checks that in_unit equals its own verdict.
     """
-    m, p, q = spec.m, conv.p, conv.q
-    pp, qp = _prev_pq(prev)
-    c = hn + qp * d
-    above = conv.side is Side.ABOVE
-    universal_ok = q * pp - p * qp == (-1 if above else 1)
-    sign_ok = (sign_linear_in_alpha(spec, -q, p) > 0) == above if m == 3 else None
+    m = spec.m
+    c = hn + _prev_pq(prev)[1] * d
 
     def attempt(bits: int):
         ends = alpha_interval(spec, bits)  # (S, S+1, 2**bits)
@@ -373,7 +373,25 @@ def _analyze_term(
             return None
         return RationalInterval.from_ends(*corners), RationalInterval.from_ends(r_lo, r_hi), in_unit
 
-    return (*refine(attempt, start_bits, max_bits), universal_ok, sign_ok)
+    return refine(attempt, start_bits, max_bits)
+
+
+def _failure(
+    spec: RadicandSpec, step: tuple, quantity: str, text: str, shows_leading: bool
+) -> ViolationRecord:
+    """The record of a claim failing at one `index_walk` step.
+
+    Positional, in field order: keywords cost a scan, which builds hundreds.
+    """
+    _, conv, d, hn, hd, an, outcome = step
+    b_next = outcome.actual
+    if shows_leading:
+        observed, claimed = b_next, f"{text} with H_n = {fraction_string(hn, hd)}"
+    else:
+        observed, claimed = b_next - outcome.candidate, f"{text}; A_n = {fraction_string(an, hd)}"
+    return ViolationRecord(
+        spec.k, spec.m, conv.n, quantity, conv.p, conv.q, b_next, d, observed, claimed
+    )
 
 
 def _stable_from(failures: list[int], checked: list[int]) -> int | None:
@@ -399,15 +417,24 @@ def verify_theorems(
     Every verdict is decided here, before any report is written.
     |R_n| < 1 is proven where q_n >= Q(k, m) (`unit_threshold`, once per
     call) and decided exactly below Q (`exact_unit_remainder`).  The
-    windows are checked exactly, the epsilon-range and below-side claims
-    measured through `prediction`, and the least index from which
-    stability holds through n_max recorded.  Enclosures are built only
-    for values the result shows: theta_n and R_n of every term when
-    keep_terms is set, and the observed R_n of each remainder_bound
-    violation; each is checked against the verdict
-    (InconsistentEnclosureError if they differ).  Indices with
-    q_n < Q_MIN, index 0 always among them, are excluded from claims and
-    violations.  Enclosures start at the precision the expansion needed.
+    windows are checked exactly; above alpha the side's window and
+    epsilon range are `prediction`'s window_held and formula_held.  Each
+    of MEASURED_CLAIMS is tallied from its flag over the checked indices,
+    and the least index from which stability holds through n_max recorded.
+    Enclosures are built only for values the result shows: theta_n and
+    R_n of every term when keep_terms is set, and the observed R_n of
+    each remainder_bound violation; each is checked against the verdict
+    (InconsistentEnclosureError if they differ).  Indices with q_n < Q_MIN,
+    index 0 always among them, are excluded from claims and violations.
+    Enclosures start at the precision the expansion needed.
+
+    Where an enclosure is built, two flags are taken by exact integer
+    tests.  theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly
+    when q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1
+    above, +1 below), the left side being that determinant over
+    q_n*(q_n*alpha - p_n).  For cubics V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha)
+    with 2x_n + alpha > 0, so sgn(V_n) = sgn(x_n - alpha) is one exact
+    sign; a contradiction raises InconsistentEnclosureError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -415,106 +442,79 @@ def verify_theorems(
     q_unit = unit_threshold(spec, exp.precision_bits)
 
     violations: list[ViolationRecord] = []
-    # Failures of each measured claim, and checked indices of each side:
-    # a claim passes at every index of its side that it does not fail.
-    above_eps_failures: list[ViolationRecord] = []
-    below_window_failures: list[ViolationRecord] = []
-    below_eps_failures: list[ViolationRecord] = []
-    checked_above = 0  # the other checked indices lie below alpha
+    # The flags (_STEP_FLAGS) of each checked index, and with its walk step
+    # where one is False: only failures need a step, so no other is held.
+    step_flags: list[tuple] = []
+    failing: list[tuple] = []
     term_checks: list[TermCheck] = []
-    window_failures: list[int] = []
     checked: list[int] = []
     skipped: list[int] = [0]
 
-    def record(quantity, observed, claimed) -> ViolationRecord:
-        """A failure at the index the loop is on."""
-        return ViolationRecord(
-            k=spec.k, m=spec.m, n=n, quantity=quantity, p=conv.p, q=conv.q,
-            b_next=b_next, distance=d, observed=observed, claimed=claimed,
-        )
-
-    for prev, conv, d, hn, hd, an, outcome in index_walk(spec, exp):
+    for step in index_walk(spec, exp):
+        prev, conv, d, hn, hd, an, outcome = step
         n, b_next = conv.n, outcome.actual
         q_ok = conv.q >= Q_MIN
+        above = conv.side is Side.ABOVE
         # Proven at q_n >= Q; a scan never reads the verdict at q_n < Q_MIN.
         in_unit = (conv.q >= q_unit or not (keep_terms or q_ok)
                    or exact_unit_remainder(spec, conv, prev, hn, hd))
         if keep_terms or not in_unit:
-            theta_iv, r_iv, iv_in_unit, universal_ok, sign_ok = _analyze_term(
+            theta_iv, r_iv, iv_in_unit = _analyze_term(
                 spec, conv, prev, d, hn, hd, exp.precision_bits, max_bits
             )
             if iv_in_unit != in_unit:
                 raise InconsistentEnclosureError(
                     f"remainder enclosure contradicts the unit verdict at n={n}"
                 )
+            universal_ok = conv.q * prev.p - conv.p * prev.q == (-1 if above else 1)
+            sign_ok = ((sign_linear_in_alpha(spec, -conv.q, conv.p) > 0) == above
+                       if spec.m == 3 else None)
             if sign_ok is False:
                 raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={n}")
 
-        true_eps = b_next - outcome.candidate
-        above = conv.side is Side.ABOVE
         general_window = b_next * hd <= hn < (b_next + 2) * hd  # H_n - 2 < b_{n+1} <= H_n
-        window_above = general_window if above else None
-        below_window = ((b_next - 2) * hd < hn <= b_next * hd) if not above else None
-        above_eps = (true_eps in (0, 1)) if above else None
-        below_eps = (true_eps in (-1, 0)) if not above else None
-
+        # _STEP_FLAGS: window_above, below_window, above_eps, below_eps, general_window.
+        # Above alpha the side's window and epsilon range are `prediction`'s.
+        flags = ((outcome.window_held, None, outcome.formula_held, None, general_window) if above
+                 else (None, (b_next - 2) * hd < hn <= b_next * hd,
+                       None, b_next - outcome.candidate in (-1, 0), general_window))
         if q_ok:
             checked.append(n)
+            step_flags.append(flags)
+            if False in flags:
+                failing.append((flags, step))
             if not in_unit:
-                violations.append(record(REMAINDER_BOUND, r_iv, CLAIM_REMAINDER))
-            if not general_window:
-                window_failures.append(n)
-            checked_above += above
-            if above:
-                if spec.m == 3 and not window_above:
-                    violations.append(record(
-                        WINDOW_ABOVE, b_next,
-                        f"{CLAIM_ABOVE_WINDOW} with H_n = {fraction_string(hn, hd)}"))
-                if not above_eps:
-                    above_eps_failures.append(record(
-                        EPSILON_RANGE, true_eps,
-                        f"{CLAIM_ABOVE_EPSILON}; A_n = {fraction_string(an, hd)}"))
-            else:
-                if not below_window:
-                    below_window_failures.append(record(
-                        WINDOW_BELOW, b_next,
-                        f"{CLAIM_BELOW_WINDOW} with H_n = {fraction_string(hn, hd)}"))
-                if not below_eps:
-                    below_eps_failures.append(record(
-                        EPSILON_RANGE, true_eps,
-                        f"{CLAIM_BELOW_EPSILON}; A_n = {fraction_string(an, hd)}"))
+                violations.append(ViolationRecord(
+                    k=spec.k, m=spec.m, n=n, quantity=REMAINDER_BOUND, p=conv.p, q=conv.q,
+                    b_next=b_next, distance=d, observed=r_iv, claimed=CLAIM_REMAINDER,
+                ))
+            if above and spec.m == 3 and not outcome.window_held:
+                violations.append(_failure(spec, step, WINDOW_ABOVE, CLAIM_ABOVE_WINDOW, True))
         else:
             skipped.append(n)
 
         if keep_terms:
-            term_checks.append(
-                TermCheck(
-                    n=n, b_next=b_next, side=conv.side, p=conv.p, q=conv.q,
-                    distance=d, leading=(hn, hd), shifted_leading=(an, hd),
-                    theta=theta_iv, remainder=r_iv, remainder_in_unit=in_unit,
-                    prediction=outcome, q_at_least_2=q_ok,
-                    window_above_ok=window_above, below_window_ok=below_window,
-                    above_epsilon_ok=above_eps, below_epsilon_ok=below_eps,
-                    general_window_ok=general_window, universal_identity_ok=universal_ok,
-                    cubic_sign_ok=sign_ok,
-                )
-            )
+            term_checks.append(TermCheck(
+                n, b_next, conv.side, conv.p, conv.q, d, (hn, hd), (an, hd),
+                theta_iv, r_iv, in_unit, outcome, q_ok, *flags, universal_ok, sign_ok,
+            ))
 
-    def stats(claim: str, checked_on_side: int, failures: list[ViolationRecord]) -> ClaimStats:
-        return ClaimStats(
-            claim=claim, passed=checked_on_side - len(failures), failed=len(failures),
-            failures=tuple(failures),
-        )
-
+    # Each flag's values over the checked indices; None off the claim's side.
+    columns = {flag: values for flag, *values in zip(_STEP_FLAGS, *step_flags)}
+    claims = {}
+    for field, flag, quantity, text, shows_leading in MEASURED_CLAIMS:
+        i = _STEP_FLAGS.index(flag)
+        failures = tuple(_failure(spec, step, quantity, text, shows_leading)
+                         for flags, step in failing if flags[i] is False)
+        claims[field] = ClaimStats(text, columns[flag].count(True), len(failures), failures)
     return TheoremReport(
         spec=spec, n_max=n_max, expansion=exp,
         checked=tuple(checked), skipped=tuple(skipped), violations=tuple(violations),
-        above_epsilon=stats(CLAIM_ABOVE_EPSILON, checked_above, above_eps_failures),
-        below_window=stats(CLAIM_BELOW_WINDOW, len(checked) - checked_above, below_window_failures),
-        below_epsilon=stats(CLAIM_BELOW_EPSILON, len(checked) - checked_above, below_eps_failures),
+        **claims,
         remainder_stable_from=_stable_from(
             [v.n for v in violations if v.quantity == REMAINDER_BOUND], checked),
-        window_stable_from=_stable_from(window_failures, checked),
+        window_stable_from=_stable_from(
+            [step[1].n for flags, step in failing if flags[-1] is False], checked),
         terms=tuple(term_checks),
     )
 

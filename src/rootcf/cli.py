@@ -205,17 +205,13 @@ def run(config: RunConfig) -> dict:
     cap = config.precision_cap
     results = []
     capped: list[SkippedCell] = []
+    if config.command != "scan":
+        specs, skipped = _specs(config)
+        summary = {"specs": len(specs), "skipped_specs": len(skipped)}
     if config.command == "expand":
-        specs, skipped = _specs(config)
-        for spec in specs:
-            results.append(certificate_payload(expand(spec, config.terms, max_bits=cap)))
-        summary = {
-            "specs": len(specs),
-            "skipped_specs": len(skipped),
-            "terms_total": sum(len(r["partial_quotients"]) for r in results),
-        }
+        results = [certificate_payload(expand(spec, config.terms, max_bits=cap)) for spec in specs]
+        summary["terms_total"] = sum(len(r["partial_quotients"]) for r in results)
     elif config.command == "predict":
-        specs, skipped = _specs(config)
         held = total = 0
         for spec in specs:
             exp = expand(spec, config.terms, max_bits=cap)
@@ -223,28 +219,15 @@ def run(config: RunConfig) -> dict:
             held += sum(step[-1].formula_held for step in steps)
             total += len(steps)
             results.append(predict_payload(exp, steps))
-        summary = {
-            "specs": len(specs),
-            "skipped_specs": len(skipped),
-            "predictions": total,
-            "formula_held": held,
-            "formula_missed": total - held,
-        }
+        summary.update(predictions=total, formula_held=held, formula_missed=total - held)
     elif config.command == "verify":
-        specs, skipped = _specs(config)
-        violations = []
-        for spec in specs:
-            report = verify_theorems(spec, config.terms, keep_terms=True, max_bits=cap)
-            payload = verify_payload(report)
-            violations.extend(payload["violations"])
-            results.append(payload)
-        summary = {
-            "specs": len(specs),
-            "skipped_specs": len(skipped),
-            "violations": len(violations),
-            "violations_by_kind": count_by_kind(violations),
-        }
-    else:  # scan
+        results = [
+            verify_payload(verify_theorems(spec, config.terms, keep_terms=True, max_bits=cap))
+            for spec in specs
+        ]
+        violations = [v for r in results for v in r["violations"]]
+        summary.update(violations=len(violations), violations_by_kind=count_by_kind(violations))
+    else:  # scan, over a grid of its own
         report: ScanReport = scan(
             range(config.k_range[0], config.k_range[1] + 1),
             range(config.m_range[0], config.m_range[1] + 1),

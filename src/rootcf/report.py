@@ -13,7 +13,9 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from typing import TextIO
 
-from .bvp import Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord
+from .bvp import (
+    MEASURED_CLAIMS, Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord,
+)
 from .digits import convergent_digits, enclosure_json, exact_json, row_json
 from .engine import Expansion
 from .exact import RationalInterval
@@ -179,13 +181,8 @@ def check_json(t) -> dict:
         "remainder": enclosure_json(t.remainder),
         "remainder_in_unit": t.remainder_in_unit,
         **outcome_json(t.prediction),
-        "window_above_ok": t.window_above_ok,
-        "below_window_ok": t.below_window_ok,
-        "above_epsilon_ok": t.above_epsilon_ok,
-        "below_epsilon_ok": t.below_epsilon_ok,
-        "general_window_ok": t.general_window_ok,
-        "universal_identity_ok": t.universal_identity_ok,
-        "cubic_sign_ok": t.cubic_sign_ok,
+        # The seven flags from window_above_ok to cubic_sign_ok, in field order.
+        **dict(zip(t._fields[-7:], t[-7:])),
     }
 
 
@@ -209,11 +206,7 @@ def verify_payload(report: TheoremReport) -> dict:
         "skipped": list(report.skipped),
         "items": Rows(lambda: map(check_json, report.terms)),
         "violations": [violation_json(v) for v in report.violations],
-        "claims": {
-            "above_epsilon": claim_json(report.above_epsilon),
-            "below_window": claim_json(report.below_window),
-            "below_epsilon": claim_json(report.below_epsilon),
-        },
+        "claims": {field: claim_json(getattr(report, field)) for field, *_ in MEASURED_CLAIMS},
         "remainder_stable_from": report.remainder_stable_from,
         "window_stable_from": report.window_stable_from,
     }

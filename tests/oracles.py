@@ -161,7 +161,10 @@ def floor_prediction(k: int, m: int, p: int, q: int, qp: int, side: str, actual:
     H_n and A_n = H_n - q_{n-1}/q_n are built from their closed forms; eps
     is actual - floor(A_n) when that is 0 or 1, else 0.  The windows are the
     side's certain window (H-2 < b <= H above, H-2 < b < H+1 below), the
-    general one H-2 < b <= H, and the below side's claim H <= b < H+2.
+    general one H-2 < b <= H, which is also the above side's window claim,
+    and the below side's claim H <= b < H+2.  The epsilon claims hold where
+    actual - floor(A_n) is in {0, 1} above and in {-1, 0} below.  Each
+    side's claims are None on the other side.
     """
     h = Fraction(m * p ** (m - 1), abs(p ** m - k * q ** m) * q)
     a = h - Fraction(qp, q)
@@ -177,7 +180,10 @@ def floor_prediction(k: int, m: int, p: int, q: int, qp: int, side: str, actual:
         "formula_held": candidate + eps == actual,
         "window_held": h - 2 < actual and (actual <= h if above else actual < h + 1),
         "general_window_ok": h - 2 < actual <= h,
+        "window_above_ok": h - 2 < actual <= h if above else None,
         "below_window_ok": None if above else h <= actual < h + 2,
+        "above_epsilon_ok": actual - candidate in (0, 1) if above else None,
+        "below_epsilon_ok": None if above else actual - candidate in (-1, 0),
     }
 
 

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rootcf import bvp
 from rootcf.bvp import (
-    CLAIM_BELOW_WINDOW,
+    CLAIM_ABOVE_WINDOW,
     _analyze_term,
     _power_sum,
     _scan_cell,
     EPSILON_RANGE,
+    Q_MIN,
     REMAINDER_BOUND,
+    WINDOW_ABOVE,
     WINDOW_BELOW,
     CellSummary,
     PredictionOutcome,
@@ -33,6 +36,7 @@ from rootcf.bvp import (
     verify_theorems,
 )
 from rootcf.cli import parse_args, run
+from rootcf.digits import fraction_string
 from rootcf.engine import (
     Convergent,
     Side,
@@ -90,7 +94,7 @@ class TestExactQuantities:
 def analyzed(spec, conv, prev):
     """_analyze_term's (theta, R, in_unit) from 64 bits, as verify refines them."""
     d, hn, hd, _ = leading_terms(spec, conv, prev)
-    return _analyze_term(spec, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)[:3]
+    return _analyze_term(spec, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)
 
 
 class TestRemainder:
@@ -426,7 +430,7 @@ class TestVerifyTheorems:
         assert failure.quantity == WINDOW_BELOW
         assert failure.b_next == 5
         assert "25/4" in failure.claimed
-        assert CLAIM_BELOW_WINDOW in failure.claimed
+        assert failure.claimed.startswith(report.below_window.claim)
         # the certified companion fact: |R_2| < 1
         term = next(t for t in report.terms if t.n == 2)
         assert term.remainder_in_unit
@@ -438,6 +442,39 @@ class TestVerifyTheorems:
         assert failure.n == 1 and failure.quantity == EPSILON_RANGE
         assert failure.observed == -1
         assert report.violations == ()  # certified claims all hold
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_window_above_failure_is_a_cubic_violation(self, monkeypatch, m):
+        # Every certified above-side step holds its window, so the walk is
+        # perturbed: the first checked above-side step reads b_{n+1} two
+        # above the certified one.  For cubics that is a window_above
+        # violation, listed after any remainder_bound record at its index,
+        # in both modes; for other degrees the window is no certified claim.
+        walk = bvp.index_walk
+        hit = []
+
+        def perturbed(spec, exp):
+            hit.clear()
+            for step in walk(spec, exp):
+                _, conv, _, hn, hd, an, outcome = step
+                if not hit and conv.side is Side.ABOVE and conv.q >= Q_MIN:
+                    hit.append((conv.n, hn, hd, outcome.actual + 2))
+                    step = (*step[:-1], prediction(conv, hn, hd, an, outcome.actual + 2))
+                yield step
+
+        monkeypatch.setattr(bvp, "index_walk", perturbed)
+        for keep_terms in (True, False):
+            report = verify_theorems(validate_spec(2, m), 10, keep_terms=keep_terms)
+            [(n, hn, hd, b_next)] = hit
+            at_n = [v for v in report.violations if v.n == n]
+            if m != 3:
+                assert WINDOW_ABOVE not in [v.quantity for v in report.violations]
+                continue
+            *before, record = at_n
+            assert all(v.quantity == REMAINDER_BOUND for v in before)
+            assert record.quantity == WINDOW_ABOVE
+            assert record.observed == record.b_next == b_next
+            assert record.claimed == f"{CLAIM_ABOVE_WINDOW} with H_n = {fraction_string(hn, hd)}"
 
     def test_degree_ten_threshold(self):
         report = verify_theorems(SPEC_50_10, 30, keep_terms=False)
@@ -499,6 +536,16 @@ class TestVerifyTheorems:
                 assert t.cubic_sign_ok == ((v_iv.lo > 0) == (t.side is Side.ABOVE))
             else:
                 assert t.cubic_sign_ok is None
+        # Each measured claim is tallied from its flag over the checked
+        # terms, and fails exactly where the flag is False.
+        checked = [t for t in full.terms if t.q_at_least_2]
+        assert [t.n for t in checked] == list(full.checked)
+        for field, flag in (("above_epsilon", "above_epsilon_ok"),
+                            ("below_window", "below_window_ok"),
+                            ("below_epsilon", "below_epsilon_ok")):
+            stats, held = getattr(full, field), [getattr(t, flag) for t in checked]
+            assert (stats.passed, stats.failed) == (held.count(True), held.count(False))
+            assert [f.n for f in stats.failures] == [t.n for t in checked if getattr(t, flag) is False]
 
 
 def interval_route(spec, conv, prev, start_bits):
@@ -539,7 +586,7 @@ class TestAnalyzeTerm:
         conv, prev = pair(exp, n)
         bits = start or exp.precision_bits
         d, hn, hd, _ = leading_terms(spec, conv, prev)
-        theta, r, in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, DEFAULT_MAX_BITS)[:3]
+        theta, r, in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, DEFAULT_MAX_BITS)
         got = (oracles.as_interval(theta), oracles.as_interval(r), in_unit)
         assert got == interval_route(spec, conv, prev, bits)
 
