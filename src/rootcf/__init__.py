@@ -50,6 +50,7 @@ from .bvp import (
     predict_next,
     prediction,
     scan,
+    term_checks,
     unit_threshold,
     verify_theorems,
 )

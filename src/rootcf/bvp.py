@@ -16,7 +16,10 @@ A_n = H_n - q_{n-1}/q_n over one denominator, and `prediction` reads the
 floor formula against the b_{n+1} that `expand` certified.  |R_n| < 1 is
 proven at q_n >= Q(k, m) (`unit_threshold`) and decided by exact signs
 below it (`exact_unit_remainder`).  Each measured claim is one row of
-`MEASURED_CLAIMS`.  `predict_next`, `general_correction`
+`MEASURED_CLAIMS`.  `verify_theorems` decides every verdict and holds no
+per-index record; `term_checks` builds each index's `TermCheck`, its
+theta_n and R_n enclosures included, as a report writes it, so a run
+never holds them all.  `predict_next`, `general_correction`
 and `cubic_correction` stay public for the benchmark's tracer only.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
@@ -317,7 +320,9 @@ class TheoremReport(NamedTuple):
 
     violations holds certified failures of the unconditional claims
     (remainder bound; for cubics also the above-side window), and each
-    of MEASURED_CLAIMS has a ClaimStats field, failures included.
+    of MEASURED_CLAIMS has a ClaimStats field, failures included.  The
+    report holds no per-index record: `term_checks` makes each index's
+    TermCheck from it, its enclosures refined under max_bits.
     """
 
     spec: RadicandSpec
@@ -331,7 +336,7 @@ class TheoremReport(NamedTuple):
     below_epsilon: ClaimStats
     remainder_stable_from: int | None
     window_stable_from: int | None
-    terms: tuple[TermCheck, ...]
+    max_bits: int
 
 
 def _analyze_term(
@@ -376,6 +381,33 @@ def _analyze_term(
     return refine(attempt, start_bits, max_bits)
 
 
+def _enclosures(
+    spec: RadicandSpec, step: tuple, in_unit: bool, bits: int, max_bits: int
+) -> tuple[RationalInterval, RationalInterval]:
+    """`_analyze_term`'s (theta_n, R_n) of one `index_walk` step, R_n checked against in_unit."""
+    prev, conv, d, hn, hd, _, _ = step
+    theta_iv, r_iv, iv_in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, max_bits)
+    if iv_in_unit != in_unit:
+        raise InconsistentEnclosureError(
+            f"remainder enclosure contradicts the unit verdict at n={conv.n}"
+        )
+    return theta_iv, r_iv
+
+
+def _step_flags(step: tuple) -> tuple:
+    """The flags (_STEP_FLAGS) of one `index_walk` step, None off their side.
+
+    Above alpha the side's window and epsilon range are `prediction`'s.
+    """
+    _, conv, _, hn, hd, _, outcome = step
+    b_next = outcome.actual
+    general_window = b_next * hd <= hn < (b_next + 2) * hd  # H_n - 2 < b_{n+1} <= H_n
+    if conv.side is Side.ABOVE:
+        return outcome.window_held, None, outcome.formula_held, None, general_window
+    return (None, (b_next - 2) * hd < hn <= b_next * hd,
+            None, b_next - outcome.candidate in (-1, 0), general_window)
+
+
 def _failure(
     spec: RadicandSpec, step: tuple, quantity: str, text: str, shows_leading: bool
 ) -> ViolationRecord:
@@ -402,13 +434,9 @@ def _stable_from(failures: list[int], checked: list[int]) -> int | None:
 
 
 def verify_theorems(
-    spec: RadicandSpec,
-    n_max: int,
-    *,
-    keep_terms: bool = True,
-    max_bits: int = DEFAULT_MAX_BITS,
+    spec: RadicandSpec, n_max: int, *, max_bits: int = DEFAULT_MAX_BITS
 ) -> TheoremReport:
-    """Measure every stated bound for n = 1..n_max.
+    """Measure every stated bound for n = 1..n_max; `verify` and `scan` share it.
 
     The indices are walked once, by `index_walk`, as `predict` walks
     them: each takes d_n, H_n and A_n once, as integers, from
@@ -421,20 +449,10 @@ def verify_theorems(
     epsilon range are `prediction`'s window_held and formula_held.  Each
     of MEASURED_CLAIMS is tallied from its flag over the checked indices,
     and the least index from which stability holds through n_max recorded.
-    Enclosures are built only for values the result shows: theta_n and
-    R_n of every term when keep_terms is set, and the observed R_n of
-    each remainder_bound violation; each is checked against the verdict
-    (InconsistentEnclosureError if they differ).  Indices with q_n < Q_MIN,
+    The one enclosure built here is the observed R_n of each
+    remainder_bound violation, from the expansion's bits; no per-index
+    record is held (`term_checks` makes those).  Indices with q_n < Q_MIN,
     index 0 always among them, are excluded from claims and violations.
-    Enclosures start at the precision the expansion needed.
-
-    Where an enclosure is built, two flags are taken by exact integer
-    tests.  theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly
-    when q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1
-    above, +1 below), the left side being that determinant over
-    q_n*(q_n*alpha - p_n).  For cubics V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha)
-    with 2x_n + alpha > 0, so sgn(V_n) = sgn(x_n - alpha) is one exact
-    sign; a contradiction raises InconsistentEnclosureError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -446,58 +464,28 @@ def verify_theorems(
     # where one is False: only failures need a step, so no other is held.
     step_flags: list[tuple] = []
     failing: list[tuple] = []
-    term_checks: list[TermCheck] = []
     checked: list[int] = []
     skipped: list[int] = [0]
 
     for step in index_walk(spec, exp):
-        prev, conv, d, hn, hd, an, outcome = step
-        n, b_next = conv.n, outcome.actual
-        q_ok = conv.q >= Q_MIN
-        above = conv.side is Side.ABOVE
-        # Proven at q_n >= Q; a scan never reads the verdict at q_n < Q_MIN.
-        in_unit = (conv.q >= q_unit or not (keep_terms or q_ok)
-                   or exact_unit_remainder(spec, conv, prev, hn, hd))
-        if keep_terms or not in_unit:
-            theta_iv, r_iv, iv_in_unit = _analyze_term(
-                spec, conv, prev, d, hn, hd, exp.precision_bits, max_bits
-            )
-            if iv_in_unit != in_unit:
-                raise InconsistentEnclosureError(
-                    f"remainder enclosure contradicts the unit verdict at n={n}"
-                )
-            universal_ok = conv.q * prev.p - conv.p * prev.q == (-1 if above else 1)
-            sign_ok = ((sign_linear_in_alpha(spec, -conv.q, conv.p) > 0) == above
-                       if spec.m == 3 else None)
-            if sign_ok is False:
-                raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={n}")
-
-        general_window = b_next * hd <= hn < (b_next + 2) * hd  # H_n - 2 < b_{n+1} <= H_n
-        # _STEP_FLAGS: window_above, below_window, above_eps, below_eps, general_window.
-        # Above alpha the side's window and epsilon range are `prediction`'s.
-        flags = ((outcome.window_held, None, outcome.formula_held, None, general_window) if above
-                 else (None, (b_next - 2) * hd < hn <= b_next * hd,
-                       None, b_next - outcome.candidate in (-1, 0), general_window))
-        if q_ok:
-            checked.append(n)
-            step_flags.append(flags)
-            if False in flags:
-                failing.append((flags, step))
-            if not in_unit:
-                violations.append(ViolationRecord(
-                    k=spec.k, m=spec.m, n=n, quantity=REMAINDER_BOUND, p=conv.p, q=conv.q,
-                    b_next=b_next, distance=d, observed=r_iv, claimed=CLAIM_REMAINDER,
-                ))
-            if above and spec.m == 3 and not outcome.window_held:
-                violations.append(_failure(spec, step, WINDOW_ABOVE, CLAIM_ABOVE_WINDOW, True))
-        else:
-            skipped.append(n)
-
-        if keep_terms:
-            term_checks.append(TermCheck(
-                n, b_next, conv.side, conv.p, conv.q, d, (hn, hd), (an, hd),
-                theta_iv, r_iv, in_unit, outcome, q_ok, *flags, universal_ok, sign_ok,
+        prev, conv, d, hn, hd, _, outcome = step
+        if conv.q < Q_MIN:
+            skipped.append(conv.n)
+            continue
+        checked.append(conv.n)
+        flags = _step_flags(step)
+        step_flags.append(flags)
+        if False in flags:
+            failing.append((flags, step))
+        # Proven at q_n >= Q, decided by exact signs below it.
+        if not (conv.q >= q_unit or exact_unit_remainder(spec, conv, prev, hn, hd)):
+            r_iv = _enclosures(spec, step, False, exp.precision_bits, max_bits)[1]
+            violations.append(ViolationRecord(
+                k=spec.k, m=spec.m, n=conv.n, quantity=REMAINDER_BOUND, p=conv.p, q=conv.q,
+                b_next=outcome.actual, distance=d, observed=r_iv, claimed=CLAIM_REMAINDER,
             ))
+        if conv.side is Side.ABOVE and spec.m == 3 and not outcome.window_held:
+            violations.append(_failure(spec, step, WINDOW_ABOVE, CLAIM_ABOVE_WINDOW, True))
 
     # Each flag's values over the checked indices; None off the claim's side.
     columns = {flag: values for flag, *values in zip(_STEP_FLAGS, *step_flags)}
@@ -515,8 +503,42 @@ def verify_theorems(
             [v.n for v in violations if v.quantity == REMAINDER_BOUND], checked),
         window_stable_from=_stable_from(
             [step[1].n for flags, step in failing if flags[-1] is False], checked),
-        terms=tuple(term_checks),
+        max_bits=max_bits,
     )
+
+
+def term_checks(report: TheoremReport) -> Iterator[TermCheck]:
+    """Each index's TermCheck, n = 1..n_max, made as it is asked for.
+
+    The one builder of TermChecks: the indices are walked again, theta_n
+    and R_n enclosed from the expansion's bits under the report's
+    max_bits.  |R_n| < 1 is the report's verdict at a checked index (false
+    only where a remainder_bound violation names it) and the exact test
+    below Q_MIN; the enclosure must agree.  Two flags are exact integer
+    tests.  theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly
+    when q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1
+    above, +1 below), the left side being that determinant over
+    q_n*(q_n*alpha - p_n).  For cubics V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha)
+    with 2x_n + alpha > 0, so sgn(V_n) = sgn(x_n - alpha) is one exact
+    sign; a contradiction raises InconsistentEnclosureError.
+    """
+    spec, exp = report.spec, report.expansion
+    outside = {v.n for v in report.violations if v.quantity == REMAINDER_BOUND}
+    for step in index_walk(spec, exp):
+        prev, conv, d, hn, hd, an, outcome = step
+        q_ok = conv.q >= Q_MIN
+        in_unit = conv.n not in outside if q_ok else exact_unit_remainder(spec, conv, prev, hn, hd)
+        theta_iv, r_iv = _enclosures(spec, step, in_unit, exp.precision_bits, report.max_bits)
+        above = conv.side is Side.ABOVE
+        universal_ok = conv.q * prev.p - conv.p * prev.q == (-1 if above else 1)
+        sign_ok = ((sign_linear_in_alpha(spec, -conv.q, conv.p) > 0) == above
+                   if spec.m == 3 else None)
+        if sign_ok is False:
+            raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={conv.n}")
+        yield TermCheck(
+            conv.n, outcome.actual, conv.side, conv.p, conv.q, d, (hn, hd), (an, hd),
+            theta_iv, r_iv, in_unit, outcome, q_ok, *_step_flags(step), universal_ok, sign_ok,
+        )
 
 
 class CellSummary(NamedTuple):
@@ -555,7 +577,7 @@ def _scan_cell(args) -> tuple[CellSummary | SkippedCell, tuple[ViolationRecord, 
     except ValueError as exc:
         return SkippedCell(k=k, m=m, reason=str(exc)), ()
     try:
-        report = verify_theorems(spec, n_max, keep_terms=False, max_bits=max_bits)
+        report = verify_theorems(spec, n_max, max_bits=max_bits)
     except PrecisionCeilingError as exc:
         return SkippedCell(k=k, m=m, reason=str(exc), precision_capped=True), ()
     row = CellSummary(

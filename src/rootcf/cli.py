@@ -197,8 +197,9 @@ def run(config: RunConfig) -> dict:
     convergents are `report.Rows`, built, checked and written by `emit`.
     `verify`'s items and `predict`'s predictions are `report.Rows` too,
     over verdicts and predictions all decided here, before any write:
-    both walk the indices by `bvp.index_walk`, and `predict`'s digits are
-    made and checked block by block as `emit` reaches them.
+    both walk the indices by `bvp.index_walk`.  `verify`'s items, with
+    their theta_n and R_n enclosures, and `predict`'s digits are made
+    and checked block by block as `emit` reaches them.
     Raises IncompleteReport, carrying the report, when scan cells hit the
     precision cap.
     """
@@ -222,7 +223,7 @@ def run(config: RunConfig) -> dict:
         summary.update(predictions=total, formula_held=held, formula_missed=total - held)
     elif config.command == "verify":
         results = [
-            verify_payload(verify_theorems(spec, config.terms, keep_terms=True, max_bits=cap))
+            verify_payload(verify_theorems(spec, config.terms, max_bits=cap))
             for spec in specs
         ]
         violations = [v for r in results for v in r["violations"]]
@@ -275,24 +276,29 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidDegreeError) as exc:
         print(f"rootcf: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.out is None:
-        try:
-            emit(report, config.format, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed stdout early, as `| head` does.  Point fd 1
-            # at the null device so the flush at interpreter exit is quiet.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return EXIT_USAGE
-    else:
-        try:
-            with open(config.out, "w", newline="") as fh:
-                emit(report, config.format, fh)
-        except OSError as exc:
-            print(f"rootcf: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        if config.out is None:
+            try:
+                emit(report, config.format, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader closed stdout early, as `| head` does.  Point fd 1
+                # at the null device so the flush at interpreter exit is quiet.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                return EXIT_USAGE
+        else:
+            try:
+                with open(config.out, "w", newline="") as fh:
+                    emit(report, config.format, fh)
+            except OSError as exc:
+                print(f"rootcf: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+                return EXIT_USAGE
+    except PrecisionCeilingError as exc:
+        # verify refines each item's enclosures as the item is written.
+        print(f"rootcf: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
     if message is not None:
         print(message, file=sys.stderr)
     return status

@@ -15,6 +15,7 @@ from typing import TextIO
 
 from .bvp import (
     MEASURED_CLAIMS, Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord,
+    term_checks,
 )
 from .digits import convergent_digits, enclosure_json, exact_json, row_json
 from .engine import Expansion
@@ -189,10 +190,11 @@ def check_json(t) -> dict:
 def verify_payload(report: TheoremReport) -> dict:
     """`verify`'s payload from a report whose every verdict is already decided.
 
-    Only the formatting of the items is left: they are a row source,
-    each built from its `report.terms` entry as the emitter reaches it,
-    and in JSON each is written by one template.  Violations and claim
-    failures are lists.
+    The items are a row source over `bvp.term_checks`: each index's
+    record, its theta_n and R_n enclosures included, is built and
+    formatted as the emitter reaches it and dropped once written, and in
+    JSON each is written by one template.  Each pass builds them afresh.
+    Violations and claim failures are lists.
     """
     return {
         "k": report.spec.k,
@@ -204,7 +206,7 @@ def verify_payload(report: TheoremReport) -> dict:
         "note": THETA_INDEX_NOTE,
         "checked": list(report.checked),
         "skipped": list(report.skipped),
-        "items": Rows(lambda: map(check_json, report.terms)),
+        "items": Rows(lambda: map(check_json, term_checks(report))),
         "violations": [violation_json(v) for v in report.violations],
         "claims": {field: claim_json(getattr(report, field)) for field, *_ in MEASURED_CLAIMS},
         "remainder_stable_from": report.remainder_stable_from,

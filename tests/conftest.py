@@ -7,7 +7,7 @@ from hypothesis import reject
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from rootcf.bvp import leading_terms, verify_theorems
+from rootcf.bvp import leading_terms, term_checks, verify_theorems
 from rootcf.exact import PerfectPowerError, validate_spec
 
 
@@ -64,5 +64,11 @@ def cubic_sweep():
             spec = validate_spec(k, 3)
         except PerfectPowerError:
             continue
-        reports[k] = verify_theorems(spec, SWEEP_N_MAX, keep_terms=True)
+        reports[k] = verify_theorems(spec, SWEEP_N_MAX)
     return reports
+
+
+@pytest.fixture(scope="session")
+def cubic_sweep_terms(cubic_sweep):
+    """The TermChecks of each cubic_sweep report, made once for every criterion."""
+    return {k: tuple(term_checks(report)) for k, report in cubic_sweep.items()}

@@ -19,6 +19,7 @@ from rootcf.bvp import (
     cubic_correction,
     general_correction,
     predict_next,
+    term_checks,
     verify_theorems,
 )
 from rootcf.cli import parse_args, run
@@ -59,7 +60,7 @@ def test_criterion_1_golden_degree_ten():
     assert abs(h - Fraction("12.5385")) <= Fraction(1, 10 ** 4)
 
     # theta_1 and R_1 as verify encloses and prints them.
-    term = verify_theorems(spec, 1).terms[0]
+    term = next(term_checks(verify_theorems(spec, 1)))
     theta = term.theta
     assert oracles.width(theta) <= Fraction(1, 10 ** 3)
     assert within(theta, "11.2689", Fraction(1, 10 ** 4))
@@ -87,13 +88,13 @@ def test_criterion_1_golden_degree_ten():
     )
 
 
-def test_criterion_2_cubic_remainder_stability(cubic_sweep):
+def test_criterion_2_cubic_remainder_stability(cubic_sweep, cubic_sweep_terms):
     """All cubic remainders with q_n >= 2 certified strictly inside (-1, 1)."""
     bad = []
     checked = 0
     for k, report in cubic_sweep.items():
         assert not any(v.quantity == REMAINDER_BOUND for v in report.violations)
-        for t in report.terms:
+        for t in cubic_sweep_terms[k]:
             if t.q_at_least_2:
                 checked += 1
                 if not t.remainder_in_unit:
@@ -106,13 +107,13 @@ def test_criterion_2_cubic_remainder_stability(cubic_sweep):
     )
 
 
-def test_criterion_3_above_side_window(cubic_sweep):
+def test_criterion_3_above_side_window(cubic_sweep, cubic_sweep_terms):
     """Every above-side cubic convergent satisfies H-2 < b_{n+1} <= H exactly."""
     bad = []
     checked = 0
     for k, report in cubic_sweep.items():
         assert not any(v.quantity == WINDOW_ABOVE for v in report.violations)
-        for t in report.terms:
+        for t in cubic_sweep_terms[k]:
             if t.q_at_least_2 and t.side is Side.ABOVE:
                 checked += 1
                 if not (Fraction(*t.leading) - 2 < t.b_next <= Fraction(*t.leading)):
@@ -124,7 +125,7 @@ def test_criterion_3_above_side_window(cubic_sweep):
     )
 
 
-def test_criterion_4_above_side_epsilon_range(cubic_sweep):
+def test_criterion_4_above_side_epsilon_range(cubic_sweep, cubic_sweep_terms):
     """Above-side cubic offsets b_{n+1} - floor(A_n) lie in {-1, 0}, and the
     claimed range {0, 1} is refuted by exactly the documented counterexamples.
 
@@ -140,7 +141,7 @@ def test_criterion_4_above_side_epsilon_range(cubic_sweep):
     checked = 0
     for k, report in cubic_sweep.items():
         own = set()
-        for t in report.terms:
+        for t in cubic_sweep_terms[k]:
             if t.q_at_least_2 and t.side is Side.ABOVE:
                 checked += 1
                 out = t.prediction
@@ -175,7 +176,7 @@ def test_criterion_4_above_side_epsilon_range(cubic_sweep):
     )
 
 
-def test_criterion_5_below_side_claim_discrepancy(cubic_sweep):
+def test_criterion_5_below_side_claim_discrepancy(cubic_sweep, cubic_sweep_terms):
     """The below-side window claim H <= b < H+2 is measured (not assumed)
     and fails at (k=2, m=3, n=2): H_2 = 25/4 while b_3 = 5; the companion
     fact |R_2| < 1 is certified alongside."""
@@ -188,7 +189,7 @@ def test_criterion_5_below_side_claim_discrepancy(cubic_sweep):
     assert "25/4" in failure.claimed
     # measured, not asserted: it must NOT appear among certified violations
     assert not any(v.quantity == WINDOW_BELOW for v in report.violations)
-    term = next(t for t in report.terms if t.n == 2)
+    term = next(t for t in cubic_sweep_terms[2] if t.n == 2)
     assert term.remainder_in_unit
     # and the claim is also visible in the CLI verify report
     payload = run(parse_args(["verify", "--k", "2", "--m", "3", "--terms", "3"]))
@@ -224,7 +225,7 @@ def test_criterion_6_oracle_equivalence():
     )
 
 
-def test_criterion_7_identity_suites(cubic_sweep):
+def test_criterion_7_identity_suites(cubic_sweep, cubic_sweep_terms):
     """Determinant, side alternation, the q^-2 identity, both cubic forms,
     exact signs, and the two remainder routes, across the whole sweep."""
     for k, report in cubic_sweep.items():
@@ -232,7 +233,7 @@ def test_criterion_7_identity_suites(cubic_sweep):
         for prev, cur in zip(terms, terms[1:]):
             assert abs(cur.p * prev.q - prev.p * cur.q) == 1
             assert cur.side is not prev.side
-        for t in report.terms:
+        for t in cubic_sweep_terms[k]:
             assert t.universal_identity_ok, f"universal identity overlap failed at k={k}, n={t.n}"
             assert t.cubic_sign_ok is True, f"cubic sign undetermined at k={k}, n={t.n}"
             sign = 1 if t.p ** 3 > k * t.q ** 3 else -1
@@ -283,7 +284,7 @@ def test_criterion_8_general_degree_thresholds():
     thresholds = {}
     for m, ks in chosen.items():
         for k in ks:
-            report = verify_theorems(validate_spec(k, m), 30, keep_terms=False)
+            report = verify_theorems(validate_spec(k, m), 30)
             thresholds[(k, m)] = report.remainder_stable_from
             assert report.remainder_stable_from is not None, (
                 f"(k={k}, m={m}): |R_n| < 1 not yet stable at n = 30"

@@ -32,6 +32,7 @@ from rootcf.bvp import (
     predict_next,
     prediction,
     scan,
+    term_checks,
     unit_threshold,
     verify_theorems,
 )
@@ -100,21 +101,21 @@ def analyzed(spec, conv, prev):
 class TestRemainder:
     # The R_n values are read from the enclosures verify prints.
     def test_degree_ten_value(self):
-        iv = verify_theorems(SPEC_50_10, 1).terms[0].remainder
+        iv = next(term_checks(verify_theorems(SPEC_50_10, 1))).remainder
         assert oracles.width(iv) <= Fraction(1, 10 ** 3)
         # R_1 = -1.26960464...; endpoints within 1e-4 of the quoted -1.2696
         assert within(iv, Fraction("-1.2696"), Fraction(1, 10 ** 4))
         assert iv.hi < -1
 
     def test_cbrt2_above_inside_unit(self):
-        iv = verify_theorems(SPEC_2_3, 2).terms[0].remainder
+        iv = next(term_checks(verify_theorems(SPEC_2_3, 2))).remainder
         assert oracles.width(iv) <= Fraction(1, 10 ** 6)
         assert -1 < iv.lo and iv.hi < 0
         # theta_1 - 8/5 = -0.41981126...
         assert within(iv, Fraction("-0.4198113"), Fraction(1, 10 ** 5))
 
     def test_cbrt2_below_inside_unit(self):
-        iv = verify_theorems(SPEC_2_3, 2).terms[1].remainder
+        iv = list(term_checks(verify_theorems(SPEC_2_3, 2)))[1].remainder
         assert oracles.width(iv) <= Fraction(1, 10 ** 6)
         assert -1 < iv.lo and iv.hi < 0  # below side, still negative
 
@@ -199,11 +200,11 @@ class TestUnitThreshold:
         # enclosure at every kept term, is the exact sign test's at every
         # index; Q is the oracle's, computed in Fractions.
         spec = spec_or_reject(k, m)
-        report = verify_theorems(spec, n, keep_terms=True)
+        report = verify_theorems(spec, n)
         bits = report.expansion.precision_bits
         q_unit = unit_threshold(spec, bits)
         assert q_unit == oracles.unit_threshold(k, m, bits)
-        for t in report.terms:
+        for t in term_checks(report):
             conv, prev = pair(report.expansion, t.n)
             exact = exact_unit_remainder(spec, conv, prev, *leading_terms(spec, conv, prev)[1:3])
             assert t.remainder_in_unit == exact
@@ -399,8 +400,8 @@ class TestOneRoute:
         assert outcome == predict_next(spec, conv, prev) == searched_prediction(spec, conv, prev)
         for b in range(math.floor(h) - 3, math.floor(h) + 4):
             assert prediction(conv, hn, hd, an, b).window_held == in_window(conv.side, h, b)
-        report = verify_theorems(spec, n, keep_terms=True)
-        for t in report.terms:
+        report = verify_theorems(spec, n)
+        for t in term_checks(report):
             assert t.prediction == predict_next(spec, *pair(exp, t.n))
 
 
@@ -410,7 +411,7 @@ class TestVerifyTheorems:
         assert report.violations == ()
         assert report.remainder_stable_from == 1
         assert report.skipped == (0,)
-        assert all(t.remainder_in_unit for t in report.terms)
+        assert all(t.remainder_in_unit for t in term_checks(report))
 
     def test_degree_ten_golden_violation(self):
         report = verify_theorems(SPEC_50_10, 1)
@@ -432,7 +433,7 @@ class TestVerifyTheorems:
         assert "25/4" in failure.claimed
         assert failure.claimed.startswith(report.below_window.claim)
         # the certified companion fact: |R_2| < 1
-        term = next(t for t in report.terms if t.n == 2)
+        term = next(t for t in term_checks(report) if t.n == 2)
         assert term.remainder_in_unit
 
     def test_above_epsilon_claim_fails_at_cbrt3(self):
@@ -448,8 +449,8 @@ class TestVerifyTheorems:
         # Every certified above-side step holds its window, so the walk is
         # perturbed: the first checked above-side step reads b_{n+1} two
         # above the certified one.  For cubics that is a window_above
-        # violation, listed after any remainder_bound record at its index,
-        # in both modes; for other degrees the window is no certified claim.
+        # violation, listed after any remainder_bound record at its index;
+        # for other degrees the window is no certified claim.
         walk = bvp.index_walk
         hit = []
 
@@ -463,28 +464,27 @@ class TestVerifyTheorems:
                 yield step
 
         monkeypatch.setattr(bvp, "index_walk", perturbed)
-        for keep_terms in (True, False):
-            report = verify_theorems(validate_spec(2, m), 10, keep_terms=keep_terms)
-            [(n, hn, hd, b_next)] = hit
-            at_n = [v for v in report.violations if v.n == n]
-            if m != 3:
-                assert WINDOW_ABOVE not in [v.quantity for v in report.violations]
-                continue
-            *before, record = at_n
-            assert all(v.quantity == REMAINDER_BOUND for v in before)
-            assert record.quantity == WINDOW_ABOVE
-            assert record.observed == record.b_next == b_next
-            assert record.claimed == f"{CLAIM_ABOVE_WINDOW} with H_n = {fraction_string(hn, hd)}"
+        report = verify_theorems(validate_spec(2, m), 10)
+        [(n, hn, hd, b_next)] = hit
+        at_n = [v for v in report.violations if v.n == n]
+        if m != 3:
+            assert WINDOW_ABOVE not in [v.quantity for v in report.violations]
+            return
+        *before, record = at_n
+        assert all(v.quantity == REMAINDER_BOUND for v in before)
+        assert record.quantity == WINDOW_ABOVE
+        assert record.observed == record.b_next == b_next
+        assert record.claimed == f"{CLAIM_ABOVE_WINDOW} with H_n = {fraction_string(hn, hd)}"
 
     def test_degree_ten_threshold(self):
-        report = verify_theorems(SPEC_50_10, 30, keep_terms=False)
+        report = verify_theorems(SPEC_50_10, 30)
         assert report.remainder_stable_from == 2
-        assert report.terms == ()
+        assert not hasattr(report, "terms")  # the report holds no per-index record
 
     def test_term_records(self):
-        report = verify_theorems(SPEC_50_10, 3)
-        assert [t.n for t in report.terms] == [1, 2, 3]
-        t1 = report.terms[0]
+        terms = list(term_checks(verify_theorems(SPEC_50_10, 3)))
+        assert [t.n for t in terms] == [1, 2, 3]
+        t1 = terms[0]
         assert t1.side is Side.ABOVE
         assert not t1.remainder_in_unit
         assert t1.universal_identity_ok
@@ -502,31 +502,27 @@ class TestVerifyTheorems:
     )
     @settings(max_examples=60, deadline=None)
     def test_scan_mode_matches_full_analysis(self, k, m, n_max, cap):
-        # keep_terms=False decides |R_n| < 1 by exact signs and encloses
-        # only violations; keep_terms=True encloses every index.  Apart
-        # from the term list the two reports must be equal, violation
-        # enclosures included, or both must hit the precision cap.  The
-        # exact identity flag holds at every term, the exact cubic sign
-        # flag agrees with the interval route, its oracle here, and the
-        # integer floor formula and windows agree with the oracle's
-        # reduced Fractions.
+        # The report decides |R_n| < 1 by exact signs and encloses only
+        # violations; `term_checks` encloses every index under the same
+        # cap, each violation's R_n as the report does.  The exact
+        # identity flag holds at every term, the exact cubic sign flag
+        # agrees with the interval route, its oracle here, and the integer
+        # floor formula and windows agree with the oracle's reduced
+        # Fractions.
         spec = spec_or_reject(k, m)
-        reports = []
-        for keep_terms in (True, False):
-            try:
-                reports.append(verify_theorems(spec, n_max, keep_terms=keep_terms, max_bits=cap))
-            except PrecisionCeilingError:
-                reports.append(None)
-        full, fast = reports
-        if full is None or fast is None:
-            assert full is fast is None
+        try:
+            report = verify_theorems(spec, n_max, max_bits=cap)
+        except PrecisionCeilingError:
             return
-        assert len(full.terms) == n_max and fast.terms == ()
-        assert full._replace(terms=()) == fast
+        terms = list(term_checks(report))
+        assert [t.n for t in terms] == list(range(1, n_max + 1))
+        for v in report.violations:
+            if v.quantity == REMAINDER_BOUND:
+                assert terms[v.n - 1].remainder == v.observed
         alpha = oracles.alpha_enclosure(k, m, 256)
-        for t in full.terms:
+        for t in terms:
             assert t.universal_identity_ok
-            qp = pair(full.expansion, t.n)[1].q
+            qp = pair(report.expansion, t.n)[1].q
             want = oracles.floor_prediction(k, m, t.p, t.q, qp, t.side.value, t.b_next)
             got = {**t._asdict(), **t.prediction._asdict(), "leading": Fraction(*t.leading),
                    "shifted_leading": Fraction(*t.shifted_leading)}
@@ -538,12 +534,12 @@ class TestVerifyTheorems:
                 assert t.cubic_sign_ok is None
         # Each measured claim is tallied from its flag over the checked
         # terms, and fails exactly where the flag is False.
-        checked = [t for t in full.terms if t.q_at_least_2]
-        assert [t.n for t in checked] == list(full.checked)
+        checked = [t for t in terms if t.q_at_least_2]
+        assert [t.n for t in checked] == list(report.checked)
         for field, flag in (("above_epsilon", "above_epsilon_ok"),
                             ("below_window", "below_window_ok"),
                             ("below_epsilon", "below_epsilon_ok")):
-            stats, held = getattr(full, field), [getattr(t, flag) for t in checked]
+            stats, held = getattr(report, field), [getattr(t, flag) for t in checked]
             assert (stats.passed, stats.failed) == (held.count(True), held.count(False))
             assert [f.n for f in stats.failures] == [t.n for t in checked if getattr(t, flag) is False]
 
@@ -641,7 +637,7 @@ class TestScan:
                 except ValueError as exc:
                     skipped.append(SkippedCell(k=k, m=m, reason=str(exc)))
                     continue
-                report = verify_theorems(spec, 6, keep_terms=False)
+                report = verify_theorems(spec, 6)
                 cells.append(CellSummary(
                     k=k, m=m, n_max=6, violations=len(report.violations),
                     remainder_stable_from=report.remainder_stable_from,

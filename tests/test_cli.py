@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootcf import bvp
 from rootcf.bvp import index_walk, leading_terms, predict_next, scan
 from rootcf.cli import (
     EXIT_OK,
@@ -167,6 +168,24 @@ class TestMain:
     def test_exit_precision_ceiling(self, capsys):
         code = main(["expand", "--k", "2", "--m", "3", "--terms", "60", "--precision-cap", "64"])
         assert code == EXIT_PRECISION
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_precision_ceiling_while_writing_items(self, monkeypatch, capsys, tmp_path, to_file):
+        # verify refines each item's enclosures as the item is written.  One
+        # that needs more bits than the cap ends the run as a capped run
+        # does: exit 3 and the precision message, no traceback.  No real
+        # input was found that gets there, so each enclosure's first
+        # attempt is made to fail, under a cap of the expansion's own bits.
+        bits = expand(validate_spec(2, 3), 41).precision_bits
+        refine = bvp.refine
+        monkeypatch.setattr(bvp, "refine", lambda attempt, start, cap: refine(
+            lambda b: None if b == start else attempt(b), start, cap))
+        argv = ["verify", "--k", "2", "--m", "3", "--terms", "40", "--precision-cap", str(bits)]
+        if to_file:
+            argv += ["--out", str(tmp_path / "report.txt")]
+        assert main(argv) == EXIT_PRECISION
+        assert capsys.readouterr().err == (
+            f"rootcf: precision refinement exceeded the {bits}-bit cap\n")
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -571,7 +590,9 @@ class TestEmit:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_verify_end_to_end_stays_small(self, fmt):
         # The whole run, verdicts included: 2.10 to 2.26 MiB when every item
-        # was built before the first write, 1.07 to 1.46 MiB a batch at a time.
+        # was built before the first write, 0.96 to 1.21 MiB when each
+        # index's record, enclosures included, was held until then, and
+        # 0.43 to 0.69 MiB with each record made as its item is written.
         argv = ["verify", "--k", "2", "--m", "3", "--terms", "200", "--format", fmt]
         with open(os.devnull, "w") as sink:
             tracemalloc.start()
@@ -580,7 +601,24 @@ class TestEmit:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 1.8 * (1 << 20)
+        assert peak < 1.0 * (1 << 20)
+
+    def test_verify_builds_enclosures_as_it_writes(self, monkeypatch):
+        # run decides every verdict and builds no display enclosure; each
+        # emit builds every index's theta_n and R_n once, as it writes them.
+        analyze, made = bvp._analyze_term, []
+
+        def spy(spec, conv, *args):
+            made.append(conv.n)
+            return analyze(spec, conv, *args)
+
+        monkeypatch.setattr(bvp, "_analyze_term", spy)
+        report = run(parse_args(["verify", "--k", "2", "--m", "3", "--terms", "40"]))
+        assert made == []
+        first = emit(report, "json")
+        assert made == list(range(1, 41))
+        assert emit(report, "json") == first
+        assert made == list(range(1, 41)) * 2
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_predict_end_to_end_stays_small(self, fmt):

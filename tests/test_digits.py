@@ -24,7 +24,7 @@ from rootcf.digits import (
     justified_places,
     sci_string,
 )
-from rootcf.bvp import index_walk, verify_theorems
+from rootcf.bvp import index_walk, term_checks, verify_theorems
 from rootcf.engine import Convergent, Expansion, Side, expand
 from rootcf.exact import RationalInterval, validate_spec
 from rootcf.report import emit, enclosure_json, predict_payload
@@ -113,7 +113,7 @@ class TestEnclosureKernels:
     def test_kernel_ends_print_as_reduced_ends(self, k, m, n_max):
         # R_n's ends share the W_n route's denominator, theta_n's do not:
         # the shared-denominator path against the product path.
-        terms = verify_theorems(validate_spec(k, m), n_max).terms
+        terms = list(term_checks(verify_theorems(validate_spec(k, m), n_max)))
         assert all(t.remainder.ends[0][1] == t.remainder.ends[1][1] for t in terms)
         for iv in [t.theta for t in terms] + [t.remainder for t in terms]:
             assert enclosure_json(iv) == enclosure_json(RationalInterval(iv.lo, iv.hi))

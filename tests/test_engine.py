@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcf import engine
-from rootcf.bvp import _analyze_term, leading_terms, verify_theorems
+from rootcf.bvp import _analyze_term, leading_terms, term_checks, verify_theorems
 from rootcf.engine import (
     _Prefix,
     complete_quotient_interval,
@@ -274,7 +274,7 @@ class TestConvergentStep:
 class TestThetaEnclosure:
     # Values of theta_n come from the enclosures verify prints (_analyze_term).
     def test_degree_ten_value(self):
-        theta = verify_theorems(SPEC_50_10, 1).terms[0].theta
+        theta = next(term_checks(verify_theorems(SPEC_50_10, 1))).theta
         assert oracles.width(theta) <= Fraction(1, 10 ** 6)
         # theta_1 = 11.26893529...; endpoints within 1e-4 of the 4dp value
         target = Fraction("11.2689")
@@ -301,7 +301,7 @@ class TestThetaEnclosure:
         assert all(w2 <= w1 / 2 for w1, w2 in zip(widths, widths[1:]))
 
     def test_fractional_part(self):
-        term = verify_theorems(SPEC_50_10, 1).terms[0]
+        term = next(term_checks(verify_theorems(SPEC_50_10, 1)))
         assert term.b_next == 11
         # theta_1 - b_2, the fractional tail, lies in (0, 1)
         assert term.b_next < term.theta.lo and term.theta.hi < term.b_next + 1

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from rootcf.bvp import scan, verify_theorems
+from rootcf.bvp import scan, term_checks, verify_theorems
 from rootcf.cli import UsageError, parse_args
 from rootcf.engine import expand
 from rootcf.exact import PerfectPowerError, validate_spec
@@ -28,13 +28,14 @@ RECORDS = [
 def records():
     spec = validate_spec(50, 10)
     exp = expand(spec, 3)
-    report = verify_theorems(spec, 2, keep_terms=True)
+    report = verify_theorems(spec, 2)
+    term = next(term_checks(report))
     # 49 = 7**2 is skipped at m = 10; 50 keeps its n = 1 violation.
     grid = scan(range(49, 51), [10], 1)
     found = [
-        spec, report.terms[0].theta, tuple(exp.convergents())[1], exp,
-        report.terms[0].prediction, report.violations[0], report.below_window,
-        report.terms[0], report, grid.cells[0], grid.skipped[0], grid,
+        spec, term.theta, tuple(exp.convergents())[1], exp,
+        term.prediction, report.violations[0], report.below_window,
+        term, report, grid.cells[0], grid.skipped[0], grid,
         parse_args(["scan", "--m", "3", "--k-range", "2..20", "--workers", "2"]),
     ]
     return {type(r).__name__: r for r in found}
