@@ -28,10 +28,9 @@ satisfies V_n = -W_n and sgn(V_n) = sgn(x_n - alpha).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from typing import NamedTuple
 
-from .digits import fraction_string
 from .exact import (
     DEFAULT_MAX_BITS,
     InconsistentEnclosureError,
@@ -41,6 +40,7 @@ from .exact import (
     WrongDegreeError,
     _less,
     alpha_interval,
+    fraction_string,
     refine,
     sign_linear_in_alpha,
     validate_spec,
@@ -172,21 +172,19 @@ def exact_unit_remainder(
             and not _theta_exceeds(spec, conv, prev, hn + hd, hd))
 
 
-class PredictionOutcome(NamedTuple):
+class PredictionOutcome(namedtuple(
+    "PredictionOutcome", "n side candidate epsilon predicted actual formula_held window_held"
+)):
     """Result of predicting b_{n+1} from the floor of A_n.
 
     epsilon is actual - floor(A_n) when that is 0 or 1, else 0 with
     formula_held False (the formula's two-candidate window missed).
+
+    n: int; side: Side; candidate, epsilon, predicted, actual: int;
+    formula_held, window_held: bool.
     """
 
-    n: int
-    side: Side
-    candidate: int
-    epsilon: int
-    predicted: int
-    actual: int
-    formula_held: bool
-    window_held: bool
+    __slots__ = ()
 
 
 def prediction(conv: Convergent, hn: int, hd: int, an: int, actual: int) -> PredictionOutcome:
@@ -245,64 +243,52 @@ def predict_next(spec: RadicandSpec, conv: Convergent, prev: Convergent | None) 
     return prediction(conv, hn, hd, an, actual)
 
 
-class ViolationRecord(NamedTuple):
+class ViolationRecord(namedtuple(
+    "ViolationRecord", "k m n quantity p q b_next distance observed claimed"
+)):
     """A measured failure of a stated bound, with regeneration data.
 
     (k, m, n, p, q, b_next, distance) suffice to recompute the violation
     exactly; observed is the offending value (interval or integer).
+
+    k, m, n: int; quantity: str; p, q, b_next, distance: int;
+    observed: RationalInterval | int; claimed: str.
     """
 
-    k: int
-    m: int
-    n: int
-    quantity: str
-    p: int
-    q: int
-    b_next: int
-    distance: int
-    observed: RationalInterval | int
-    claimed: str
+    __slots__ = ()
 
 
-class ClaimStats(NamedTuple):
-    """Measured pass/fail tally for one stated claim (never asserted)."""
+class ClaimStats(namedtuple("ClaimStats", "claim passed failed failures")):
+    """Measured pass/fail tally for one stated claim (never asserted).
 
-    claim: str
-    passed: int
-    failed: int
-    failures: tuple[ViolationRecord, ...]
+    claim: str; passed, failed: int; failures: tuple[ViolationRecord, ...].
+    """
+
+    __slots__ = ()
 
 
-class TermCheck(NamedTuple):
-    """Everything the verifier measured at one index."""
+class TermCheck(namedtuple("TermCheck", (
+    "n b_next side p q distance leading shifted_leading theta remainder remainder_in_unit"
+    " prediction q_at_least_2 window_above_ok below_window_ok above_epsilon_ok"
+    " below_epsilon_ok general_window_ok universal_identity_ok cubic_sign_ok"
+))):
+    """Everything the verifier measured at one index.
 
-    n: int
-    b_next: int
-    side: Side
-    p: int
-    q: int
-    distance: int
-    leading: tuple[int, int]
-    shifted_leading: tuple[int, int]
-    theta: RationalInterval
-    remainder: RationalInterval
-    remainder_in_unit: bool
-    prediction: PredictionOutcome
-    q_at_least_2: bool
-    window_above_ok: bool | None
-    below_window_ok: bool | None
-    above_epsilon_ok: bool | None
-    below_epsilon_ok: bool | None
-    general_window_ok: bool
-    universal_identity_ok: bool
-    cubic_sign_ok: bool | None
+    n, b_next: int; side: Side; p, q, distance: int;
+    leading, shifted_leading: tuple[int, int]; theta, remainder: RationalInterval;
+    remainder_in_unit: bool; prediction: PredictionOutcome; q_at_least_2: bool;
+    window_above_ok, below_window_ok, above_epsilon_ok, below_epsilon_ok: bool | None;
+    general_window_ok, universal_identity_ok: bool; cubic_sign_ok: bool | None.
+    """
+
+    __slots__ = ()
 
 
 # The measured claims, in report order: tallied, never asserted.  Each row
 # is (TheoremReport field, TermCheck flag deciding it, None off its side,
 # violation kind, text, whether a failure shows H_n and b_{n+1} rather
-# than A_n and eps = b_{n+1} - floor(A_n)).  Plain tuples: one more
-# NamedTuple class raised the peak RSS of a start-up by 0.13 MB (Python 3.11).
+# than A_n and eps = b_{n+1} - floor(A_n)).  Plain tuples: every record
+# class is built again at each start-up.
 MEASURED_CLAIMS = (
     ("above_epsilon", "above_epsilon_ok", EPSILON_RANGE,
      "above side: b_{n+1} = floor(A_n) + eps with eps in {0, 1}", False),
@@ -315,7 +301,10 @@ MEASURED_CLAIMS = (
 _STEP_FLAGS = TermCheck._fields[-7:-2]
 
 
-class TheoremReport(NamedTuple):
+class TheoremReport(namedtuple("TheoremReport", (
+    "spec n_max expansion checked skipped violations above_epsilon below_window below_epsilon"
+    " remainder_stable_from window_stable_from max_bits"
+))):
     """Outcome of sweeping every stated bound over one expansion.
 
     violations holds certified failures of the unconditional claims
@@ -323,20 +312,14 @@ class TheoremReport(NamedTuple):
     of MEASURED_CLAIMS has a ClaimStats field, failures included.  The
     report holds no per-index record: `term_checks` makes each index's
     TermCheck from it, its enclosures refined under max_bits.
+
+    spec: RadicandSpec; n_max: int; expansion: Expansion; checked, skipped: tuple[int, ...];
+    violations: tuple[ViolationRecord, ...];
+    above_epsilon, below_window, below_epsilon: ClaimStats;
+    remainder_stable_from, window_stable_from: int | None; max_bits: int.
     """
 
-    spec: RadicandSpec
-    n_max: int
-    expansion: Expansion
-    checked: tuple[int, ...]
-    skipped: tuple[int, ...]
-    violations: tuple[ViolationRecord, ...]
-    above_epsilon: ClaimStats
-    below_window: ClaimStats
-    below_epsilon: ClaimStats
-    remainder_stable_from: int | None
-    window_stable_from: int | None
-    max_bits: int
+    __slots__ = ()
 
 
 def _analyze_term(
@@ -541,32 +524,34 @@ def term_checks(report: TheoremReport) -> Iterator[TermCheck]:
         )
 
 
-class CellSummary(NamedTuple):
-    """One (k, m) cell of a scan."""
+class CellSummary(namedtuple(
+    "CellSummary", "k m n_max violations remainder_stable_from window_stable_from"
+)):
+    """One (k, m) cell of a scan.
 
-    k: int
-    m: int
-    n_max: int
-    violations: int
-    remainder_stable_from: int | None
-    window_stable_from: int | None
+    k, m, n_max, violations: int; remainder_stable_from, window_stable_from: int | None.
+    """
 
-
-class SkippedCell(NamedTuple):
-    """A (k, m) pair rejected before analysis, or whose analysis hit the precision cap."""
-
-    k: int
-    m: int
-    reason: str
-    precision_capped: bool = False
+    __slots__ = ()
 
 
-class ScanReport(NamedTuple):
-    """Deterministic violation search over a (k, m) grid."""
+class SkippedCell(namedtuple("SkippedCell", "k m reason precision_capped", defaults=(False,))):
+    """A (k, m) pair rejected before analysis, or whose analysis hit the precision cap.
 
-    cells: tuple[CellSummary, ...]
-    skipped: tuple[SkippedCell, ...]
-    violations: tuple[ViolationRecord, ...]
+    k, m: int; reason: str; precision_capped: bool.
+    """
+
+    __slots__ = ()
+
+
+class ScanReport(namedtuple("ScanReport", "cells skipped violations")):
+    """Deterministic violation search over a (k, m) grid.
+
+    cells: tuple[CellSummary, ...]; skipped: tuple[SkippedCell, ...];
+    violations: tuple[ViolationRecord, ...].
+    """
+
+    __slots__ = ()
 
 
 def _scan_cell(args) -> tuple[CellSummary | SkippedCell, tuple[ViolationRecord, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import __version__
 from .bvp import (
@@ -60,19 +60,14 @@ class IncompleteReport(Exception):
         self.report = report
 
 
-class _ConfigFields(NamedTuple):
-    command: str
-    k_range: tuple[int, int]
-    m_range: tuple[int, int]
-    terms: int
-    precision_cap: int
-    format: str
-    out: str | None
-    workers: int
+class RunConfig(namedtuple(
+    "RunConfig", "command k_range m_range terms precision_cap format out workers"
+)):
+    """Validated run request: command, (k, m) ranges, sizes, output.
 
-
-class RunConfig(_ConfigFields):
-    """Validated run request: command, (k, m) ranges, sizes, output."""
+    command: str; k_range, m_range: tuple[int, int]; terms, precision_cap: int;
+    format: str; out: str | None; workers: int.
+    """
 
     __slots__ = ()
 
@@ -281,9 +276,12 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 emit(report, config.format, sys.stdout)
                 sys.stdout.flush()
-            except BrokenPipeError:
-                # The reader closed stdout early, as `| head` does.  Point fd 1
-                # at the null device so the flush at interpreter exit is quiet.
+            except OSError as exc:
+                # A reader that closed stdout early, as `| head` does, needs no
+                # message; a full device does.  Either way, point fd 1 at the
+                # null device so the flush at interpreter exit is quiet.
+                if not isinstance(exc, BrokenPipeError):
+                    print(f"rootcf: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)

@@ -7,15 +7,25 @@ come from an exact decimal recurrence over the walked convergents'
 partial quotients, checked against their integers block by block.  No
 digit is printed that these kernels did not certify.  The templates that write a
 report's rows in JSON (`row_json`) are here too, beside the digits.
+Exact rationals are printed by `exact.fraction_string`.
+
+Only the `report` functions that print digits import this module, on
+their first call, so a command that prints none (`--version`, a CSV
+`scan` without enclosures) never compiles it.  It binds no function the
+benchmark's tracer wraps: a binding made while the tracer runs would
+outlive it.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
+from typing import TYPE_CHECKING
 
-from .engine import Convergent
-from .exact import RationalInterval
+from .exact import fraction_string
+
+if TYPE_CHECKING:
+    from .engine import Convergent
+    from .exact import RationalInterval
 
 
 def _decimal_exponent(num: int, den: int) -> tuple[int, int]:
@@ -72,21 +82,6 @@ def justified_places(num: int, den: int) -> int:
         return 0
     e, power = _decimal_exponent(num, den)  # -40 <= e <= 0, power = 10**-e
     return -e if num * power == den else -e - 1
-
-
-def fraction_string(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, by a gcd of the odd parts alone.
-
-    gcd(a*2**i, b*2**j) = 2**min(i, j) * gcd(a, b) for odd a, b: an end
-    over q_n*d_n*2**(B(m-1)) runs its gcd against the odd part of q_n*d_n.
-    """
-    if num == 0:
-        return "0"
-    i, j = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
-    g = math.gcd(num >> i, den >> j) << min(i, j)
-    if g != 1:
-        num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def enclosure_json(iv: RationalInterval) -> dict:

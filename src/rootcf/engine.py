@@ -20,9 +20,9 @@ route (tests/oracles.py).  `complete_quotient_interval` and
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
-from typing import NamedTuple
 
 from .exact import (
     DEFAULT_MAX_BITS,
@@ -45,14 +45,13 @@ class Side(Enum):
     BELOW = "below"
 
 
-class Convergent(NamedTuple):
-    """One expansion term: partial quotient b_n with convergent p_n/q_n."""
+class Convergent(namedtuple("Convergent", "n b p q side")):
+    """One expansion term: partial quotient b_n with convergent p_n/q_n.
 
-    n: int
-    b: int
-    p: int
-    q: int
-    side: Side
+    n, b, p, q: int; side: Side.
+    """
+
+    __slots__ = ()
 
 
 # Convergents of an irrational number alternate about it, starting below
@@ -65,12 +64,13 @@ def _prev_pq(prev: Convergent | None) -> tuple[int, int]:
     return (prev.p, prev.q) if prev is not None else (1, 0)
 
 
-class Expansion(NamedTuple):
-    """Certified partial quotients b_0..b_N of alpha, and the bits that certified them."""
+class Expansion(namedtuple("Expansion", "spec partial_quotients precision_bits")):
+    """Certified partial quotients b_0..b_N of alpha, and the bits that certified them.
 
-    spec: RadicandSpec
-    partial_quotients: list[int]
-    precision_bits: int
+    spec: RadicandSpec; partial_quotients: list[int]; precision_bits: int.
+    """
+
+    __slots__ = ()
 
     def convergents(self) -> Iterator[Convergent]:
         """Convergents n = 0..N: p_n = b_n*p_{n-1} + p_{n-2}, q_n likewise.

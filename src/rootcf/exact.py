@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -68,6 +69,10 @@ def int_nth_root(x: int, m: int) -> int:
     return _nth_root(x, m)
 
 
+# The least shift at which a root is seeded from the root of fewer bits.
+_MIN_SPLIT = 32
+
+
 def _nth_root(x: int, m: int) -> int:
     if m == 1 or x < 2:
         return x
@@ -76,7 +81,7 @@ def _nth_root(x: int, m: int) -> int:
     if x.bit_length() <= m:
         return 1
     shift = x.bit_length() // m // 2
-    if shift >= 32:
+    if shift >= _MIN_SPLIT:
         # With y = x >> (m * shift): x < (y + 1) * 2**(m * shift) and
         # y + 1 <= (root(y) + 1)**m, so r > x**(1/m); about the top half
         # of r's bits are already right, so few Newton steps remain.
@@ -84,6 +89,11 @@ def _nth_root(x: int, m: int) -> int:
     else:
         # 2**ceil(bits/m) >= x**(1/m).
         r = 1 << -(-x.bit_length() // m)
+    return _root_from_above(x, m, r)
+
+
+def _root_from_above(x: int, m: int, r: int) -> int:
+    """The integer m-th root of x > 1, m >= 3, by Newton from r >= x**(1/m)."""
     # A step r - ceil((r**m - x) / (m*r**(m-1))) from above stays above
     # x**(1/m) - 1 (r**m is convex), so it never passes the floor, and the
     # first r with r**m <= x is the root.
@@ -110,13 +120,8 @@ def prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-class _SpecFields(NamedTuple):
-    k: int
-    m: int
-
-
-class RadicandSpec(_SpecFields):
-    """The pair (k, m) defining alpha = k**(1/m).
+class RadicandSpec(namedtuple("RadicandSpec", "k m")):
+    """The pair (k, m) defining alpha = k**(1/m); k: int, m: int.
 
     Construction rejects k that is a p-th power for any prime p | m, so
     x**m - k is irreducible and alpha is irrational of degree exactly m.
@@ -179,7 +184,7 @@ class RationalInterval:
 
     Each end is kept as its maker gave it, a numerator over a positive
     denominator, unreduced (`ends`): a report prints the ends reduced
-    (`digits.fraction_string`), so reducing them here as well would run
+    (`fraction_string`), so reducing them here as well would run
     every gcd twice.  A pickled interval keeps its ends unreduced.  `lo`
     and `hi`, the reduced `Fraction`s, are for library callers only: they
     and the two-rational constructor import `fractions`, which no command
@@ -248,6 +253,21 @@ def _fraction(*args) -> Fraction:
     return Fraction(*args)
 
 
+def fraction_string(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, by a gcd of the odd parts alone.
+
+    gcd(a*2**i, b*2**j) = 2**min(i, j) * gcd(a, b) for odd a, b: an end
+    over q_n*d_n*2**(B(m-1)) runs its gcd against the odd part of q_n*d_n.
+    """
+    if num == 0:
+        return "0"
+    i, j = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    g = math.gcd(num >> i, den >> j) << min(i, j)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """a < b for rationals given as (numerator, positive denominator).
 
@@ -263,13 +283,30 @@ def alpha_interval(spec: RadicandSpec, bits: int) -> tuple[int, int, int]:
     """(S, S + 1, 2**bits): alpha lies in [S, S+1]/2**bits, S = floor(alpha * 2**bits).
 
     Every consumer works on these integers; none builds the reduced
-    endpoints.  S is `int_nth_root(k << m*bits, m)`, whose Newton start
-    is the root at about half the bits, shifted up.  Memoised: verify
-    encloses every index of an expansion at one precision, and would
-    otherwise rebuild the same root per index.
+    endpoints.  S is `int_nth_root(k << m*bits, m)` (`_scaled_alpha`).
+    Memoised: verify encloses every index of an expansion at one
+    precision, and would otherwise rebuild the same root per index.
     """
-    scaled = int_nth_root(spec.k << (spec.m * bits), spec.m)
+    scaled = _scaled_alpha(spec, bits)
     return scaled, scaled + 1, 1 << bits
+
+
+@functools.lru_cache(maxsize=32)
+def _scaled_alpha(spec: RadicandSpec, bits: int) -> int:
+    """floor(alpha * 2**bits), memoised per level.
+
+    Newton runs down from S at half the bits, shifted up: S_h + 1 >
+    alpha * 2**h.  For k < 2**(2m-1) and even bits this is the start
+    `int_nth_root(k << m*bits, m)` makes by its own recursion, so the
+    steps and S are its own; read from here, a level that a precision
+    climb has already reached is not worked out again.
+    """
+    k, m = spec
+    half = bits // 2
+    if m == 2 or half < _MIN_SPLIT:
+        return int_nth_root(k << (m * bits), m)
+    start = (_scaled_alpha(spec, half) + 1) << (bits - half)
+    return _root_from_above(k << (m * bits), m, start)
 
 
 def refine(attempt: Callable[[int], T | None], start_bits: int, max_bits: int) -> T:

@@ -5,7 +5,8 @@ alpha-dependent quantity is the enclosure midpoint truncated to the digit
 count its width justifies, with the width printed alongside.  Exact
 rationals additionally appear verbatim as num/den.  Identical inputs
 yield byte-identical output in every format.  The digits themselves are
-worked out in `rootcf.digits`.
+worked out in `rootcf.digits`, which the functions that print digits
+import on their first call: a report that prints none never loads it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .bvp import (
     MEASURED_CLAIMS, Q_MIN, PredictionOutcome, ScanReport, TheoremReport, ViolationRecord,
     term_checks,
 )
-from .digits import convergent_digits, enclosure_json, exact_json, row_json
 from .engine import Expansion
 from .exact import RationalInterval
 
@@ -42,6 +42,8 @@ THETA_INDEX_NOTE = (
 
 def _observed_json(observed):
     if isinstance(observed, RationalInterval):
+        from .digits import enclosure_json
+
         return enclosure_json(observed)
     return observed
 
@@ -110,6 +112,8 @@ def certificate_payload(exp: Expansion) -> dict:
     and written as the emitter reaches it, so no convergent of the whole
     expansion is held at once.
     """
+    from .digits import convergent_digits
+
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
@@ -132,6 +136,8 @@ def outcome_json(outcome: PredictionOutcome) -> dict:
 
 def prediction_json(digits: dict, step: tuple) -> dict:
     """The item of one index: its convergent's digits row and its `bvp.index_walk` step."""
+    from .digits import exact_json
+
     _, _, distance, hn, hd, an, outcome = step
     return {
         "n": outcome.n,
@@ -153,6 +159,8 @@ def predict_payload(exp: Expansion, steps: list[tuple]) -> dict:
     walked integers as the emitter reaches them, and in JSON each is
     written by one template.
     """
+    from .digits import convergent_digits
+
     return {
         "k": exp.spec.k,
         "m": exp.spec.m,
@@ -167,6 +175,8 @@ def predict_payload(exp: Expansion, steps: list[tuple]) -> dict:
 
 def check_json(t) -> dict:
     """The report item of one checked index (a `bvp.TermCheck`)."""
+    from .digits import enclosure_json, exact_json
+
     return {
         "n": t.n,
         "theta_index_alt": t.n + 1,
@@ -285,6 +295,8 @@ def _emit_json(report: dict):
             yield piece
             continue
         # piece is '[\n' + indent + '""', indent being the items'.
+        from .digits import row_json
+
         first, rows = pending.pop()
         row = row_json(first, piece[2:-2])
         yield "[" + row(first)

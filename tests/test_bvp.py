@@ -37,7 +37,6 @@ from rootcf.bvp import (
     verify_theorems,
 )
 from rootcf.cli import parse_args, run
-from rootcf.digits import fraction_string
 from rootcf.engine import (
     Convergent,
     Side,
@@ -50,6 +49,7 @@ from rootcf.exact import (
     PrecisionCeilingError,
     WrongDegreeError,
     alpha_interval,
+    fraction_string,
     refine,
     validate_spec,
 )

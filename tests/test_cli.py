@@ -214,12 +214,29 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "rootcf: cannot write /dev/full: No space left on device\n"
 
-    @pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("terms", ["3", "500"])
+    def test_stdout_full_device(self, terms):
+        # As `rootcf ... > /dev/full`: 3 terms fail at the final flush, 500
+        # mid-stream.  One message, no traceback, and a quiet flush at exit.
+        cmd = [sys.executable, "-m", "rootcf", "expand", "--k", "2", "--m", "3",
+               "--terms", terms, "--format", "csv"]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert (result.returncode, result.stderr) == (
+            EXIT_USAGE, "rootcf: cannot write stdout: No space left on device\n"
+        )
+
+    @pytest.mark.parametrize(
+        "module", ["concurrent.futures.process", "dataclasses", "inspect", "rootcf.digits"]
+    )
     def test_import_leaves_out(self, module):
         # Every command pays for what rootcf.cli imports at start-up.  Only
-        # `scan --workers N` with N > 1 needs multiprocessing, and the
-        # records are named tuples, so nothing needs dataclasses (which
-        # would also bring in inspect, ast and tokenize).
+        # `scan --workers N` with N > 1 needs multiprocessing, the records
+        # are named tuples, so nothing needs dataclasses (which would also
+        # bring in inspect, ast and tokenize), and only a report that
+        # prints digits needs rootcf.digits.
         code = f"import sys, rootcf.cli; print({module!r} in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
         assert result.stdout == "False\n"
@@ -227,13 +244,14 @@ class TestMain:
     @pytest.mark.parametrize("argv,loaded", [
         ("--version", []),
         ("scan --m 3 --k-range 2..30 --terms 50 --format csv", []),
-        ("verify --k 2 --m 3 --terms 20 --format json", ["json"]),
-        ("expand --k 2 --m 3 --terms 20 --format json", ["decimal", "json"]),
+        ("verify --k 2 --m 3 --terms 20 --format json", ["json", "rootcf.digits"]),
+        ("expand --k 2 --m 3 --terms 20 --format json", ["decimal", "json", "rootcf.digits"]),
     ], ids=["version", "scan-csv", "verify-json", "expand-json"])
     def test_command_loads_only_the_stdlib_modules_it_runs(self, argv, loaded):
         # fractions (which imports decimal), decimal and json are loaded
         # where they are used: the library's Fraction accessors, convergent
-        # digits, and JSON or text reports.  Each run pays only for its own.
+        # digits, and JSON or text reports.  So is rootcf.digits, by the
+        # report functions that print digits.  Each run pays only for its own.
         code = (
             "import runpy, sys\n"
             f"sys.argv = ['rootcf', *{argv.split()!r}]\n"
@@ -241,7 +259,7 @@ class TestMain:
             "    runpy.run_module('rootcf', run_name='__main__')\n"
             "except SystemExit as done:\n"
             "    status = done.code\n"
-            "names = ('fractions', 'decimal', 'json')\n"
+            "names = ('fractions', 'decimal', 'json', 'rootcf.digits')\n"
             "print(status, sorted(name for name in names if name in sys.modules), file=sys.stderr)\n"
         )
         env = {**os.environ, "PYTHONPATH": SRC}
@@ -671,8 +689,8 @@ class TestRendering:
 
     def test_no_uncertified_digits(self):
         # A wide enclosure must print few digits: width 0.25 justifies none.
+        from rootcf.digits import enclosure_json
         from rootcf.exact import RationalInterval
-        from rootcf.report import enclosure_json
 
         entry = enclosure_json(RationalInterval(Fraction(1), Fraction(5, 4)))
         assert entry["decimal"] == "1"

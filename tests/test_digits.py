@@ -21,13 +21,14 @@ from rootcf.digits import (
     ROW_BATCH,
     convergent_digits,
     decimal_string,
+    enclosure_json,
     justified_places,
     sci_string,
 )
 from rootcf.bvp import index_walk, term_checks, verify_theorems
 from rootcf.engine import Convergent, Expansion, Side, expand
 from rootcf.exact import RationalInterval, validate_spec
-from rootcf.report import emit, enclosure_json, predict_payload
+from rootcf.report import emit, predict_payload
 
 import oracles
 from conftest import RecordingStream, spec_or_reject

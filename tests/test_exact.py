@@ -1,11 +1,13 @@
 import operator
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rootcf import exact
 from rootcf.exact import (
     InconsistentEnclosureError,
     InvalidDegreeError,
@@ -157,6 +159,31 @@ class TestAlphaEnclosure:
         scaled, upper, den = alpha_interval(spec_or_reject(k, m), bits)
         assert (upper, den) == (scaled + 1, 1 << bits)
         assert scaled ** m <= k << (m * bits) < upper ** m
+
+    @given(
+        k=st.integers(min_value=2, max_value=10 ** 5),
+        m=st.integers(min_value=3, max_value=12),
+        bits=st.integers(min_value=64, max_value=5000),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(k=2, m=3, bits=64, warm=True)
+    @example(k=50, m=10, bits=8192, warm=True)
+    @example(k=50, m=10, bits=8192, warm=False)
+    @example(k=99999, m=3, bits=129, warm=True)
+    def test_level_seeded_from_half_the_bits(self, k, m, bits, warm):
+        # A precision climb doubles the bits: S is found by Newton from S
+        # at half the bits, shifted up, cached or worked out first.  Either
+        # way only the least level calls int_nth_root, and S is the floor
+        # by the exact power test.
+        spec = spec_or_reject(k, m)
+        exact._scaled_alpha.cache_clear()
+        if warm:
+            exact._scaled_alpha(spec, bits // 2)
+        with mock.patch.object(exact, "int_nth_root", wraps=exact.int_nth_root) as root:
+            scaled = exact._scaled_alpha(spec, bits)
+        assert scaled ** m <= k << (m * bits) < (scaled + 1) ** m
+        assert root.call_count == (0 if warm else 1)
 
     def test_interval_contains_alpha(self):
         spec = validate_spec(2, 3)
