@@ -13,13 +13,14 @@ every claimed bound, recording violations it can certify.  Each index
 is worked once, on integers, by the one walk `verify` and `predict`
 share (`index_walk`): `leading_terms` gives d_n, H_n and
 A_n = H_n - q_{n-1}/q_n over one denominator, and `prediction` reads the
-floor formula against the b_{n+1} that `expand` certified.  |R_n| < 1 is
+floor formula against the b_{n+1} that `expand` certified.  Each index's
+verdicts are decided once, by `_verdicts` over that walk: |R_n| < 1 is
 proven at q_n >= Q(k, m) (`unit_threshold`) and decided by exact signs
 below it (`exact_unit_remainder`).  Each measured claim is one row of
-`MEASURED_CLAIMS`.  `verify_theorems` decides every verdict and holds no
-per-index record; `term_checks` builds each index's `TermCheck`, its
-theta_n and R_n enclosures included, as a report writes it, so a run
-never holds them all.  `predict_next`, `general_correction`
+`MEASURED_CLAIMS`.  `verify_theorems` tallies the verdicts and holds no
+per-index record; `term_checks` reads them again to build each index's
+`TermCheck`, its theta_n and R_n enclosures included, as a report writes
+it, so a run never holds them all.  `predict_next`, `general_correction`
 and `cubic_correction` stay public for the benchmark's tracer only.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
@@ -286,16 +287,15 @@ class TermCheck(namedtuple("TermCheck", (
 
 # The measured claims, in report order: tallied, never asserted.  Each row
 # is (TheoremReport field, TermCheck flag deciding it, None off its side,
-# violation kind, text, whether a failure shows H_n and b_{n+1} rather
-# than A_n and eps = b_{n+1} - floor(A_n)).  Plain tuples: every record
-# class is built again at each start-up.
+# violation kind, text).  Plain tuples: every record class is built again
+# at each start-up.
 MEASURED_CLAIMS = (
     ("above_epsilon", "above_epsilon_ok", EPSILON_RANGE,
-     "above side: b_{n+1} = floor(A_n) + eps with eps in {0, 1}", False),
+     "above side: b_{n+1} = floor(A_n) + eps with eps in {0, 1}"),
     ("below_window", "below_window_ok", WINDOW_BELOW,
-     "below side: H_n <= b_{n+1} < H_n + 2", True),
+     "below side: H_n <= b_{n+1} < H_n + 2"),
     ("below_epsilon", "below_epsilon_ok", EPSILON_RANGE,
-     "below side: b_{n+1} = floor(A_n) + eps with eps in {-1, 0}", False),
+     "below side: b_{n+1} = floor(A_n) + eps with eps in {-1, 0}"),
 )
 # The TermCheck flags a walk step decides: window_above_ok to general_window_ok.
 _STEP_FLAGS = TermCheck._fields[-7:-2]
@@ -377,43 +377,41 @@ def _enclosures(
     return theta_iv, r_iv
 
 
-def _step_flags(step: tuple) -> tuple:
-    """The flags (_STEP_FLAGS) of one `index_walk` step, None off their side.
+def _verdicts(spec: RadicandSpec, exp: Expansion) -> Iterator[tuple]:
+    """(step, flags, in_unit) for each `index_walk` step of exp: its verdicts.
 
-    Above alpha the side's window and epsilon range are `prediction`'s.
+    flags are the _STEP_FLAGS, None off their side; above alpha the side's
+    window (the general window there too) and epsilon range are
+    `prediction`'s.  in_unit is |R_n| < 1: proven at q_n >= Q(k, m)
+    (`unit_threshold`, once per walk), exact signs below it.
     """
-    _, conv, _, hn, hd, _, outcome = step
-    b_next = outcome.actual
-    general_window = b_next * hd <= hn < (b_next + 2) * hd  # H_n - 2 < b_{n+1} <= H_n
-    if conv.side is Side.ABOVE:
-        return outcome.window_held, None, outcome.formula_held, None, general_window
-    return (None, (b_next - 2) * hd < hn <= b_next * hd,
-            None, b_next - outcome.candidate in (-1, 0), general_window)
+    q_unit = unit_threshold(spec, exp.precision_bits)
+    for step in index_walk(spec, exp):
+        prev, conv, _, hn, hd, _, outcome = step
+        b_next = outcome.actual
+        if conv.side is Side.ABOVE:
+            flags = outcome.window_held, None, outcome.formula_held, None, outcome.window_held
+        else:
+            flags = (None, (b_next - 2) * hd < hn <= b_next * hd, None,
+                     b_next - outcome.candidate in (-1, 0), b_next * hd <= hn < (b_next + 2) * hd)
+        yield step, flags, conv.q >= q_unit or exact_unit_remainder(spec, conv, prev, hn, hd)
 
 
-def _failure(
-    spec: RadicandSpec, step: tuple, quantity: str, text: str, shows_leading: bool
-) -> ViolationRecord:
+def _failure(spec: RadicandSpec, step: tuple, quantity: str, text: str) -> ViolationRecord:
     """The record of a claim failing at one `index_walk` step.
 
-    Positional, in field order: keywords cost a scan, which builds hundreds.
+    It shows A_n and eps = b_{n+1} - floor(A_n) for an epsilon range, else
+    H_n and b_{n+1}.  Positional: keywords cost a scan, which builds hundreds.
     """
     _, conv, d, hn, hd, an, outcome = step
     b_next = outcome.actual
-    if shows_leading:
-        observed, claimed = b_next, f"{text} with H_n = {fraction_string(hn, hd)}"
-    else:
+    if quantity == EPSILON_RANGE:
         observed, claimed = b_next - outcome.candidate, f"{text}; A_n = {fraction_string(an, hd)}"
+    else:
+        observed, claimed = b_next, f"{text} with H_n = {fraction_string(hn, hd)}"
     return ViolationRecord(
         spec.k, spec.m, conv.n, quantity, conv.p, conv.q, b_next, d, observed, claimed
     )
-
-
-def _stable_from(failures: list[int], checked: list[int]) -> int | None:
-    """Least n0 with no failure in [n0, checked[-1]]; None if that index fails."""
-    if not checked or checked[-1] in failures:
-        return None
-    return max(failures, default=0) + 1
 
 
 def verify_theorems(
@@ -421,26 +419,20 @@ def verify_theorems(
 ) -> TheoremReport:
     """Measure every stated bound for n = 1..n_max; `verify` and `scan` share it.
 
-    The indices are walked once, by `index_walk`, as `predict` walks
-    them: each takes d_n, H_n and A_n once, as integers, from
-    `leading_terms`, and b_{n+1} from the certified expansion, whose
-    floors are proven and whose last term `expand` re-checks exactly.
-    Every verdict is decided here, before any report is written.
-    |R_n| < 1 is proven where q_n >= Q(k, m) (`unit_threshold`, once per
-    call) and decided exactly below Q (`exact_unit_remainder`).  The
-    windows are checked exactly; above alpha the side's window and
-    epsilon range are `prediction`'s window_held and formula_held.  Each
-    of MEASURED_CLAIMS is tallied from its flag over the checked indices,
-    and the least index from which stability holds through n_max recorded.
-    The one enclosure built here is the observed R_n of each
-    remainder_bound violation, from the expansion's bits; no per-index
-    record is held (`term_checks` makes those).  Indices with q_n < Q_MIN,
-    index 0 always among them, are excluded from claims and violations.
+    Every verdict is `_verdicts`', decided before any report is written
+    from `leading_terms`' d_n, H_n and A_n and the b_{n+1} of the
+    certified expansion, whose floors are proven and whose last term
+    `expand` re-checks exactly.  Each of MEASURED_CLAIMS is tallied from
+    its flag over the checked indices, and the least index from which
+    stability holds through n_max recorded.  The one enclosure built here
+    is the observed R_n of each remainder_bound violation, from the
+    expansion's bits; no per-index record is held (`term_checks` makes
+    those).  Indices with q_n < Q_MIN, index 0 always among them, are
+    excluded from claims and violations.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     exp = expand(spec, n_max + 1, max_bits=max_bits)
-    q_unit = unit_threshold(spec, exp.precision_bits)
 
     violations: list[ViolationRecord] = []
     # The flags (_STEP_FLAGS) of each checked index, and with its walk step
@@ -449,43 +441,46 @@ def verify_theorems(
     failing: list[tuple] = []
     checked: list[int] = []
     skipped: list[int] = [0]
+    # One past the last index where |R_n| < 1, or the general window, fails;
+    # stable through n_max only if that is not past the last checked index.
+    remainder_from = window_from = 1
 
-    for step in index_walk(spec, exp):
-        prev, conv, d, hn, hd, _, outcome = step
+    for step, flags, in_unit in _verdicts(spec, exp):
+        _, conv, d, _, _, _, outcome = step
         if conv.q < Q_MIN:
             skipped.append(conv.n)
             continue
         checked.append(conv.n)
-        flags = _step_flags(step)
         step_flags.append(flags)
         if False in flags:
             failing.append((flags, step))
-        # Proven at q_n >= Q, decided by exact signs below it.
-        if not (conv.q >= q_unit or exact_unit_remainder(spec, conv, prev, hn, hd)):
+            if flags[-1] is False:
+                window_from = conv.n + 1
+        if not in_unit:
             r_iv = _enclosures(spec, step, False, exp.precision_bits, max_bits)[1]
             violations.append(ViolationRecord(
                 k=spec.k, m=spec.m, n=conv.n, quantity=REMAINDER_BOUND, p=conv.p, q=conv.q,
                 b_next=outcome.actual, distance=d, observed=r_iv, claimed=CLAIM_REMAINDER,
             ))
-        if conv.side is Side.ABOVE and spec.m == 3 and not outcome.window_held:
-            violations.append(_failure(spec, step, WINDOW_ABOVE, CLAIM_ABOVE_WINDOW, True))
+            remainder_from = conv.n + 1
+        if spec.m == 3 and flags[0] is False:  # window_above_ok
+            violations.append(_failure(spec, step, WINDOW_ABOVE, CLAIM_ABOVE_WINDOW))
 
     # Each flag's values over the checked indices; None off the claim's side.
     columns = {flag: values for flag, *values in zip(_STEP_FLAGS, *step_flags)}
     claims = {}
-    for field, flag, quantity, text, shows_leading in MEASURED_CLAIMS:
+    for field, flag, quantity, text in MEASURED_CLAIMS:
         i = _STEP_FLAGS.index(flag)
-        failures = tuple(_failure(spec, step, quantity, text, shows_leading)
+        failures = tuple(_failure(spec, step, quantity, text)
                          for flags, step in failing if flags[i] is False)
         claims[field] = ClaimStats(text, columns[flag].count(True), len(failures), failures)
+    last = checked[-1] if checked else 0
     return TheoremReport(
         spec=spec, n_max=n_max, expansion=exp,
         checked=tuple(checked), skipped=tuple(skipped), violations=tuple(violations),
         **claims,
-        remainder_stable_from=_stable_from(
-            [v.n for v in violations if v.quantity == REMAINDER_BOUND], checked),
-        window_stable_from=_stable_from(
-            [step[1].n for flags, step in failing if flags[-1] is False], checked),
+        remainder_stable_from=remainder_from if remainder_from <= last else None,
+        window_stable_from=window_from if window_from <= last else None,
         max_bits=max_bits,
     )
 
@@ -493,24 +488,21 @@ def verify_theorems(
 def term_checks(report: TheoremReport) -> Iterator[TermCheck]:
     """Each index's TermCheck, n = 1..n_max, made as it is asked for.
 
-    The one builder of TermChecks: the indices are walked again, theta_n
-    and R_n enclosed from the expansion's bits under the report's
-    max_bits.  |R_n| < 1 is the report's verdict at a checked index (false
-    only where a remainder_bound violation names it) and the exact test
-    below Q_MIN; the enclosure must agree.  Two flags are exact integer
-    tests.  theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly
-    when q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1
-    above, +1 below), the left side being that determinant over
+    The one builder of TermChecks: the indices are walked again by
+    `_verdicts`, which decides every flag and |R_n| < 1 as it did for
+    `verify_theorems`, and theta_n and R_n are enclosed from the
+    expansion's bits under the report's max_bits; the enclosure must
+    agree with the verdict.  Two flags are exact integer tests.
+    theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly when
+    q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1 above,
+    +1 below), the left side being that determinant over
     q_n*(q_n*alpha - p_n).  For cubics V_n = (q_n/d_n)(x_n - alpha)(2x_n + alpha)
     with 2x_n + alpha > 0, so sgn(V_n) = sgn(x_n - alpha) is one exact
     sign; a contradiction raises InconsistentEnclosureError.
     """
     spec, exp = report.spec, report.expansion
-    outside = {v.n for v in report.violations if v.quantity == REMAINDER_BOUND}
-    for step in index_walk(spec, exp):
+    for step, flags, in_unit in _verdicts(spec, exp):
         prev, conv, d, hn, hd, an, outcome = step
-        q_ok = conv.q >= Q_MIN
-        in_unit = conv.n not in outside if q_ok else exact_unit_remainder(spec, conv, prev, hn, hd)
         theta_iv, r_iv = _enclosures(spec, step, in_unit, exp.precision_bits, report.max_bits)
         above = conv.side is Side.ABOVE
         universal_ok = conv.q * prev.p - conv.p * prev.q == (-1 if above else 1)
@@ -520,7 +512,7 @@ def term_checks(report: TheoremReport) -> Iterator[TermCheck]:
             raise InconsistentEnclosureError(f"cubic correction sign contradicts side at n={conv.n}")
         yield TermCheck(
             conv.n, outcome.actual, conv.side, conv.p, conv.q, d, (hn, hd), (an, hd),
-            theta_iv, r_iv, in_unit, outcome, q_ok, *_step_flags(step), universal_ok, sign_ok,
+            theta_iv, r_iv, in_unit, outcome, conv.q >= Q_MIN, *flags, universal_ok, sign_ok,
         )
 
 

@@ -259,19 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     status, message = EXIT_OK, None
     try:
-        report = run(config)
-    except IncompleteReport as exc:
-        report, status, message = exc.report, EXIT_PRECISION, f"rootcf: {exc}"
-    except PerfectPowerError as exc:
-        print(f"rootcf: degenerate radicand: {exc}", file=sys.stderr)
-        return EXIT_PERFECT_POWER
-    except PrecisionCeilingError as exc:
-        print(f"rootcf: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (UsageError, InvalidDegreeError) as exc:
-        print(f"rootcf: invalid config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        try:
+            report = run(config)
+        except IncompleteReport as exc:
+            report, status, message = exc.report, EXIT_PRECISION, f"rootcf: {exc}"
         if config.out is None:
             try:
                 emit(report, config.format, sys.stdout)
@@ -293,10 +284,16 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 print(f"rootcf: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
                 return EXIT_USAGE
+    except PerfectPowerError as exc:
+        print(f"rootcf: degenerate radicand: {exc}", file=sys.stderr)
+        return EXIT_PERFECT_POWER
     except PrecisionCeilingError as exc:
-        # verify refines each item's enclosures as the item is written.
+        # Raised by run, or by verify refining each item's enclosures as it is written.
         print(f"rootcf: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except (UsageError, InvalidDegreeError) as exc:
+        print(f"rootcf: invalid config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if message is not None:
         print(message, file=sys.stderr)
     return status

@@ -278,14 +278,13 @@ def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] < b[0] * a[1]
 
 
-@functools.lru_cache(maxsize=32)
 def alpha_interval(spec: RadicandSpec, bits: int) -> tuple[int, int, int]:
     """(S, S + 1, 2**bits): alpha lies in [S, S+1]/2**bits, S = floor(alpha * 2**bits).
 
     Every consumer works on these integers; none builds the reduced
-    endpoints.  S is `int_nth_root(k << m*bits, m)` (`_scaled_alpha`).
-    Memoised: verify encloses every index of an expansion at one
-    precision, and would otherwise rebuild the same root per index.
+    endpoints.  S is `int_nth_root(k << m*bits, m)`, read from
+    `_scaled_alpha`'s one cache per level, so verify, which encloses
+    every index of an expansion at one precision, finds each root once.
     """
     scaled = _scaled_alpha(spec, bits)
     return scaled, scaled + 1, 1 << bits

@@ -490,6 +490,13 @@ class TestVerifyTheorems:
         assert t1.universal_identity_ok
         assert t1.general_window_ok  # 11 <= 12.53 and 13 > 12.53
 
+    def test_term_checks_decide_the_unit_verdict_themselves(self):
+        # |R_1| < 1 fails at 50^(1/10); term_checks decides that from the
+        # expansion, not from the report's violations, which are dropped here.
+        report = verify_theorems(SPEC_50_10, 1)
+        assert [v.quantity for v in report.violations] == [REMAINDER_BOUND]
+        assert next(term_checks(report._replace(violations=()))).remainder_in_unit is False
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             verify_theorems(SPEC_2_3, 0)

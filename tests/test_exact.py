@@ -155,7 +155,7 @@ class TestAlphaEnclosure:
         # Far past test_soundness's 100 bits, where int_nth_root's Newton
         # start is the root at about half the bits shifted up, and at every
         # B, powers of two or not: S is the floor by the exact power test.
-        alpha_interval.cache_clear()
+        exact._scaled_alpha.cache_clear()
         scaled, upper, den = alpha_interval(spec_or_reject(k, m), bits)
         assert (upper, den) == (scaled + 1, 1 << bits)
         assert scaled ** m <= k << (m * bits) < upper ** m
