@@ -20,8 +20,10 @@ below it (`exact_unit_remainder`).  Each measured claim is one row of
 `MEASURED_CLAIMS`.  `verify_theorems` tallies the verdicts and holds no
 per-index record; `term_checks` reads them again to build each index's
 `TermCheck`, its theta_n and R_n enclosures included, as a report writes
-it, so a run never holds them all.  `predict_next`, `general_correction`
-and `cubic_correction` stay public for the benchmark's tracer only.
+it, so a run never holds them all.  An enclosure decides nothing: R_n's
+(`_analyze_term`) only shows the exact |R_n| < 1 verdict, and raises if
+it contradicts it.  `predict_next`, `general_correction` and
+`cubic_correction` stay public for the benchmark's tracer only.
 
 Sign conventions: W_n carries the sign of alpha - x_n.  For cubics the
 classical correction V_n = (q_n/d_n)(2x_n**2 - x_n*alpha - alpha**2)
@@ -323,25 +325,21 @@ class TheoremReport(namedtuple("TheoremReport", (
 
 
 def _analyze_term(
-    spec: RadicandSpec,
-    conv: Convergent,
-    prev: Convergent | None,
-    d: int,
-    hn: int,
-    hd: int,
-    start_bits: int,
-    max_bits: int,
-) -> tuple[RationalInterval, RationalInterval, bool]:
-    """(theta, remainder, in_unit) certified, for d and H_n = hn/hd of `leading_terms`.
+    spec: RadicandSpec, step: tuple, in_unit: bool, start_bits: int, max_bits: int
+) -> tuple[RationalInterval, RationalInterval]:
+    """(theta_n, R_n) certified for one `index_walk` step, R_n showing in_unit.
 
     Only the enclosures a report prints, theta_n and R_n, are built, and
     from the integers of alpha's enclosure [S, S+1]/2**bits: theta_n by
     `_theta_corners` (no answer if q_n*alpha - p_n is not separated from 0),
     and R_n as W_n - q_{n-1}/q_n (`_correction_ends`) intersected with
     theta_n - H_n; disjoint routes raise InconsistentEnclosureError.  The
-    enclosures are refined until R_n decides |R_n| < 1 on its own, and
-    the caller checks that in_unit equals its own verdict.
+    enclosures are refined until R_n lies strictly inside (-1, 1) or
+    strictly outside [-1, 1]; in_unit is the exact verdict on |R_n| < 1
+    (`_verdicts`), and an R_n on the other side raises
+    InconsistentEnclosureError.
     """
+    prev, conv, d, hn, hd, _, _ = step
     m = spec.m
     c = hn + _prev_pq(prev)[1] * d
 
@@ -356,25 +354,16 @@ def _analyze_term(
         r_hi = via_w[1] if _less(via_w[1], via_theta[1]) else via_theta[1]
         if _less(r_hi, r_lo):
             raise InconsistentEnclosureError(f"remainder routes disjoint at n={conv.n}")
-        in_unit = -r_lo[1] < r_lo[0] and r_hi[0] < r_hi[1]
-        if not (in_unit or r_hi[0] < -r_hi[1] or r_lo[0] > r_lo[1]):
+        inside = -r_lo[1] < r_lo[0] and r_hi[0] < r_hi[1]
+        if not (inside or r_hi[0] < -r_hi[1] or r_lo[0] > r_lo[1]):
             return None
-        return RationalInterval.from_ends(*corners), RationalInterval.from_ends(r_lo, r_hi), in_unit
+        if inside != in_unit:
+            raise InconsistentEnclosureError(
+                f"remainder enclosure contradicts the unit verdict at n={conv.n}"
+            )
+        return RationalInterval.from_ends(*corners), RationalInterval.from_ends(r_lo, r_hi)
 
     return refine(attempt, start_bits, max_bits)
-
-
-def _enclosures(
-    spec: RadicandSpec, step: tuple, in_unit: bool, bits: int, max_bits: int
-) -> tuple[RationalInterval, RationalInterval]:
-    """`_analyze_term`'s (theta_n, R_n) of one `index_walk` step, R_n checked against in_unit."""
-    prev, conv, d, hn, hd, _, _ = step
-    theta_iv, r_iv, iv_in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, max_bits)
-    if iv_in_unit != in_unit:
-        raise InconsistentEnclosureError(
-            f"remainder enclosure contradicts the unit verdict at n={conv.n}"
-        )
-    return theta_iv, r_iv
 
 
 def _verdicts(spec: RadicandSpec, exp: Expansion) -> Iterator[tuple]:
@@ -457,7 +446,7 @@ def verify_theorems(
             if flags[-1] is False:
                 window_from = conv.n + 1
         if not in_unit:
-            r_iv = _enclosures(spec, step, False, exp.precision_bits, max_bits)[1]
+            r_iv = _analyze_term(spec, step, False, exp.precision_bits, max_bits)[1]
             violations.append(ViolationRecord(
                 k=spec.k, m=spec.m, n=conv.n, quantity=REMAINDER_BOUND, p=conv.p, q=conv.q,
                 b_next=outcome.actual, distance=d, observed=r_iv, claimed=CLAIM_REMAINDER,
@@ -491,8 +480,8 @@ def term_checks(report: TheoremReport) -> Iterator[TermCheck]:
     The one builder of TermChecks: the indices are walked again by
     `_verdicts`, which decides every flag and |R_n| < 1 as it did for
     `verify_theorems`, and theta_n and R_n are enclosed from the
-    expansion's bits under the report's max_bits; the enclosure must
-    agree with the verdict.  Two flags are exact integer tests.
+    expansion's bits under the report's max_bits, R_n's showing that
+    verdict.  Two flags are exact integer tests.
     theta_n + q_{n-1}/q_n = 1/(q_n**2 |x_n - alpha|) holds exactly when
     q_n*p_{n-1} - p_n*q_{n-1} is the sign of q_n*alpha - p_n (-1 above,
     +1 below), the left side being that determinant over
@@ -503,7 +492,7 @@ def term_checks(report: TheoremReport) -> Iterator[TermCheck]:
     spec, exp = report.spec, report.expansion
     for step, flags, in_unit in _verdicts(spec, exp):
         prev, conv, d, hn, hd, an, outcome = step
-        theta_iv, r_iv = _enclosures(spec, step, in_unit, exp.precision_bits, report.max_bits)
+        theta_iv, r_iv = _analyze_term(spec, step, in_unit, exp.precision_bits, report.max_bits)
         above = conv.side is Side.ABOVE
         universal_ok = conv.q * prev.p - conv.p * prev.q == (-1 if above else 1)
         sign_ok = ((sign_linear_in_alpha(spec, -conv.q, conv.p) > 0) == above

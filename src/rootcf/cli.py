@@ -24,7 +24,6 @@ from .bvp import (
 from .engine import expand
 from .exact import (
     DEFAULT_MAX_BITS,
-    InvalidDegreeError,
     PerfectPowerError,
     PrecisionCeilingError,
     validate_spec,
@@ -166,22 +165,22 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
-def _specs(config: RunConfig) -> tuple[list, list[SkippedCell]]:
-    """Validated specs in (m, k) order; invalid cells recorded, not fatal.
+def _specs(config: RunConfig) -> tuple[list, int]:
+    """Validated specs in (m, k) order, and the count of perfect powers skipped.
 
-    Raises if no cell in the requested ranges is a valid radicand.
+    A perfect power is the one invalid cell RunConfig admits.  Raises the
+    last PerfectPowerError if no cell is valid.
     """
-    specs, skipped = [], []
-    last_error: Exception | None = None
+    specs, skipped = [], 0
     for m in range(config.m_range[0], config.m_range[1] + 1):
         for k in range(config.k_range[0], config.k_range[1] + 1):
             try:
                 specs.append(validate_spec(k, m))
-            except ValueError as exc:
-                skipped.append(SkippedCell(k=k, m=m, reason=str(exc)))
+            except PerfectPowerError as exc:
+                skipped += 1
                 last_error = exc
     if not specs:
-        raise last_error if last_error is not None else UsageError("empty spec grid")
+        raise last_error
     return specs, skipped
 
 
@@ -203,7 +202,7 @@ def run(config: RunConfig) -> dict:
     capped: list[SkippedCell] = []
     if config.command != "scan":
         specs, skipped = _specs(config)
-        summary = {"specs": len(specs), "skipped_specs": len(skipped)}
+        summary = {"specs": len(specs), "skipped_specs": skipped}
     if config.command == "expand":
         results = [certificate_payload(expand(spec, config.terms, max_bits=cap)) for spec in specs]
         summary["terms_total"] = sum(len(r["partial_quotients"]) for r in results)
@@ -291,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         # Raised by run, or by verify refining each item's enclosures as it is written.
         print(f"rootcf: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (UsageError, InvalidDegreeError) as exc:
-        print(f"rootcf: invalid config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if message is not None:
         print(message, file=sys.stderr)
     return status

@@ -42,6 +42,11 @@ def pair(exp, n):
     return terms[n], terms[n - 1] if n >= 1 else None
 
 
+def walk_step(spec, conv, prev):
+    """(conv, prev)'s `index_walk` step, its prediction left out: all `_analyze_term` reads."""
+    return (prev, conv, *leading_terms(spec, conv, prev), None)
+
+
 def leading_fractions(spec, conv, prev):
     """(d_n, H_n, A_n) from leading_terms' integers, the two rationals reduced."""
     d, hn, hd, an = leading_terms(spec, conv, prev)

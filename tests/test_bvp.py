@@ -46,6 +46,7 @@ from rootcf.engine import (
 )
 from rootcf.exact import (
     DEFAULT_MAX_BITS,
+    InconsistentEnclosureError,
     PrecisionCeilingError,
     WrongDegreeError,
     alpha_interval,
@@ -55,7 +56,7 @@ from rootcf.exact import (
 )
 
 import oracles
-from conftest import leading_fractions, pair, spec_or_reject, within
+from conftest import leading_fractions, pair, spec_or_reject, walk_step, within
 
 SPEC_50_10 = validate_spec(50, 10)
 SPEC_2_3 = validate_spec(2, 3)
@@ -92,10 +93,9 @@ class TestExactQuantities:
         assert leading_fractions(SPEC_2_3, *pair(EXP_2, 2)) == (3, Fraction(25, 4), Fraction(11, 2))
 
 
-def analyzed(spec, conv, prev):
-    """_analyze_term's (theta, R, in_unit) from 64 bits, as verify refines them."""
-    d, hn, hd, _ = leading_terms(spec, conv, prev)
-    return _analyze_term(spec, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)
+def analyzed(spec, conv, prev, in_unit):
+    """_analyze_term's (theta, R) from 64 bits, R showing the verdict in_unit."""
+    return _analyze_term(spec, walk_step(spec, conv, prev), in_unit, 64, DEFAULT_MAX_BITS)
 
 
 class TestRemainder:
@@ -120,10 +120,15 @@ class TestRemainder:
         assert -1 < iv.lo and iv.hi < 0  # below side, still negative
 
     def test_certified_unit_check(self):
-        _, iv, inside = analyzed(SPEC_50_10, *pair(EXP_50, 1))
-        assert not inside and iv.hi < -1
-        _, iv2, inside2 = analyzed(SPEC_2_3, *pair(EXP_2, 2))
-        assert inside2 and -1 < iv2.lo and iv2.hi < 1
+        _, iv = analyzed(SPEC_50_10, *pair(EXP_50, 1), False)
+        assert iv.hi < -1
+        _, iv2 = analyzed(SPEC_2_3, *pair(EXP_2, 2), True)
+        assert -1 < iv2.lo and iv2.hi < 1
+        # An R_n enclosure that decides against the verdict it is given raises.
+        with pytest.raises(InconsistentEnclosureError, match="contradicts the unit verdict at n=1"):
+            analyzed(SPEC_50_10, *pair(EXP_50, 1), True)
+        with pytest.raises(InconsistentEnclosureError, match="contradicts the unit verdict at n=2"):
+            analyzed(SPEC_2_3, *pair(EXP_2, 2), False)
 
     def test_two_routes_intersect_and_tighten(self):
         conv, prev = pair(EXP_2, 3)
@@ -141,15 +146,18 @@ class TestRemainder:
     @given(k=st.integers(min_value=2, max_value=1000), m=st.integers(min_value=3, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_unit_verdict_matches_exact_oracle(self, k, m):
-        # The enclosure verdict of `_analyze_term` on |R_n| < 1 and the
-        # package's exact one must both equal the test-side integer-sign
-        # decision of H_n - 1 < theta_n < H_n + 1, for every n in 1..14.
+        # The R_n enclosure of `_analyze_term` must show the test-side
+        # integer-sign decision of H_n - 1 < theta_n < H_n + 1, and raise on
+        # its negation, and the package's exact verdict must equal it, for
+        # every n in 1..14.
         spec = spec_or_reject(k, m)
         exp = expand(spec, 14)
         for n in range(1, 15):
             conv, prev = pair(exp, n)
             expected = oracles.unit_remainder_exact(k, m, conv.p, conv.q, prev.p, prev.q)
-            assert analyzed(spec, conv, prev)[2] == expected
+            analyzed(spec, conv, prev, expected)
+            with pytest.raises(InconsistentEnclosureError):
+                analyzed(spec, conv, prev, not expected)
             _, hn, hd, _ = leading_terms(spec, conv, prev)
             assert exact_unit_remainder(spec, conv, prev, hn, hd) == expected
 
@@ -583,15 +591,15 @@ class TestAnalyzeTerm:
     def test_integer_endpoints_match_interval_route(self, k, m, n, start):
         # The integer-endpoint enclosures are the interval route's, to the last
         # endpoint, also where q_n*alpha - p_n is not separated from 0 at
-        # `start` bits (None starts at the expansion's bits, as verify does).
+        # `start` bits (None starts at the expansion's bits, as verify does),
+        # and never contradict the route's verdict.
         spec = spec_or_reject(k, m)
         exp = expand(spec, n + 1)
         conv, prev = pair(exp, n)
         bits = start or exp.precision_bits
-        d, hn, hd, _ = leading_terms(spec, conv, prev)
-        theta, r, in_unit = _analyze_term(spec, conv, prev, d, hn, hd, bits, DEFAULT_MAX_BITS)
-        got = (oracles.as_interval(theta), oracles.as_interval(r), in_unit)
-        assert got == interval_route(spec, conv, prev, bits)
+        *want, in_unit = interval_route(spec, conv, prev, bits)
+        theta, r = _analyze_term(spec, walk_step(spec, conv, prev), in_unit, bits, DEFAULT_MAX_BITS)
+        assert [oracles.as_interval(theta), oracles.as_interval(r)] == want
 
         a_iv = alpha_interval(spec, bits)
         alpha = oracles.alpha_enclosure(k, m, bits)
@@ -608,6 +616,30 @@ class TestAnalyzeTerm:
         if m == 3:
             want = oracles.cubic_correction(k, conv.p, conv.q, alpha)
             assert oracles.as_interval(cubic_correction(spec, conv, a_iv)) == want
+
+    def test_climbs_until_decided_and_raises_on_contradiction(self, monkeypatch):
+        # 4784^(1/10) at n = 1 (p/q = 5/2), from 8 bits: q_1*alpha - p_1 is
+        # separated from 0 there, but R_1's enclosure straddles -1; at 16
+        # bits it decides |R_1| >= 1 (R_1 = -1.0065...), the exact verdict.
+        spec = validate_spec(4784, 10)
+        conv, prev = pair(expand(spec, 2), 1)
+        assert (conv.p, conv.q) == (5, 2)
+        step = walk_step(spec, conv, prev)
+        assert not exact_unit_remainder(spec, conv, prev, *step[3:5])
+        # Raises ZeroDivisionError unless 8 bits separate q_1*alpha - p_1 from 0.
+        assert complete_quotient_interval(conv, prev, alpha_interval(spec, 8)).lo > 0
+        calls = []
+
+        def spy(spec, bits):
+            calls.append(bits)
+            return alpha_interval(spec, bits)
+
+        monkeypatch.setattr(bvp, "alpha_interval", spy)
+        r = _analyze_term(spec, step, False, 8, DEFAULT_MAX_BITS)[1]
+        assert calls == [8, 16]
+        assert r.hi < -1 and within(r, Fraction("-1.0065"), Fraction(1, 10 ** 4))
+        with pytest.raises(InconsistentEnclosureError, match="contradicts the unit verdict at n=1"):
+            _analyze_term(spec, step, True, 8, DEFAULT_MAX_BITS)
 
 
 class TestScan:

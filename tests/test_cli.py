@@ -57,8 +57,10 @@ class TestParseArgs:
         assert cfg.terms == 50
 
     def test_empty_range_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="empty k range 5..2"):
             parse_args(["scan", "--m", "3", "--k-range", "5..2", "--terms", "5"])
+        with pytest.raises(UsageError, match="empty m range 5..3"):
+            parse_args(["scan", "--m-range", "5..3", "--k", "2", "--terms", "5"])
 
     def test_golden_verify_config(self):
         cfg = parse_args(["verify", "--m", "10", "--k", "50", "--terms", "1", "--format", "json"])
@@ -86,6 +88,8 @@ class TestParseArgs:
             parse_args(["expand", "--k", "2", "--m", "1"])
         with pytest.raises(UsageError):
             parse_args(["expand", "--k", "2", "--m", "3", "--precision-cap", "32"])
+        with pytest.raises(UsageError, match="k must be positive"):
+            parse_args(["expand", "--k", "0", "--m", "3"])
 
 
 # The keys of a predict row, every one of them also a key of a verify item.
@@ -626,9 +630,9 @@ class TestEmit:
         # emit builds every index's theta_n and R_n once, as it writes them.
         analyze, made = bvp._analyze_term, []
 
-        def spy(spec, conv, *args):
-            made.append(conv.n)
-            return analyze(spec, conv, *args)
+        def spy(spec, step, *args):
+            made.append(step[1].n)
+            return analyze(spec, step, *args)
 
         monkeypatch.setattr(bvp, "_analyze_term", spy)
         report = run(parse_args(["verify", "--k", "2", "--m", "3", "--terms", "40"]))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcf import engine
-from rootcf.bvp import _analyze_term, leading_terms, term_checks, verify_theorems
+from rootcf.bvp import _analyze_term, term_checks, verify_theorems
 from rootcf.engine import (
     _Prefix,
     complete_quotient_interval,
@@ -22,7 +22,7 @@ from rootcf.exact import (
 )
 
 import oracles
-from conftest import pair, spec_or_reject
+from conftest import pair, spec_or_reject, walk_step
 
 
 SPEC_50_10 = validate_spec(50, 10)
@@ -286,8 +286,8 @@ class TestThetaEnclosure:
     def test_cbrt2_first_quotient(self):
         conv, prev = pair(expand(SPEC_2_3, 1), 0)
         assert prev is None
-        d, hn, hd, _ = leading_terms(SPEC_2_3, conv, prev)
-        theta = _analyze_term(SPEC_2_3, conv, prev, d, hn, hd, 64, DEFAULT_MAX_BITS)[0]
+        # R_0 = theta_0 - H_0 = 0.847...: |R_0| < 1.
+        theta = _analyze_term(SPEC_2_3, walk_step(SPEC_2_3, conv, prev), True, 64, DEFAULT_MAX_BITS)[0]
         assert oracles.width(theta) <= Fraction(1, 10 ** 8)
         # theta_0 = 1/(alpha - 1) = 3.84732210...
         assert abs(oracles.mid(theta) - Fraction("3.8473221")) < Fraction(1, 10 ** 6)
